@@ -7,15 +7,13 @@ the failure-free in-process reference.  ``--suite`` selects one
 
 **shuffle** (``benchmarks/BENCH_shuffle.json``):
 
-* **split-filter**: a kill forces a 2-way split recomputation; the run
-  is repeated with server-side split filtering on and off and the
-  recompute-reduce shuffle bytes are compared.  Filtering must ship
-  about ``1/k`` of the unfiltered bytes (each split reducer receives
-  only its share of the partition instead of all of it).
-* **pipeline**: the same failure-free chain on the serial data plane
-  (1 task slot, 1 fetch at a time, connection-per-request, client-side
-  filtering — the pre-pipelining runtime) versus the pipelined one
-  (4 slots, 4-way parallel fetch, persistent connections); wall-clock
+* **split-filter**: a kill forces a 2-way split recomputation; the
+  bytes its recompute-reduce phases pulled (TCP + local) are compared
+  with the on-disk slices of the partitions they regenerated.  Each
+  split reducer must receive only its share of the partition: about
+  ``1/k`` of the ``k x`` partition bytes an unfiltered shuffle ships.
+* **pipeline**: the same failure-free chain with 1 task slot and 1
+  fetch at a time versus 4 slots and 4-way parallel fetch; wall-clock
   is the metric.
 
 **memplane** (``benchmarks/BENCH_memplane.json``) — the memory-tier
@@ -65,6 +63,7 @@ from common import (
 from repro.faults import FaultModel
 from repro.localexec import LocalJobConfig
 from repro.runtime import Coordinator, RuntimeConfig
+from repro.runtime.storage import NodeStore
 from repro.workloads import cube_dependencies, shape_dependencies
 
 #: wall-clock slack for the pipelined-vs-serial comparison: on a
@@ -93,13 +92,17 @@ def parse_args() -> argparse.Namespace:
 
 
 def run_chain(chain: LocalJobConfig, expected: str, faults: str = "",
-              n_nodes: int = 4, **config_kwargs):
+              n_nodes: int = 4, probe=None, **config_kwargs):
+    """``probe(coord)`` runs after the chain, before the workers and the
+    work directory are torn down."""
     config = RuntimeConfig(n_nodes=n_nodes, chain=chain, **config_kwargs)
     model = FaultModel.parse(faults) if faults else None
     with tempfile.TemporaryDirectory(prefix="rcmp-shuffle-") as workdir:
         t0 = time.perf_counter()
         with Coordinator(config, workdir, fault_model=model) as coord:
             report = coord.run_chain()
+            if probe is not None:
+                probe(coord)
         wall = time.perf_counter() - t0
     if report.checksum != expected:
         raise SystemExit(f"checksum mismatch under {config_kwargs}: "
@@ -109,26 +112,39 @@ def run_chain(chain: LocalJobConfig, expected: str, faults: str = "",
     return report, wall
 
 
-def split_filter_ab(chain: LocalJobConfig, expected: str) -> dict:
+def split_filter(chain: LocalJobConfig, expected: str) -> dict:
     """Kill node 1 after job 2 commits -> a split_ratio-way split
-    recomputation; compare recompute-reduce shuffle bytes A/B."""
-    result = {"split_ratio": chain.split_ratio}
-    for label, filtered in (("filtered", True), ("unfiltered", False)):
-        report, wall = run_chain(chain, expected,
-                                 faults="kill@job2+0:node=1",
-                                 server_split_filter=filtered)
-        recompute_bytes = sum(
-            n for phase, n in report.shuffle_bytes.items()
-            if phase.startswith("recompute-reduce"))
-        result[label] = {
-            "recompute_reduce_bytes": recompute_bytes,
-            "total_shuffle_bytes": report.total_shuffle_bytes,
-            "wall_s": round(wall, 3),
-        }
-    result["bytes_ratio"] = round(
-        result["filtered"]["recompute_reduce_bytes"]
-        / max(1, result["unfiltered"]["recompute_reduce_bytes"]), 4)
-    return result
+    recomputation; compare the bytes its recompute-reduce phases pulled
+    with the stored slices of the partitions they regenerated (an
+    unfiltered shuffle would pull ``k x`` those)."""
+    k = chain.split_ratio
+    stored = []
+
+    def partition_bytes(coord: Coordinator) -> None:
+        registry = coord.chain_run.registry
+        stored.append(sum(
+            len(NodeStore(coord.pool.workdir, entry.node).read_map_slice(
+                job, entry.task_id, partition))
+            for job, parts in registry.pieces.items()
+            for partition, plist in parts.items()
+            if any(e.n_splits == k for e in plist)
+            for entry in registry.map_outputs.values()
+            if entry.job == job))
+
+    report, wall = run_chain(chain, expected, faults="kill@job2+0:node=1",
+                             probe=partition_bytes)
+    pulled = sum(n for ledger in (report.shuffle_bytes,
+                                  report.shuffle_bytes_local)
+                 for phase, n in ledger.items()
+                 if phase.startswith("recompute-reduce"))
+    return {
+        "split_ratio": k,
+        "recompute_reduce_bytes": pulled,
+        "partition_bytes_on_disk": stored[0],
+        "total_shuffle_bytes": report.total_shuffle_bytes,
+        "wall_s": round(wall, 3),
+        "bytes_ratio": round(pulled / max(1, k * stored[0]), 4),
+    }
 
 
 def pipeline_ab(chain: LocalJobConfig, expected: str, repeat: int,
@@ -137,12 +153,8 @@ def pipeline_ab(chain: LocalJobConfig, expected: str, repeat: int,
     ``faults`` adds a kill so the comparison covers the recovery hot
     path (split recomputation) as well as the failure-free chain."""
     planes = {
-        "serial": dict(task_slots=1, fetch_parallelism=1,
-                       persistent_connections=False,
-                       server_split_filter=False),
-        "pipelined": dict(task_slots=4, fetch_parallelism=4,
-                          persistent_connections=True,
-                          server_split_filter=True),
+        "serial": dict(task_slots=1, fetch_parallelism=1),
+        "pipelined": dict(task_slots=4, fetch_parallelism=4),
     }
     result = {}
     for label, knobs in planes.items():
@@ -279,11 +291,11 @@ def tier_matrix(records: int, value_size: int, check: bool) -> dict:
 
 def shuffle_suite(args, chain: LocalJobConfig, expected: str,
                   repeat: int, failures: list) -> None:
-    split = split_filter_ab(chain, expected)
+    split = split_filter(chain, expected)
     k = split["split_ratio"]
-    print(f"split-filter: filtered "
-          f"{split['filtered']['recompute_reduce_bytes']}B vs unfiltered "
-          f"{split['unfiltered']['recompute_reduce_bytes']}B "
+    print(f"split-filter: recompute reduces pulled "
+          f"{split['recompute_reduce_bytes']}B of {k} x "
+          f"{split['partition_bytes_on_disk']}B on disk "
           f"(ratio {split['bytes_ratio']}, target <= "
           f"{round((1 + SPLIT_EPS) / k, 3)})")
 
@@ -312,8 +324,8 @@ def shuffle_suite(args, chain: LocalJobConfig, expected: str,
 
     if split["bytes_ratio"] > (1 + SPLIT_EPS) / k:
         failures.append(
-            f"split filtering shipped {split['bytes_ratio']} of the "
-            f"unfiltered bytes (allowed {(1 + SPLIT_EPS) / k:.3f})")
+            f"split reducers pulled {split['bytes_ratio']} of the "
+            f"k x partition bytes (allowed {(1 + SPLIT_EPS) / k:.3f})")
     best_speedup = max(pipe["speedup"], pipe_kill["speedup"])
     if args.check and best_speedup * WALL_MARGIN < 1.0:
         failures.append(

@@ -206,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent shuffle fetches per reduce/replicate "
                         "task — source nodes are fetched in parallel and "
                         "merged as responses land (process backend)")
-    p.add_argument("--no-server-filter", action="store_true",
-                   help="disable server-side split filtering: k-way "
-                        "split reducers pull the full partition bytes "
-                        "and filter client-side (the pre-pipelining "
-                        "data plane; for A/B measurement)")
     p.add_argument("--memory-budget", type=int, default=64,
                    metavar="MiB",
                    help="hot-tier bytes each worker pins in RAM: "
@@ -439,7 +434,6 @@ def _exec_process(args, chain, model, tracer):
                                strategy=args.strategy,
                                task_slots=args.task_slots,
                                fetch_parallelism=args.fetch_parallelism,
-                               server_split_filter=not args.no_server_filter,
                                memory_budget=args.memory_budget * (1 << 20),
                                shared_memory=args.shared_memory,
                                speculation=args.speculation,

@@ -18,12 +18,16 @@ Modules:
   registry with the damage inventory.
 * :mod:`repro.runtime.shm` — optional shared-memory segment handoff
   between colocated workers.
+* :mod:`repro.runtime.protocol` — the control-plane wire shape: dict
+  commands stamped with ``key``/``epoch``/``chain``, one typed
+  :class:`Event` echoing them back.
 * :mod:`repro.runtime.transport` — pipe framing, heartbeats, and the
   pipelined TCP shuffle (persistent per-peer connections, server-side
   split filtering).
 * :mod:`repro.runtime.worker` — the worker process main loop.
-* :mod:`repro.runtime.coordinator` — job DAG, dispatch, failure handling
-  (the shared :class:`WorkerPool` + per-chain :class:`ChainRun` split).
+* :mod:`repro.runtime.coordinator` — job DAG, dispatch, failure handling:
+  the shared :class:`WorkerPool`, the per-chain :class:`ChainRun`, and
+  :class:`Coordinator` composing one of each for a single chain.
 * :mod:`repro.runtime.service` — the multi-tenant :class:`ChainService`:
   many chains queued over one shared worker pool.
 * :mod:`repro.runtime.cache` — the cross-run result cache: lineage
@@ -41,7 +45,6 @@ from repro.runtime.recovery import (
     ReduceSpec,
     adoptable_closure,
     cascade_jobs,
-    cascade_start,
     consumer_invalidations,
     effective_split_ratio,
     hybrid_reclaimable,
@@ -65,7 +68,6 @@ __all__ = [
     "WorkerPool",
     "adoptable_closure",
     "cascade_jobs",
-    "cascade_start",
     "chain_checksum",
     "chain_fingerprints",
     "consumer_invalidations",

@@ -18,8 +18,13 @@ chains (see :mod:`repro.runtime.service`):
   single-chain mode it pumps the pool directly; in service mode a
   router thread feeds it events through a queue.
 
-:class:`Coordinator` composes a private pool with one ``ChainRun`` and
-keeps the classic single-chain API.
+:class:`Coordinator` composes a private pool with one ``ChainRun`` for
+the single-chain case: lifecycle, ``run_chain``, fault injection and the
+final output; chain and pool state is read on ``.chain_run`` / ``.pool``.
+Workers answer commands with :class:`~repro.runtime.protocol.Event`
+tuples that echo the command's ``key``/``epoch``/``chain`` stamp; the
+stale-message guard over those three fields is written once, in
+:meth:`ChainRun._run_tasks`.
 
 Failure path (the paper's protocol, §IV, run for real):
 
@@ -88,6 +93,7 @@ from repro.localexec.records import Record
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import shm
 from repro.runtime.faults import LiveFaultPlan
+from repro.runtime.protocol import TASK_DONE, TASK_OPS, Event
 from repro.runtime.recovery import (
     STRIDE,
     JobGraph,
@@ -113,6 +119,16 @@ STRATEGIES = ("rcmp", "optimistic", "repl2", "repl3", "hybrid")
 
 #: intermediate-output replication factor per strategy (REPL-k baselines)
 _REPLICATION = {"repl2": 2, "repl3": 3}
+
+#: ``RuntimeConfig`` fields that shape the worker pool: consumed when the
+#: workers are forked or by the pool's own detectors, so a chain running
+#: on a shared pool (:mod:`repro.runtime.service`) cannot override them
+POOL_FIELDS = frozenset({
+    "n_nodes", "task_slots", "memory_budget", "shared_memory",
+    "fetch_parallelism", "fetch_timeout", "heartbeat_interval",
+    "heartbeat_expiry", "startup_timeout", "suspect_window",
+    "suspect_ratio", "suspect_min_commits",
+})
 
 #: hook callback: ``fn(event, **info)``; events: job-start, maps-done,
 #: reduce-dispatch, job-commit, death, recovery-start, chain-done
@@ -156,12 +172,6 @@ class RuntimeConfig:
     #: so a dead source resolves to task-failed before dispatch is
     #: judged stalled
     fetch_timeout: float = 5.0
-    #: filter map slices by reducer split on the serving node (ship 1/k
-    #: of the partition bytes for a k-way split) instead of client-side
-    server_split_filter: bool = True
-    #: keep one pooled connection per peer (False = connection per
-    #: request, the pre-pipelining data plane, kept for A/B benching)
-    persistent_connections: bool = True
     #: bytes of hot map slices / reduce pieces each worker pins in RAM
     #: (write-through LRU over the on-disk durability tier); 0 disables
     #: the memory tier — every read goes back to the files
@@ -298,8 +308,6 @@ class RuntimeConfig:
             "fetch_parallelism": self.fetch_parallelism,
             "fetch_timeout": self.fetch_timeout,
             "server_timeout": self.io_timeout,
-            "server_split_filter": self.server_split_filter,
-            "persistent_connections": self.persistent_connections,
             "memory_budget": self.memory_budget,
             "shared_memory": self.shared_memory,
         }
@@ -376,7 +384,7 @@ class RunReport:
     #: dispatch phase -> bytes the phase's tasks resolved *without* a
     #: socket: the node's own store (memory tier or disk) and colocated
     #: shared-memory attaches.  Local bytes mirror what the TCP path
-    #: would have shipped (split-filtered when server filtering is on),
+    #: would have shipped (split-filtered for a split reducer),
     #: so tcp + local stays an exact, placement-comparable total.
     shuffle_bytes_local: dict[str, int] = field(default_factory=dict)
     #: service-mode submission id (None for single-chain runs)
@@ -495,7 +503,7 @@ class WorkerPool:
         self._suspected: set[int] = set()
         self._suspected_at = 0.0
         self._links: dict[int, _Link] = {}
-        self._inbox: deque[tuple] = deque()
+        self._inbox: deque[Event] = deque()
         self._respawning: set[int] = set()
         self._ctx = None
         self._t0 = 0.0
@@ -540,15 +548,13 @@ class WorkerPool:
                         f"{self.config.startup_timeout:g}s: "
                         f"{sorted(pending)}")
                 try:
-                    msg = self.pump(check_faults=False)
+                    evt = self.pump(check_faults=False)
                 except NodeDeath as death:
                     raise RuntimeError(f"worker {death.node} died during "
                                        f"startup") from death
-                if msg and msg[0] == "ready":
-                    _, node, port, pid = msg
-                    self._links[node].port = port
-                    self._links[node].pid = pid
-                    pending.discard(node)
+                if evt and evt.kind == "ready":
+                    self._bind_ready(evt)
+                    pending.discard(evt.node)
         except BaseException:
             # __enter__ has not returned yet, so the context manager will
             # never call shutdown(); reap the live workers here or they
@@ -650,22 +656,18 @@ class WorkerPool:
                                          "ports": self.ports()})
                 link.ports_epoch = self.epoch
             self._send_locked(link, cmd)
-        if (cmd.get("op") in ("map", "reduce", "replicate")
-                and cmd.get("epoch") == self.epoch):
+        if cmd.get("op") in TASK_OPS and cmd.get("epoch") == self.epoch:
             self.progress.record_dispatch(node, time.monotonic())
 
     def ports(self) -> dict[int, int]:
         return {n: self._links[n].port for n in self.alive}
 
-    def pid_of(self, node: int) -> int:
-        return self._links[node].pid
-
     # ----------------------------------------------------------- event pump
     def pump(self, timeout: float = 0.02,
-             check_faults: bool = True) -> Optional[tuple]:
+             check_faults: bool = True) -> Optional[Event]:
         """Receive one event; fire due fault kills; declare deaths.
 
-        Returns a non-heartbeat worker message, or None on an idle tick.
+        Returns a non-heartbeat worker event, or None on an idle tick.
         Pending inbox messages are always delivered before a death is
         declared, so commits that beat the kill are not lost.  Readiness
         messages from respawning replacement workers are consumed here
@@ -694,28 +696,28 @@ class WorkerPool:
             for conn in connection_wait(list(conns), timeout=timeout):
                 node = conns[conn]
                 try:
-                    msg = conn.recv()
+                    evt = conn.recv()
                 except CHANNEL_DOWN:
                     self._links[node].closed = True
                     continue
                 self._links[node].last_seen = time.monotonic()
-                if msg[0] != "hb":
-                    if msg[0] in ("map-done", "reduce-done",
-                                  "replica-done"):
-                        if msg[2] == self.epoch:
-                            self.progress.record_commit(
-                                msg[1], time.monotonic())
-                    elif msg[0] == "task-failed" and msg[2] == self.epoch:
-                        self.progress.record_settled(msg[1])
-                    self._inbox.append(msg)
+                if evt.kind == "hb":
+                    continue
+                if evt.epoch == self.epoch:
+                    if evt.kind in TASK_DONE:
+                        self.progress.record_commit(evt.node,
+                                                    time.monotonic())
+                    elif evt.kind == "task-failed":
+                        self.progress.record_settled(evt.node)
+                self._inbox.append(evt)
         else:
             time.sleep(timeout)
         if self._inbox:
-            msg = self._inbox.popleft()
-            if msg[0] == "ready" and msg[1] in self._respawning:
-                self._admit_respawned(msg)
+            evt = self._inbox.popleft()
+            if evt.kind == "ready" and evt.node in self._respawning:
+                self._admit_respawned(evt)
                 return None
-            return msg
+            return evt
         dead = self._expired_nodes()
         if dead:
             raise NodeDeath(dead[0])
@@ -842,11 +844,13 @@ class WorkerPool:
         self._respawning.add(node)
         return link
 
-    def _admit_respawned(self, msg: tuple) -> None:
-        _, node, port, pid = msg
-        link = self._links[node]
-        link.port = port
-        link.pid = pid
+    def _bind_ready(self, evt: Event) -> None:
+        link = self._links[evt.node]
+        link.port, link.pid = evt.result, evt.pid
+
+    def _admit_respawned(self, evt: Event) -> None:
+        node = evt.node
+        self._bind_ready(evt)
         self._respawning.discard(node)
         self.alive = self.alive | {node}
         # every worker must relearn the port map (the replacement's port
@@ -856,7 +860,7 @@ class WorkerPool:
             with other.lock:
                 other.ports_epoch = -1
         self.tracer.instant("cascade", "node-respawned", node=node,
-                            pid=pid)
+                            pid=evt.pid)
 
 
 class ChainRun:
@@ -920,10 +924,6 @@ class ChainRun:
             done += 1
         return done
 
-    @completed_jobs.setter
-    def completed_jobs(self, value: int) -> None:
-        self.done_jobs = set(range(1, value + 1))
-
     # --------------------------------------------------------- event intake
     def attach_inbox(self) -> queue.Queue:
         """Switch to service mode: events arrive on a queue fed by the
@@ -938,24 +938,22 @@ class ChainRun:
         first, matching the pump's commits-beat-the-kill ordering)."""
         self._pending_deaths.append(node)
         if self._inbox is not None:
-            self._inbox.put(("death", node))
+            self._inbox.put(None)  # wake-up only; the death is queued
 
     def _raise_pending_death(self) -> None:
         if self._pending_deaths:
             raise NodeDeath(self._pending_deaths.popleft())
 
-    def _next_event(self, timeout: float = 0.02) -> Optional[tuple]:
+    def _next_event(self, timeout: float = 0.02) -> Optional[Event]:
         if self._inbox is None:
             return self.pool.pump(timeout)
         try:
-            msg = self._inbox.get(timeout=timeout)
+            evt = self._inbox.get(timeout=timeout)
         except queue.Empty:
+            evt = None
+        if evt is None:
             self._raise_pending_death()
-            return None
-        if msg[0] == "death":
-            self._raise_pending_death()
-            return None
-        return msg
+        return evt
 
     # ------------------------------------------------------- cache adoption
     def adopt_prefix(self, entries) -> int:
@@ -1425,12 +1423,27 @@ class ChainRun:
                                         chain.records_per_block,
                                         parents=self.graph.parents(job))
 
+    def _commit_table(self, on_piece, on_freed) -> dict[str, Callable]:
+        """op -> ``fn(evt, cmd)`` registering one committed task's
+        result; ``cmd`` is the stamped command the event answers."""
+        add_piece = on_piece or self.registry.add_piece
+        freed = on_freed or (lambda n: None)
+        return {
+            "map": lambda evt, cmd: self.registry.add_map(MapEntry(
+                *evt.key[1:], evt.node, cmd["origin"], evt.result)),
+            "reduce": lambda evt, cmd: add_piece(PieceEntry(
+                *evt.key[1:], evt.node, evt.result)),
+            "replicate": lambda evt, cmd: self.registry.add_replica(
+                *evt.key[1:5], evt.node),
+            "drop": lambda evt, cmd: None,
+            "drop-job": lambda evt, cmd: freed(evt.result),
+            "reclaim": lambda evt, cmd: freed(evt.result),
+        }
+
     def _run_tasks(self, cmds: dict, phase: str,
                    after_send: Optional[Callable[[], None]] = None,
-                   on_piece: Optional[Callable[[PieceEntry], None]]
-                   = None,
-                   on_freed: Optional[Callable[[int], None]]
-                   = None) -> None:
+                   on_piece: Optional[Callable[[PieceEntry], None]] = None,
+                   on_freed: Optional[Callable[[int], None]] = None) -> None:
         """Dispatch a batch of commands and pump until all complete.
 
         Completed map outputs register immediately (they are durable and
@@ -1442,13 +1455,13 @@ class ChainRun:
         inline in single-chain mode, queued by the service router in
         service mode)."""
         self._raise_pending_death()
+        commit = self._commit_table(on_piece, on_freed)
         outstanding: dict[tuple, tuple[int, dict]] = {}
         spans: dict[tuple, Any] = {}
         dispatched_at: dict[tuple, float] = {}
         for key, (node, cmd) in cmds.items():
-            cmd = dict(cmd)
-            cmd["epoch"] = self.pool.epoch
-            cmd["chain"] = self.chain_id
+            cmd = dict(cmd, key=key, epoch=self.pool.epoch,
+                       chain=self.chain_id)
             self.pool.dispatch(node, cmd)
             outstanding[key] = (node, cmd)
             dispatched_at[key] = time.monotonic()
@@ -1480,92 +1493,19 @@ class ChainRun:
             if self.config.speculation:
                 self._maybe_speculate(outstanding, backups, dispatched_at,
                                       durations, total, now)
-            msg = self._next_event()
-            if msg is None:
+            evt = self._next_event()
+            if evt is None:
                 continue
-            kind = msg[0]
-            if kind == "map-done":
-                (_, node, epoch, chain, job, task, origin, counts, pid,
-                 fetched, local) = msg
-                key = ("map", job, task)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    # a speculative race's losing attempt committing
-                    # after the winner: swallow and sweep, never register
-                    self._stale_duplicate(key, node, chain, fetched)
-                    continue
-                self._count_shuffle(phase, fetched, local)
-                self.registry.add_map(MapEntry(job, task, node, origin,
-                                               counts))
-            elif kind == "reduce-done":
-                (_, node, epoch, chain, job, partition, s, k, n, pid,
-                 fetched, local) = msg
-                key = ("reduce", job, partition, s, k)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    self._stale_duplicate(key, node, chain, fetched)
-                    continue
-                self._count_shuffle(phase, fetched, local)
-                entry = PieceEntry(job, partition, s, k, node, n)
-                if on_piece is not None:
-                    on_piece(entry)
-                else:
-                    self.registry.add_piece(entry)
-            elif kind == "replica-done":
-                (_, node, epoch, chain, job, partition, s, k, pid,
-                 fetched, local) = msg
-                key = ("replicate", job, partition, s, k, node)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                self._count_shuffle(phase, fetched, local)
-                self.registry.add_replica(job, partition, s, k, node)
-            elif kind == "dropped":
-                _, node, epoch, chain, job, task = msg
-                key = ("drop", job, task)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                # the link lookup must stay behind the guard: a stale
-                # message may name a node whose link no longer exists
-                pid = self.pool.pid_of(node)
-            elif kind == "job-dropped":
-                _, node, epoch, chain, job, freed = msg
-                key = ("drop-job", job, node)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                pid = self.pool.pid_of(node)
-                if on_freed is not None:
-                    on_freed(freed)
-            elif kind == "reclaimed":
-                _, node, epoch, chain, anchor, freed = msg
-                key = ("reclaim", anchor, node)
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    continue
-                pid = self.pool.pid_of(node)
-                if on_freed is not None:
-                    on_freed(freed)
-            elif kind == "piece-dropped":
-                _, node, epoch, chain, job, partition, s, k, freed = msg
-                if chain == self.chain_id:
-                    self.tracer.instant("cascade", "speculation-swept",
-                                        node=node, job=job,
-                                        partition=partition, split=s,
-                                        n_splits=k, freed=freed)
+            key = evt.key
+            if (evt.epoch != self.pool.epoch or evt.chain != self.chain_id
+                    or key not in outstanding):
+                # cancelled work, another batch's straggler, or a
+                # resolved speculative race's loser: never registered
+                self._settle_stale(evt)
                 continue
-            elif kind == "task-failed":
-                _, node, epoch, chain, op, key, err = msg
-                if (epoch != self.pool.epoch or chain != self.chain_id
-                        or key not in outstanding):
-                    if (chain == self.chain_id
-                            and self._spec_losers.get(key) == node):
-                        # the losing attempt failed outright: it wrote
-                        # nothing, so there is nothing left to sweep
-                        del self._spec_losers[key]
-                    continue
-                if backups.get(key) == node:
+            original, cmd = outstanding[key]
+            if evt.kind == "task-failed":
+                if backups.get(key) == evt.node:
                     # the backup attempt failed; the original still runs —
                     # clear the marker so the tail may speculate again
                     del backups[key]
@@ -1577,26 +1517,22 @@ class ChainRun:
                 retry_at[key] = time.monotonic() + min(
                     0.05 * attempts[key], 0.5)
                 continue
-            elif kind == "task-error":
-                _, node, epoch, chain, op, key, tb = msg
-                if epoch != self.pool.epoch or chain != self.chain_id:
-                    continue  # cancelled work; its error is moot
+            if evt.kind == "task-error":
                 raise RuntimeError(
-                    f"worker {node} hit a software error in {op} task "
-                    f"{key}:\n{tb}")
-            else:
-                continue
+                    f"worker {evt.node} hit a software error in {key[0]} "
+                    f"task {key}:\n{evt.result}")
+            self._count_shuffle(phase, evt.fetched, evt.local)
+            commit[key[0]](evt, cmd)
             last_progress = time.monotonic()
-            if kind in ("map-done", "reduce-done"):
-                durations.append(
-                    last_progress - dispatched_at.get(key, last_progress))
+            if key[0] in ("map", "reduce"):
+                durations.append(last_progress - dispatched_at[key])
                 if key in backups:
                     self._resolve_speculation(
-                        key, winner=node, original=outstanding[key][0],
+                        key, winner=evt.node, original=original,
                         backup=backups.pop(key))
             if key in spans:
-                extra = {"node": node, "pid": pid}
-                if kind == "reduce-done":
+                extra = {"node": evt.node, "pid": evt.pid}
+                if key[0] == "reduce":
                     extra.update(split=key[3], n_splits=key[4])
                 spans[key].end(**extra)
             del outstanding[key]
@@ -1689,37 +1625,50 @@ class ChainRun:
                             key=[str(k) for k in key], winner=winner,
                             loser=loser, backup_won=backup_won)
 
-    def _stale_duplicate(self, key: tuple, node: int,
-                         chain: Optional[str], fetched: int) -> bool:
-        """A commit event that missed the epoch/outstanding guard: if it
-        is the losing attempt of a resolved speculative race, account
+    def _settle_stale(self, evt: Event) -> None:
+        """An event that missed the epoch/chain/outstanding guard.  If
+        it is the losing attempt of a resolved speculative race, account
         its wasted work and sweep its orphan output from the loser's
-        disk (the PR-4 drop paths, epoch-tagged at current epoch)."""
-        if chain != self.chain_id or self._spec_losers.get(key) != node:
-            return False
+        disk (the drop paths, stamped with the current epoch); anything
+        else is cancelled work and moot."""
+        if evt.chain != self.chain_id:
+            return
+        key, node = evt.key, evt.node
+        if evt.kind == "piece-dropped":
+            _, _, job, partition, split, n_splits = key
+            self.tracer.instant("cascade", "speculation-swept", node=node,
+                                job=job, partition=partition, split=split,
+                                n_splits=n_splits, freed=evt.result)
+            return
+        if self._spec_losers.get(key) != node:
+            return
         del self._spec_losers[key]
-        self.spec_wasted_bytes += fetched
+        if evt.kind == "task-failed":
+            # the losing attempt failed outright: it wrote nothing, so
+            # there is nothing left to sweep
+            return
+        self.spec_wasted_bytes += evt.fetched
         self.tracer.instant("cascade", "speculation-loser",
                             key=[str(k) for k in key], node=node,
-                            wasted=fetched)
+                            wasted=evt.fetched)
         if node in self.pool.alive:
-            if key[0] == "map":
-                self.pool.dispatch(node, {
-                    "op": "drop", "job": key[1], "task": key[2],
-                    "epoch": self.pool.epoch, "chain": self.chain_id})
-            else:
-                self.pool.dispatch(node, {
-                    "op": "drop-piece", "job": key[1],
-                    "partition": key[2], "split": key[3],
-                    "n_splits": key[4], "epoch": self.pool.epoch,
-                    "chain": self.chain_id})
-        return True
+            sweep = ({"op": "drop", "job": key[1], "task": key[2]}
+                     if key[0] == "map" else
+                     {"op": "drop-piece", "job": key[1],
+                      "partition": key[2], "split": key[3],
+                      "n_splits": key[4]})
+            # its own key: the reply must never pass for the task's
+            # completion should the task be outstanding again by then
+            self.pool.dispatch(node, dict(sweep, key=("sweep", *key),
+                                          epoch=self.pool.epoch,
+                                          chain=self.chain_id))
 
     def _drain_spec_losers(self, deadline: float = 2.0) -> None:
         """Before the final checksum, wait briefly for resolved races'
         losing attempts to surface so their duplicates are swallowed and
         their partial output swept.  Dead losers left nothing the
-        registry references; their entries are simply dropped."""
+        registry references; their entries are simply dropped.  No task
+        is outstanding here, so every event is stale by construction."""
         t_end = time.monotonic() + deadline
         while self._spec_losers and time.monotonic() < t_end:
             self._spec_losers = {k: n for k, n in
@@ -1728,33 +1677,12 @@ class ChainRun:
             if not self._spec_losers:
                 break
             try:
-                msg = self._next_event()
+                evt = self._next_event()
             except NodeDeath as death:
                 self._handle_death(death.node)
                 break
-            if msg is None:
-                continue
-            kind = msg[0]
-            if kind == "map-done":
-                _, node, _epoch, chain, job, task = msg[:6]
-                self._stale_duplicate(("map", job, task), node, chain,
-                                      msg[9])
-            elif kind == "reduce-done":
-                _, node, _epoch, chain, job, partition, s, k = msg[:8]
-                self._stale_duplicate(("reduce", job, partition, s, k),
-                                      node, chain, msg[10])
-            elif kind == "task-failed":
-                _, node, _epoch, chain, op, key, err = msg
-                if (chain == self.chain_id
-                        and self._spec_losers.get(key) == node):
-                    del self._spec_losers[key]
-            elif kind == "piece-dropped":
-                _, node, _epoch, chain, job, partition, s, k, freed = msg
-                if chain == self.chain_id:
-                    self.tracer.instant("cascade", "speculation-swept",
-                                        node=node, job=job,
-                                        partition=partition, split=s,
-                                        n_splits=k, freed=freed)
+            if evt is not None:
+                self._settle_stale(evt)
 
     def _pre_replicate_suspected(self) -> None:
         """Eagerly copy pieces held by a suspected-slow node to a
@@ -1830,9 +1758,9 @@ class ChainRun:
 
 class Coordinator:
     """Drives one multi-job chain over real worker processes: a private
-    :class:`WorkerPool` plus one :class:`ChainRun` behind the classic
-    single-chain API (the multi-chain front is
-    :class:`repro.runtime.service.ChainService`)."""
+    :class:`WorkerPool` (``.pool``) plus one :class:`ChainRun`
+    (``.chain_run``); the multi-chain front is
+    :class:`repro.runtime.service.ChainService`."""
 
     def __init__(self, config: RuntimeConfig, workdir: str | Path,
                  tracer: Optional[Tracer] = None,
@@ -1880,92 +1808,8 @@ class Coordinator:
     def throttle_node(self, node: int, factor: float) -> None:
         self.pool.throttle_node(node, factor)
 
-    def suspected_slow(self) -> set[int]:
-        return self.pool.suspected_slow()
-
-    @property
-    def throttled(self) -> dict[int, float]:
-        return self.pool.throttled
-
     def final_output(self) -> dict[int, list[Record]]:
         return self.chain_run.final_output()
 
     def checksum(self) -> str:
         return self.chain_run.checksum()
-
-    # ------------------------------------------------- delegated state
-    # (kept as properties so tests and tools can keep poking the classic
-    # flat Coordinator surface)
-    @property
-    def workdir(self) -> Path:
-        return self.pool.workdir
-
-    @property
-    def registry(self) -> ClusterRegistry:
-        return self.chain_run.registry
-
-    @property
-    def alive(self) -> set[int]:
-        return self.pool.alive
-
-    @alive.setter
-    def alive(self, value: set[int]) -> None:
-        self.pool.alive = set(value)
-
-    @property
-    def epoch(self) -> int:
-        return self.pool.epoch
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        self.pool.epoch = value
-
-    @property
-    def completed_jobs(self) -> int:
-        return self.chain_run.completed_jobs
-
-    @completed_jobs.setter
-    def completed_jobs(self, value: int) -> None:
-        self.chain_run.completed_jobs = value
-
-    @property
-    def done_jobs(self) -> set[int]:
-        return self.chain_run.done_jobs
-
-    @done_jobs.setter
-    def done_jobs(self, value: set[int]) -> None:
-        self.chain_run.done_jobs = set(value)
-
-    @property
-    def deaths(self) -> list[tuple[float, int]]:
-        return self.chain_run.deaths
-
-    @property
-    def job_times(self) -> list[tuple[int, str, float]]:
-        return self.chain_run.job_times
-
-    @property
-    def reclaims(self) -> list[tuple[int, int]]:
-        return self.chain_run.reclaims
-
-    @property
-    def shuffle_bytes(self) -> dict[str, int]:
-        return self.chain_run.shuffle_bytes
-
-    @property
-    def shuffle_bytes_local(self) -> dict[str, int]:
-        return self.chain_run.shuffle_bytes_local
-
-    @property
-    def hooks(self) -> Hooks:
-        return self.chain_run.hooks
-
-    @property
-    def _links(self) -> dict[int, _Link]:
-        return self.pool._links
-
-    def _cascade_jobs(self) -> list[int]:
-        return self.chain_run._cascade_jobs()
-
-    def _run_tasks(self, cmds: dict, phase: str, **kwargs) -> None:
-        self.chain_run._run_tasks(cmds, phase, **kwargs)

@@ -5,7 +5,7 @@ the set of surviving persisted map outputs, and the alive nodes, produce
 the minimal-recomputation plan — which mappers to re-execute, which
 reducer pieces to regenerate (splitting a lost whole partition ``k`` ways,
 capped at the surviving-node count), and which partitions the Fig. 5 rule
-must invalidate downstream map outputs for.  :func:`cascade_start` also
+must invalidate downstream map outputs for.  :func:`cascade_jobs` also
 understands hybrid anchors (§IV-C): an intact replicated job output
 bounds the recomputation cascade from below.
 
@@ -285,25 +285,6 @@ def cascade_jobs(graph: JobGraph, done_jobs: Iterable[int],
     return sorted(needed)
 
 
-def cascade_start(next_job: int, damaged_jobs: Iterable[int],
-                  intact_anchors: Iterable[int] = ()) -> int:
-    """First job of the recomputation cascade on a linear chain.
-
-    The chain-shaped view of :func:`cascade_jobs`: jobs ``1 ..
-    next_job - 1`` are done, ``next_job`` is the first unfinished job,
-    and the cascade walks back through contiguously damaged upstream
-    jobs — a damaged job further upstream, separated by an intact one,
-    is not needed.  Damage at or past ``next_job`` is ignored (those
-    jobs have not committed)."""
-    n = max(next_job, 1)
-    cascade = cascade_jobs(
-        JobGraph.linear(n),
-        done_jobs=range(1, next_job),
-        damaged_jobs=(j for j in damaged_jobs if 1 <= j < next_job),
-        intact_anchors=(a for a in intact_anchors if 1 <= a <= n))
-    return min(cascade, default=next_job)
-
-
 def adoptable_closure(resident_jobs: Iterable[int],
                       graph: JobGraph) -> set[int]:
     """Largest parent-closed subset of ``resident_jobs`` — the cross-run
@@ -321,18 +302,6 @@ def adoptable_closure(resident_jobs: Iterable[int],
         if j in resident and all(p in closed for p in graph.parents(j)):
             closed.add(j)
     return closed
-
-
-def adoptable_prefix(resident_jobs: Iterable[int]) -> int:
-    """Longest contiguous job prefix ``1..k`` present in
-    ``resident_jobs`` — the linear-chain view of
-    :func:`adoptable_closure` (on a chain the parent-closed subsets are
-    exactly the prefixes)."""
-    resident = set(resident_jobs)
-    k = 0
-    while (k + 1) in resident:
-        k += 1
-    return k
 
 
 def hybrid_reclaimable(graph: JobGraph, done_jobs: Iterable[int],
@@ -353,8 +322,8 @@ def hybrid_reclaimable(graph: JobGraph, done_jobs: Iterable[int],
     result.
 
     Returns ``(map_jobs, piece_jobs)``.  On a linear chain with anchor
-    ``a`` this is exactly the classic ``map_upto = a - 1``,
-    ``piece_upto = a - 2`` bound, including multi-anchor progression.
+    ``a`` this is exactly map outputs of jobs ``<= a - 1`` and pieces of
+    jobs ``<= a - 2``, including multi-anchor progression.
     """
     done = set(done_jobs)
     anchors = set(intact_anchors)

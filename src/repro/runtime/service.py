@@ -52,12 +52,14 @@ from repro.runtime.cache import (
     scan_chain_sequence,
 )
 from repro.runtime.coordinator import (
+    POOL_FIELDS,
     ChainRun,
     NodeDeath,
     RunReport,
     RuntimeConfig,
     WorkerPool,
 )
+from repro.runtime.protocol import Event
 
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 POLICIES = ("fifo", "fair")
@@ -235,14 +237,20 @@ class ChainService:
 
         ``overrides`` are :class:`RuntimeConfig` fields applied over the
         service template (strategy, hybrid knobs, ...).  The pool shape
-        is fixed at service start: n_nodes cannot be overridden.
+        is fixed at service start: overriding one of
+        :data:`~repro.runtime.coordinator.POOL_FIELDS` is refused.
         ``no_cache`` opts this chain out of the cross-run cache — it
         neither adopts cached prefixes nor admits its outputs.
-        Validation errors (unknown strategy, bad knobs) raise here, at
-        submission time, not in the service loop."""
+        Validation errors (unknown strategy, bad knobs, pool-shape
+        overrides) raise here, at submission time, not in the service
+        loop."""
         if self._stop.is_set():
             raise RuntimeError("service is shut down")
-        overrides.pop("n_nodes", None)
+        fixed = sorted(POOL_FIELDS.intersection(overrides))
+        if fixed:
+            raise ValueError(
+                f"cannot override {', '.join(fixed)} per chain: the "
+                "pool's workers were forked with the service's value")
         if chain is not None:
             overrides["chain"] = chain
         config = dataclasses.replace(self.config, **overrides)
@@ -349,19 +357,22 @@ class ChainService:
         while not self._stop.is_set():
             self._admit_next()
             try:
-                msg = self.pool.pump(timeout=0.02)
+                evt = self.pool.pump(timeout=0.02)
             except NodeDeath as death:
                 self._on_death(death.node)
                 continue
-            if msg is None:
-                continue
-            chain_id = msg[3] if len(msg) > 3 else None
-            with self._lock:
-                job = self._running.get(chain_id)
-            if job is not None:
-                job.inbox.put(msg)
-            # else: a straggler from a chain that already finished or
-            # died mid-phase — stale by construction, drop it
+            if evt is not None:
+                self._route(evt)
+
+    def _route(self, evt: Event) -> None:
+        """Hand a worker event to the running chain it names."""
+        with self._lock:
+            job = self._running.get(evt.chain)
+        if job is not None:
+            job.inbox.put(evt)
+        # else: a straggler from a chain that already finished or died
+        # mid-phase (stale by construction), or a pool-level event
+        # (readiness carries no chain) — drop it
 
     def _on_death(self, node: int) -> None:
         if not self.pool.on_death(node):

@@ -494,21 +494,14 @@ class NodeStore:
             pass
         return freed
 
-    def reclaim_jobs(self, map_upto: int, piece_upto: int) -> int:
-        """Hybrid reclamation (§IV-C) on a linear chain: delete persisted
-        map outputs of jobs ``<= map_upto`` and reducer pieces of jobs
-        ``<= piece_upto`` (the data behind an anchor sits safely in the
-        replicated anchor output).  Returns the bytes freed."""
-        return self.reclaim_job_sets(range(1, map_upto + 1),
-                                     range(1, piece_upto + 1))
-
     def reclaim_job_sets(self, map_jobs: Iterable[int],
                          piece_jobs: Iterable[int]) -> int:
-        """Set-based reclamation for DAGs: delete map outputs of the
-        jobs in ``map_jobs`` and reducer pieces of the jobs in
-        ``piece_jobs`` — the shielded cut behind the anchor frontier,
-        which on a DAG need not be a contiguous index range.  Returns
-        the bytes freed."""
+        """Hybrid reclamation (§IV-C): delete map outputs of the jobs
+        in ``map_jobs`` and reducer pieces of the jobs in ``piece_jobs``
+        — the shielded cut behind the anchor frontier, which on a DAG
+        need not be a contiguous index range (the data behind an anchor
+        sits safely in its replicated output).  Returns the bytes
+        freed."""
         freed = 0
         for kind, jobs in (("map", set(map_jobs)),
                            ("reduce", set(piece_jobs))):
@@ -683,16 +676,9 @@ class ClusterRegistry:
         self.replicated_jobs.pop(job, None)
         return maps, dropped_pieces
 
-    def reclaim_through(self, map_upto: int, piece_upto: int) -> None:
-        """Forget reclaimed outputs (hybrid §IV-C) on a linear chain:
-        map outputs of jobs ``<= map_upto``, pieces of jobs
-        ``<= piece_upto``."""
-        self.reclaim_job_sets(range(1, map_upto + 1),
-                              range(1, piece_upto + 1))
-
     def reclaim_job_sets(self, map_jobs: Iterable[int],
                          piece_jobs: Iterable[int]) -> None:
-        """Forget reclaimed outputs of explicit job sets (the DAG
+        """Forget reclaimed outputs (hybrid §IV-C; the job sets are the
         shielded cut).  The files are deleted by the workers; the
         registry must forget them too or a later death would file damage
         pointing at unlinked paths."""

@@ -27,9 +27,7 @@ The shuffle data plane is **pipelined**:
 * :class:`PeerPool` is the client side: one persistent connection per
   peer port, shared across a worker's task slots (a per-peer lock
   serializes request/response framing).  A broken connection falls back
-  to a clean reconnect — the retry/backoff budget is exactly what the
-  old connection-per-request ``fetch`` spent, so death detection
-  semantics are unchanged: a genuinely dead peer still surfaces as
+  to a clean reconnect; a genuinely dead peer surfaces as
   :class:`FetchError` after ``retries`` attempts.
 
 Heartbeats follow :class:`repro.faults.HeartbeatDetector` semantics:
@@ -48,6 +46,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
+from repro.runtime import protocol
 from repro.runtime.storage import filter_split_spans
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,14 +112,14 @@ class LockedConnection:
 
 def start_heartbeat(conn: LockedConnection, node: int,
                     interval: float) -> threading.Thread:
-    """Beat ``("hb", node)`` every ``interval`` seconds until the process
-    dies (daemon thread; a SIGKILL stops it with the process)."""
+    """Send a heartbeat event every ``interval`` seconds until the
+    process dies (daemon thread; a SIGKILL stops it with the process)."""
 
     def beat() -> None:
         while True:
             time.sleep(interval)
             try:
-                conn.send(("hb", node))
+                conn.send(protocol.heartbeat(node))
             except CHANNEL_DOWN:  # coordinator gone; nothing left to do
                 return
 
@@ -324,13 +323,6 @@ class ShuffleServer:
                 pass
 
 
-def start_shuffle_server(store: "NodeStore",
-                         timeout: float = 30.0) -> tuple[ShuffleServer, int]:
-    """Bind the node's shuffle listener; returns ``(server, port)``."""
-    server = ShuffleServer(store, timeout=timeout)
-    return server, server.port
-
-
 # ------------------------------------------------------------- fetch clients
 class _Peer:
     """One peer's pooled connection + the lock framing its use."""
@@ -352,11 +344,7 @@ class PeerPool:
     connection that breaks (peer died, or the server dropped an idle
     connection) is discarded and rebuilt on the next attempt; after
     ``retries`` failed attempts the peer is declared unreachable via
-    :class:`FetchError` — the same budget the old one-shot ``fetch``
-    spent, so the coordinator's failure path sees identical timing.
-
-    ``persistent=False`` degrades to connection-per-request (the
-    pre-pipelining data plane; kept for A/B benchmarking).
+    :class:`FetchError`.
 
     ``local_port``/``local_store`` arm the same-worker handoff: a fetch
     addressed to the worker's *own* shuffle port resolves straight from
@@ -364,13 +352,12 @@ class PeerPool:
     socket to itself — the data never leaves the process."""
 
     def __init__(self, timeout: float = 5.0, retries: int = 3,
-                 backoff: float = 0.05, persistent: bool = True,
+                 backoff: float = 0.05,
                  local_port: Optional[int] = None,
                  local_store: Optional["NodeStore"] = None):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.persistent = persistent
         self.local_port = local_port
         self.local_store = local_store
         self.local_bytes = 0  # informational; exact counts live per-task
@@ -419,10 +406,7 @@ class PeerPool:
                         peer.sock = sock
                     sock.sendall(_LEN.pack(len(payload)) + payload)
                     size = _LEN.unpack(_recv_exact(sock, _LEN.size))[0]
-                    data = _recv_exact(sock, size)
-                    if not self.persistent:
-                        self._drop(peer)
-                    return data
+                    return _recv_exact(sock, size)
             except (OSError, ConnectionError) as exc:
                 last = exc
                 with peer.lock:
@@ -460,25 +444,3 @@ class PeerPool:
         for peer in peers:
             self._drop(peer)
 
-
-def fetch(port: int, request: dict, timeout: float = 5.0,
-          retries: int = 3, backoff: float = 0.05) -> bytes:
-    """One-shot fetch from a peer's shuffle server (fresh connection per
-    request).  Workers use a :class:`PeerPool`; this stays for tools and
-    tests that want a single stateless request."""
-    pool = PeerPool(timeout=timeout, retries=retries, backoff=backoff,
-                    persistent=False)
-    try:
-        return pool.fetch(port, request)
-    finally:
-        pool.close()
-
-
-def fetch_piece(port: int, job: int, partition: int, split_index: int,
-                n_splits: int, chain: Optional[str] = None) -> bytes:
-    """One-shot piece fetch (see :meth:`PeerPool.fetch_piece`)."""
-    request = {"kind": "piece", "job": job, "partition": partition,
-               "split": split_index, "n_splits": n_splits}
-    if chain is not None:
-        request["chain"] = chain
-    return fetch(port, request)

@@ -45,11 +45,10 @@ from repro.localexec.records import (
     partition_of,
     reduce_udf,
 )
-from repro.runtime import shm, transport
+from repro.runtime import protocol, shm, transport
 from repro.runtime.storage import (
     MemoryTier,
     NodeStore,
-    encode_records,
     filter_split,
     iter_records,
 )
@@ -63,8 +62,6 @@ DEFAULT_OPTIONS = {
     "fetch_parallelism": 4,
     "fetch_timeout": 5.0,
     "server_timeout": 30.0,
-    "server_split_filter": True,
-    "persistent_connections": True,
     "memory_budget": 64 << 20,  # hot-tier bytes per worker; 0 disables
     "shared_memory": False,
     "shm_run": "",  # run-unique segment namespace, set by WorkerPool
@@ -87,7 +84,7 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
     server = transport.ShuffleServer(store, timeout=opts["server_timeout"],
                                      throttle=throttle)
     transport.start_heartbeat(evt, node, heartbeat_interval)
-    evt.send(("ready", node, server.port, os.getpid()))
+    evt.send(protocol.ready(node, server.port, os.getpid()))
     worker = _Worker(node, store, evt, seed, records_per_node, value_size,
                      opts, throttle=throttle, server_port=server.port)
     try:
@@ -133,11 +130,6 @@ class _SlotPool:
 class _Worker:
     """Task execution against one node's store."""
 
-    #: ops that run on a slot thread (everything else — ports updates,
-    #: drops, sweeps, reclaims — executes inline on the command loop,
-    #: which the epoch drain keeps free of concurrent task stragglers)
-    TASK_OPS = ("map", "reduce", "replicate")
-
     def __init__(self, node: int, store: NodeStore,
                  evt: transport.LockedConnection, seed: int,
                  records_per_node: int, value_size: int,
@@ -147,6 +139,7 @@ class _Worker:
         opts = dict(DEFAULT_OPTIONS)
         opts.update(options or {})
         self.node = node
+        self.pid = os.getpid()
         self.throttle = throttle or transport.Throttle()
         self.store = store
         self.evt = evt
@@ -161,14 +154,12 @@ class _Worker:
             None: (seed, records_per_node, value_size)}
         self._stores: dict = {None: store, store.chain: store}
         self.fetch_parallelism = max(1, int(opts["fetch_parallelism"]))
-        self.server_split_filter = bool(opts["server_split_filter"])
         self.server_port = server_port
         # a fetch addressed to our own shuffle port short-circuits to the
         # local store (belt-and-braces: task paths also check explicitly
         # so the bytes are attributed to the local counter per task)
         self.pool = transport.PeerPool(
             timeout=opts["fetch_timeout"],
-            persistent=opts["persistent_connections"],
             local_port=server_port, local_store=store)
         self.shm_run = str(opts["shm_run"])
         self._shm: Optional[shm.SegmentPublisher] = None
@@ -252,7 +243,10 @@ class _Worker:
             except OSError:
                 pass
             return
-        if self._slots is not None and cmd["op"] in self.TASK_OPS:
+        # everything but the task ops — drops, sweeps, reclaims — runs
+        # inline on the command loop, which the epoch drain keeps free
+        # of concurrent task stragglers
+        if self._slots is not None and cmd["op"] in protocol.TASK_OPS:
             self._slots.submit(cmd)
         else:
             self.execute(cmd)
@@ -275,58 +269,49 @@ class _Worker:
                                 and i[2] == cmd["job"]
                                 and i[3] == cmd["task"])
                 store.drop_map_output(cmd["job"], cmd["task"])
-                self.evt.send(("dropped", self.node, cmd["epoch"], chain,
-                               cmd["job"], cmd["task"]))
+                self._done(cmd)
             elif op == "drop-piece":
                 # sweep one losing speculative attempt's reduce output
                 if self._shm is not None:
                     self._shm.unpublish(("piece", chain, cmd["job"],
                                          cmd["partition"], cmd["split"],
                                          cmd["n_splits"]))
-                freed = store.drop_piece(cmd["job"], cmd["partition"],
-                                         cmd["split"], cmd["n_splits"])
-                self.evt.send(("piece-dropped", self.node, cmd["epoch"],
-                               chain, cmd["job"], cmd["partition"],
-                               cmd["split"], cmd["n_splits"], freed))
+                self._done(cmd, store.drop_piece(
+                    cmd["job"], cmd["partition"], cmd["split"],
+                    cmd["n_splits"]))
             elif op == "drop-job":
                 self._unpublish(lambda i: i[1] == chain
                                 and i[2] == cmd["job"])
-                freed = store.drop_job(cmd["job"])
-                self.evt.send(("job-dropped", self.node, cmd["epoch"],
-                               chain, cmd["job"], freed))
+                self._done(cmd, store.drop_job(cmd["job"]))
             elif op == "reclaim":
-                if "map_jobs" in cmd:
-                    # set-based form: the shielded DAG cut behind the
-                    # anchor frontier (need not be an index prefix)
-                    map_jobs = set(cmd["map_jobs"])
-                    piece_jobs = set(cmd["piece_jobs"])
-                    self._unpublish(
-                        lambda i: i[1] == chain
-                        and ((i[0] == "map" and i[2] in map_jobs)
-                             or (i[0] == "piece" and i[2] in piece_jobs)))
-                    freed = store.reclaim_job_sets(map_jobs, piece_jobs)
-                else:
-                    map_upto, piece_upto = cmd["map_upto"], cmd["piece_upto"]
-                    self._unpublish(
-                        lambda i: i[1] == chain
-                        and ((i[0] == "map" and i[2] <= map_upto)
-                             or (i[0] == "piece" and i[2] <= piece_upto)))
-                    freed = store.reclaim_jobs(map_upto, piece_upto)
-                self.evt.send(("reclaimed", self.node, cmd["epoch"],
-                               chain, cmd["anchor"], freed))
+                # the shielded DAG cut behind the anchor frontier (need
+                # not be an index prefix)
+                map_jobs = set(cmd["map_jobs"])
+                piece_jobs = set(cmd["piece_jobs"])
+                self._unpublish(
+                    lambda i: i[1] == chain
+                    and ((i[0] == "map" and i[2] in map_jobs)
+                         or (i[0] == "piece" and i[2] in piece_jobs)))
+                self._done(cmd, store.reclaim_job_sets(map_jobs,
+                                                       piece_jobs))
             else:
                 raise ValueError(f"unknown op {op!r}")
         except transport.FetchError as exc:
-            self.evt.send(("task-failed", self.node, cmd["epoch"], chain,
-                           op, _task_key(cmd), str(exc)))
+            self.evt.send(protocol.reply("task-failed", self.node, cmd,
+                                         self.pid, str(exc)))
         except Exception:
             # a software bug, not a fetch casualty: stay alive and hand
             # the coordinator the traceback, so a deterministic error
             # surfaces as a diagnostic instead of reading as a node
             # death and cascading through recovery
-            self.evt.send(("task-error", self.node, cmd.get("epoch", -1),
-                           chain, op, _task_key(cmd),
-                           traceback.format_exc()))
+            self.evt.send(protocol.reply("task-error", self.node, cmd,
+                                         self.pid, traceback.format_exc()))
+
+    def _done(self, cmd: dict, result=None, fetched: int = 0,
+              local: int = 0) -> None:
+        """Report ``cmd`` complete, echoing its key/epoch/chain."""
+        self.evt.send(protocol.reply(protocol.DONE[cmd["op"]], self.node,
+                                     cmd, self.pid, result, fetched, local))
 
     def _store(self, chain) -> NodeStore:
         """The chain-namespaced store for one command (cached; benign if
@@ -409,12 +394,6 @@ class _Worker:
         records = list(iter_records(data))
         return records[start:start + count], fetched, local
 
-    @staticmethod
-    def _cmd_ports(cmd: dict, cached: dict[int, int]) -> dict[int, int]:
-        """A command may carry an explicit ``ports`` override (unit
-        tests, back-compat); otherwise the epoch-cached map applies."""
-        return cmd.get("ports", cached)
-
     # -- parallel fetch --------------------------------------------------
     def _fetch_merge(self, requests: list[tuple[int, dict]],
                      ports: dict[int, int],
@@ -455,10 +434,9 @@ class _Worker:
     # -- tasks -----------------------------------------------------------
     def _map(self, cmd: dict, chain, store: NodeStore) -> None:
         started = time.perf_counter()
-        ports = self._cmd_ports(cmd, self._ports)
         job, task_id = cmd["job"], cmd["task"]
         records, fetched, local = self._block_records(cmd, chain, store,
-                                                      ports)
+                                                      self._ports)
         slices: dict[int, list[Record]] = {}
         for record in records:
             out = map_udf(record, job)
@@ -474,30 +452,25 @@ class _Worker:
         # the throttle stretches the task *before* its commit event, so
         # a slow node's commits land at 1/factor speed, not just its slot
         self.throttle.pace(time.perf_counter() - started)
-        self.evt.send(("map-done", self.node, cmd["epoch"], chain, job,
-                       task_id, cmd["origin"], counts, os.getpid(),
-                       fetched, local))
+        self._done(cmd, counts, fetched, local)
 
     def _reduce(self, cmd: dict, chain, store: NodeStore) -> None:
         started = time.perf_counter()
-        ports = self._cmd_ports(cmd, self._ports)
         job, partition = cmd["job"], cmd["partition"]
         split_index, n_splits = cmd["split"], cmd["n_splits"]
         by_node: dict[int, list[int]] = {}
         for task_id, node in cmd["sources"]:
             by_node.setdefault(node, []).append(task_id)
-        server_filter = self.server_split_filter and n_splits > 1
         groups: dict[int, list[bytes]] = {}
 
-        def merge(node: int, data: bytes, filtered: bool) -> None:
-            if n_splits > 1 and not filtered:
-                data = filter_split(data, split_index, n_splits)
+        def merge(node: int, data: bytes) -> None:
             for record in iter_records(data):
                 groups.setdefault(record.key, []).append(record.value)
 
-        # local bytes mirror what the TCP path would have shipped for
-        # the same slices (filtered when server-side filtering is on),
-        # so tcp + local is comparable across slot/node placements
+        # a split reducer only ever sees its 1/k of a slice: peers filter
+        # server-side, own-store and shm slices are filtered here, so
+        # local bytes mirror what the TCP path would have shipped and
+        # tcp + local is comparable across slot/node placements
         local = 0
         requests = []
         for node, tasks in sorted(by_node.items()):
@@ -512,31 +485,26 @@ class _Worker:
                     if data is None:
                         remaining.append(task_id)
                         continue
-                    if server_filter:
-                        data = filter_split(data, split_index, n_splits)
+                    data = filter_split(data, split_index, n_splits)
                     local += len(data)
-                    merge(node, data, filtered=server_filter)
+                    merge(node, data)
                 if not remaining:
                     continue
             request = {"kind": "maps", "job": job, "tasks": remaining,
                        "partition": partition}
             if chain is not None:
                 request["chain"] = chain
-            if server_filter:
+            if n_splits > 1:
                 request["split"] = split_index
                 request["n_splits"] = n_splits
             requests.append((node, request))
-        fetched = self._fetch_merge(
-            requests, ports,
-            lambda node, data: merge(node, data, filtered=server_filter))
+        fetched = self._fetch_merge(requests, self._ports, merge)
         if self.node in by_node:  # local slices never touch the network
-            own = b"".join(
+            own = filter_split(b"".join(
                 store.read_map_slice(job, task_id, partition)
-                for task_id in by_node[self.node])
-            if server_filter:
-                own = filter_split(own, split_index, n_splits)
+                for task_id in by_node[self.node]), split_index, n_splits)
             local += len(own)
-            merge(self.node, own, filtered=server_filter)
+            merge(self.node, own)
         records = [reduce_udf(key, values)
                    for key, values in sorted(groups.items())]
         n_records = store.write_piece(job, partition, split_index,
@@ -547,9 +515,7 @@ class _Worker:
                           store.read_piece(job, partition, split_index,
                                            n_splits))
         self.throttle.pace(time.perf_counter() - started)
-        self.evt.send(("reduce-done", self.node, cmd["epoch"], chain, job,
-                       partition, split_index, n_splits, n_records,
-                       os.getpid(), fetched, local))
+        self._done(cmd, n_records, fetched, local)
 
     def _replicate(self, cmd: dict, chain, store: NodeStore) -> None:
         """Copy one stored piece from its primary holder to this node's
@@ -557,7 +523,6 @@ class _Worker:
         shuffle transport and commit them behind the same atomic rename
         as a locally computed piece — a SIGKILL mid-copy can never leave
         a torn committed replica."""
-        ports = self._cmd_ports(cmd, self._ports)
         job, partition = cmd["job"], cmd["partition"]
         split_index, n_splits = cmd["split"], cmd["n_splits"]
         source = cmd["source"]
@@ -576,8 +541,8 @@ class _Worker:
             local = len(data)
         else:
             data = self.pool.fetch_piece(
-                ports[source], job, partition, split_index, n_splits,
-                chain=piece_chain)
+                self._ports[source], job, partition, split_index,
+                n_splits, chain=piece_chain)
             fetched = len(data)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 data)
@@ -586,19 +551,5 @@ class _Worker:
         self._publish(("piece", chain, job, partition, split_index,
                        n_splits), data)
         self.throttle.pace(time.perf_counter() - started)
-        self.evt.send(("replica-done", self.node, cmd["epoch"], chain,
-                       job, partition, split_index, n_splits, os.getpid(),
-                       fetched, local))
+        self._done(cmd, None, fetched, local)
 
-
-def _task_key(cmd: dict) -> Optional[tuple]:
-    op = cmd.get("op")
-    if op == "map":
-        return ("map", cmd.get("job"), cmd.get("task"))
-    if op == "reduce":
-        return ("reduce", cmd.get("job"), cmd.get("partition"),
-                cmd.get("split"), cmd.get("n_splits"))
-    if op == "replicate":
-        return ("replicate", cmd.get("job"), cmd.get("partition"),
-                cmd.get("split"), cmd.get("n_splits"), cmd.get("target"))
-    return None

@@ -24,7 +24,7 @@ from repro.runtime.cache import (
     udf_identity,
 )
 from repro.runtime.coordinator import RuntimeConfig
-from repro.runtime.recovery import JobGraph, adoptable_prefix
+from repro.runtime.recovery import JobGraph, adoptable_closure
 from repro.runtime.service import ChainService
 from repro.runtime.storage import (
     ClusterRegistry,
@@ -143,11 +143,13 @@ def test_linear_fingerprint_scheme_is_byte_stable():
 
 
 def test_adoptable_prefix_contiguity():
-    assert adoptable_prefix([]) == 0
-    assert adoptable_prefix([1, 2, 3]) == 3
-    assert adoptable_prefix([1, 3]) == 1     # gap truncates
-    assert adoptable_prefix([2, 3]) == 0     # missing job 1: nothing
-    assert adoptable_prefix([3, 1, 2, 5]) == 3
+    """On a chain the adoptable closure is the contiguous prefix."""
+    chain = JobGraph.linear(5)
+    assert adoptable_closure([], chain) == set()
+    assert adoptable_closure([1, 2, 3], chain) == {1, 2, 3}
+    assert adoptable_closure([1, 3], chain) == {1}    # gap truncates
+    assert adoptable_closure([2, 3], chain) == set()  # missing job 1
+    assert adoptable_closure([3, 1, 2, 5], chain) == {1, 2, 3}
 
 
 # -------------------------------------------------------- registry (unit)

@@ -163,15 +163,15 @@ def test_cube_branch_damage_cascades_only_that_branch(tmp_path):
     """The planner cut on the real coordinator: damage confined to one
     lattice branch recomputes that branch alone, and mid-lattice damage
     behind done intact consumers recomputes nothing."""
-    coord = Coordinator(RuntimeConfig(n_nodes=4, chain=CUBE3),
-                        tmp_path / "cluster")
-    coord.done_jobs = set(range(1, 9))
+    run = Coordinator(RuntimeConfig(n_nodes=4, chain=CUBE3),
+                      tmp_path / "cluster").chain_run
+    run.done_jobs = set(range(1, 9))
     # branch 1 -> 3 -> 7 loses pieces; branches through 2 are untouched
-    coord.registry.damage = {3: {0: [(0, 1)]}, 7: {0: [(0, 1)]}}
-    assert coord._cascade_jobs() == [3, 7]
+    run.registry.damage = {3: {0: [(0, 1)]}, 7: {0: [(0, 1)]}}
+    assert run._cascade_jobs() == [3, 7]
     # damage shielded by done, intact consumers is outside the cut
-    coord.registry.damage = {2: {0: [(0, 1)]}}
-    assert coord._cascade_jobs() == []
+    run.registry.damage = {2: {0: [(0, 1)]}}
+    assert run._cascade_jobs() == []
 
 
 # --------------------------------------------------- differential matrix

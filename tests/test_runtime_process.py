@@ -89,8 +89,7 @@ def run_process_chain(tmp_path, chain=CHAIN, n_nodes=4, hooks=None,
                      ("strategy", "heartbeat_interval", "heartbeat_expiry",
                       "fig5_guard", "hybrid_interval", "hybrid_replication",
                       "hybrid_reclaim", "task_slots", "fetch_parallelism",
-                      "fetch_timeout", "server_split_filter",
-                      "persistent_connections", "io_timeout",
+                      "fetch_timeout", "io_timeout",
                       "startup_timeout", "speculation",
                       "speculation_slowdown", "speculation_min_age",
                       "pre_replicate", "suspect_window", "suspect_ratio",
@@ -121,22 +120,23 @@ def on_disk_orphans(coord, jobs):
     does not account for (every committed file must be some entry's
     primary copy or a registered replica)."""
     orphans = []
-    reg = coord.registry
-    for node in sorted(coord.alive):
-        store = NodeStore(coord.workdir, node)
+    reg = coord.chain_run.registry
+    workdir = coord.pool.workdir
+    for node in sorted(coord.pool.alive):
+        store = NodeStore(workdir, node)
         for task_dir in sorted(store.dir.glob("map/job*/task*")):
             job = int(task_dir.parent.name[3:])
             task = int(task_dir.name[4:])
             entry = reg.map_outputs.get((job, task))
             if job in jobs and (entry is None or entry.node != node):
-                orphans.append(str(task_dir.relative_to(coord.workdir)))
+                orphans.append(str(task_dir.relative_to(workdir)))
         for path in sorted(store.dir.glob("reduce/job*/part*/*.bin")):
             job = int(path.parent.parent.name[3:])
             partition = int(path.parent.name[4:])
             split, n_splits = map(int, path.stem[1:].split("of"))
             if job in jobs and node not in reg.holders(job, partition,
                                                        split, n_splits):
-                orphans.append(str(path.relative_to(coord.workdir)))
+                orphans.append(str(path.relative_to(workdir)))
     return orphans
 
 
@@ -204,15 +204,15 @@ def test_cascade_jobs_skips_stale_upstream_damage(tmp_path):
     """Damage filed for a job upstream of an intact one is outside the
     cascade: it must not drive the run loop (regression — run_chain spun
     forever recovering nothing when damaged_jobs() held only such jobs)."""
-    coord = Coordinator(RuntimeConfig(n_nodes=4, chain=CHAIN),
-                        tmp_path / "cluster")
-    coord.completed_jobs = 3
-    coord.registry.damage = {1: {0: [(0, 1)]}, 2: {1: [(0, 2)]}}
-    assert coord.registry.damaged_jobs() == [1, 2]
-    assert coord._cascade_jobs() == []  # job 3 intact: nothing to do
+    run = Coordinator(RuntimeConfig(n_nodes=4, chain=CHAIN),
+                      tmp_path / "cluster").chain_run
+    run.done_jobs = {1, 2, 3}
+    run.registry.damage = {1: {0: [(0, 1)]}, 2: {1: [(0, 2)]}}
+    assert run.registry.damaged_jobs() == [1, 2]
+    assert run._cascade_jobs() == []  # job 3 intact: nothing to do
     # a later death damaging the sink makes them cascade-relevant again
-    coord.registry.damage[3] = {0: [(0, 1)]}
-    assert coord._cascade_jobs() == [1, 2, 3]
+    run.registry.damage[3] = {0: [(0, 1)]}
+    assert run._cascade_jobs() == [1, 2, 3]
 
 
 def test_registry_promotes_replica_instead_of_filing_damage():
@@ -261,7 +261,7 @@ def test_registry_reclaim_through_forgets_metadata():
     reg.add_piece(PieceEntry(1, 0, 0, 1, node=0, n_records=4))
     reg.add_piece(PieceEntry(2, 0, 0, 1, node=1, n_records=4))
     reg.mark_replicated(1, 2)
-    reg.reclaim_through(map_upto=1, piece_upto=1)
+    reg.reclaim_job_sets(map_jobs={1}, piece_jobs={1})
     assert reg.map_tasks_of(1) == [] and reg.map_tasks_of(2) == [0]
     assert 1 not in reg.pieces and 1 not in reg.replicated_jobs
     # a death after reclamation must not file damage for unlinked files
@@ -275,9 +275,9 @@ def test_node_store_drop_job_and_reclaim(tmp_path):
     for job in (1, 2, 3):
         store.write_map_output(job, 0, None, {0: records})
         store.write_piece(job, 0, 0, 1, records)
-    freed = store.reclaim_jobs(map_upto=2, piece_upto=1)
+    freed = store.reclaim_job_sets(map_jobs={1, 2}, piece_jobs={1})
     assert freed > 0
-    # behind the bounds: gone; at/after them: untouched
+    # in the reclaimed sets: gone; outside them: untouched
     assert not (store.dir / "map" / "job1").exists()
     assert not (store.dir / "map" / "job2").exists()
     assert (store.dir / "map" / "job3").is_dir()
@@ -358,7 +358,7 @@ def test_stale_upstream_damage_does_not_hang(tmp_path):
 
         def __call__(self, event, **info):
             if event == "job-commit" and info.get("job") == 2:
-                reg = self.coord.registry
+                reg = self.coord.chain_run.registry
                 lost = reg.pieces[1][0].pop(0)
                 reg.damage.setdefault(1, {}).setdefault(0, []).append(
                     lost.signature)
@@ -597,10 +597,11 @@ def test_hybrid_death_at_anchor_commit_recovers(tmp_path):
         report = coord.run_chain()
         assert report.checksum == reference_checksum(chain)
         assert [n for _, n in report.deaths] == [1]
-        assert coord.registry.replicated_jobs == {2: 2}
-        for plist in coord.registry.pieces[2].values():
+        registry = coord.chain_run.registry
+        assert registry.replicated_jobs == {2: 2}
+        for plist in registry.pieces[2].values():
             for entry in plist:
-                assert len(coord.registry.holders(*entry.key)) >= 2
+                assert len(registry.holders(*entry.key)) >= 2
 
 
 @pytest.mark.slow
@@ -616,11 +617,11 @@ def test_kill_mid_replica_write_leaves_no_torn_replica(tmp_path):
         hooks.coord = coord
         report = coord.run_chain()
         assert report.checksum == reference_checksum(chain)
-        for node in coord.alive:
-            assert not list(NodeStore(coord.workdir, node)
-                            .dir.rglob("*.tmp"))
-        for key, holders in coord.registry.replicas.items():
-            datas = {NodeStore(coord.workdir, n).read_piece(*key)
+        workdir = coord.pool.workdir
+        for node in coord.pool.alive:
+            assert not list(NodeStore(workdir, node).dir.rglob("*.tmp"))
+        for key, holders in coord.chain_run.registry.replicas.items():
+            datas = {NodeStore(workdir, n).read_piece(*key)
                      for n in holders}
             assert len(holders) >= 2 and len(datas) == 1
 
@@ -647,7 +648,8 @@ def test_hybrid_reclaim_frees_files_behind_the_anchor(tmp_path):
         # post-anchor death never recomputed anything behind the anchor
         assert not any(j < 4 for j, k, _ in report.job_times
                        if k == "recompute")
-        stores = [NodeStore(coord.workdir, n) for n in sorted(coord.alive)]
+        stores = [NodeStore(coord.pool.workdir, n)
+                  for n in sorted(coord.pool.alive)]
         # behind the last anchor: gone from every surviving disk
         for store in stores:
             for job in (1, 2, 3):
@@ -687,7 +689,7 @@ def test_repl2_simultaneous_double_copy_loss_is_irrecoverable(tmp_path):
 
         def __call__(self, event, **info):
             if event == "job-commit" and info.get("job") == 2:
-                reg = self.coord.registry
+                reg = self.coord.chain_run.registry
                 entry = reg.pieces[2][0][0]
                 for node in sorted(reg.holders(*entry.key)):
                     self.coord.kill_node(node)

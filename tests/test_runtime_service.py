@@ -17,6 +17,7 @@ byte of any chain's output, kills or not.
 import functools
 import json
 import multiprocessing
+import queue
 import socket
 import threading
 import time
@@ -30,8 +31,10 @@ from repro.runtime.coordinator import (
     WorkerPool,
     _Link,
 )
+from repro.runtime import protocol
 from repro.runtime.service import (
     DONE,
+    ChainJob,
     ChainService,
     MTBFKills,
     request,
@@ -205,6 +208,59 @@ def test_submit_validates_at_submission_time(tmp_path):
         service.submit(chain=TINY, strategy="nonsense")
     with pytest.raises(ValueError, match="admission policy"):
         ChainService(config, tmp_path / "svc2", policy="lottery")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_nodes", 8), ("task_slots", 4), ("memory_budget", 0),
+    ("shared_memory", True), ("fetch_parallelism", 8),
+    ("fetch_timeout", 1.0), ("heartbeat_interval", 0.5),
+    ("heartbeat_expiry", 1.0), ("startup_timeout", 5.0),
+    ("suspect_window", 2.0), ("suspect_ratio", 9.0),
+    ("suspect_min_commits", 9)])
+def test_submit_refuses_pool_shape_overrides(tmp_path, field, value):
+    """Regression: pool-shape fields were silently applied to the
+    chain's config (``n_nodes`` silently dropped) although the workers
+    were forked with the service's values — a ``task_slots=4`` override
+    placed backups on slots that do not exist.  Refused by name at
+    submission, in-process and over the TCP front door."""
+    service = ChainService(RuntimeConfig(n_nodes=2, chain=TINY),
+                           tmp_path / "svc")
+    with pytest.raises(ValueError, match=f"cannot override {field}"):
+        service.submit(chain=TINY, **{field: value})
+    port = service.serve(port=0)
+    try:
+        with pytest.raises(RuntimeError,
+                           match=f"cannot override {field}"):
+            request(port, {"op": "submit", "overrides": {field: value}})
+        assert service.status()["queued"] == 0
+        # chain-level knobs stay overridable
+        job = service.submit(chain=TINY, strategy="optimistic",
+                             speculation=True, io_timeout=20.0)
+        assert job.config.strategy == "optimistic"
+    finally:
+        service._stop.set()
+        service._server.close()
+
+
+def test_router_delivers_by_chain_and_drops_pool_events(tmp_path):
+    """Readiness and heartbeats carry no chain (regression: the router
+    read a ``ready`` message's pid as its chain id); task events reach
+    exactly the running chain they name."""
+    service = ChainService(RuntimeConfig(n_nodes=2, chain=TINY),
+                           tmp_path / "svc")
+    jobs = {cid: ChainJob(id=str(cid), tenant="t", config=service.config,
+                          inbox=queue.Queue())
+            for cid in ("c0001", 4242)}
+    service._running.update(jobs)
+    done = protocol.reply("map-done", 0, {"key": ("map", 1, 0),
+                                          "epoch": 0, "chain": "c0001"},
+                          pid=4242)
+    for event in (protocol.ready(0, port=4000, pid=4242),
+                  protocol.heartbeat(0), done,
+                  done._replace(chain="c0002")):  # finished: dropped
+        service._route(event)
+    assert jobs["c0001"].inbox.get_nowait() == done
+    assert jobs["c0001"].inbox.empty() and jobs[4242].inbox.empty()
 
 
 def test_fifo_admission_runs_chains_in_submission_order(tmp_path):

@@ -4,8 +4,9 @@ Fast tests cover the pieces in isolation: server-side split filtering
 (property-checked against the client-side filter), persistent
 ``PeerPool`` connections (reuse, reconnect after a peer restart, dead
 peers resolving to :class:`FetchError`), the worker's parallel fetch
-merge, the once-per-epoch ports broadcast, and the `_run_tasks`
-stale-message regressions.  The ``slow`` tests re-prove checksum
+merge, the once-per-epoch ports broadcast, and the control-plane
+protocol (every event kind through a real pipe, the one stale-event
+guard, the speculative-loser sweep).  The ``slow`` tests re-prove checksum
 neutrality end to end: multi-slot workers and parallel fetches must
 reproduce the in-process reference byte-for-byte under kills, and
 server-side filtering must actually shrink the recompute shuffle.
@@ -18,12 +19,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.localexec import LocalJobConfig
 from repro.localexec.records import generate_records, split_of
-from repro.runtime import transport
+from repro.obs import RecordingTracer
+from repro.runtime import protocol
 from repro.runtime.coordinator import Coordinator, RuntimeConfig, _Link
 from repro.runtime.storage import (
     NodeStore,
+    PieceEntry,
     decode_records,
     encode_records,
     filter_split,
@@ -142,23 +144,6 @@ def test_fetch_from_dead_peer_raises_fetch_error():
         pool.close()
 
 
-def test_non_persistent_pool_opens_connection_per_request(tmp_path):
-    store, payload = _piece_store(tmp_path)
-    server = ShuffleServer(store, timeout=5.0)
-    pool = PeerPool(timeout=2.0, persistent=False)
-    try:
-        for _ in range(3):
-            assert pool.fetch_piece(server.port, 1, 0, 0, 1) == payload
-        deadline = time.monotonic() + 2.0
-        while (server.connections_accepted < 3
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        assert server.connections_accepted == 3
-    finally:
-        pool.close()
-        server.close()
-
-
 # ----------------------------------------------------- parallel fetching
 class _EventSink:
     def __init__(self):
@@ -233,52 +218,180 @@ class _FakeProc:
         return True
 
 
-def _fake_linked_coordinator(tmp_path, config=None):
+def _fake_linked_coordinator(tmp_path, config=None, tracer=None):
     """A coordinator wired to an in-test pipe pair instead of a forked
     worker, so dispatch-loop behaviour is testable deterministically."""
     config = config or RuntimeConfig(n_nodes=1, chain=CHAIN)
-    coord = Coordinator(config, tmp_path / "cluster")
+    coord = Coordinator(config, tmp_path / "cluster", tracer=tracer)
     cmd_recv, cmd_send = multiprocessing.Pipe(duplex=False)
     evt_recv, evt_send = multiprocessing.Pipe(duplex=False)
-    coord._links[0] = _Link(0, _FakeProc(), cmd_send, evt_recv, pid=4242,
-                            port=1, last_seen=time.monotonic())
-    coord.alive = {0}
+    coord.pool._links[0] = _Link(0, _FakeProc(), cmd_send, evt_recv,
+                                 pid=4242, port=1,
+                                 last_seen=time.monotonic())
+    coord.pool.alive = {0}
     return coord, cmd_recv, evt_send
 
 
-def test_stale_message_from_unknown_link_is_skipped(tmp_path):
-    """Regression: a stale-epoch dropped/job-dropped/reclaimed message
-    naming a node whose link is gone must be discarded by the epoch
-    guard, not KeyError on the link lookup."""
+def _event(kind, key, node=0, epoch=0, chain=None, **fields):
+    """What a worker on ``node`` answers to a command stamped
+    ``key``/``epoch``/``chain``."""
+    return protocol.reply(kind, node, {"key": key, "epoch": epoch,
+                                       "chain": chain}, pid=4242, **fields)
+
+
+def _drain_commands(cmd_recv):
+    cmds = []
+    while cmd_recv.poll():
+        cmds.append(cmd_recv.recv())
+    return cmds
+
+
+MAP_KEY = ("map", 1, 0)
+REDUCE_KEY = ("reduce", 1, 0, 0, 1)
+#: op -> (task key, command, a completion's op-specific result)
+BATCHES = {
+    "map": (MAP_KEY, {"op": "map", "job": 1, "task": 0, "origin": None},
+            {0: 5}),
+    "reduce": (REDUCE_KEY, {"op": "reduce", "job": 1, "partition": 0,
+                            "split": 0, "n_splits": 1}, 5),
+    "replicate": (("replicate", 1, 0, 0, 1, 0),
+                  {"op": "replicate", "job": 1, "partition": 0,
+                   "split": 0, "n_splits": 1}, None),
+    "drop": (("drop", 1, 0), {"op": "drop", "job": 1, "task": 0}, None),
+    "drop-job": (("drop-job", 1, 0), {"op": "drop-job", "job": 1}, 128),
+    "reclaim": (("reclaim", 2, 0), {"op": "reclaim", "anchor": 2}, 128),
+}
+#: event kind -> op of the outstanding batch it is aimed at (failures
+#: and the fire-and-forget piece sweep ride on a map / reduce batch)
+STALE_KINDS = {**{protocol.DONE[op]: op for op in BATCHES},
+               "piece-dropped": "reduce", "task-failed": "map",
+               "task-error": "map"}
+
+
+@pytest.mark.parametrize("reason", ["epoch", "chain", "key"])
+@pytest.mark.parametrize("kind", sorted(STALE_KINDS))
+def test_stale_event_is_discarded(tmp_path, kind, reason):
+    """The one guard: an event of any kind from a cancelled epoch, from
+    another chain, or for a key this batch does not hold registers
+    nothing, counts no shuffle bytes and leaves the task outstanding —
+    even when it names a node whose link is gone (regression: the link
+    lookup used to run before the guard) or reports a software error."""
     coord, cmd_recv, evt_send = _fake_linked_coordinator(tmp_path)
-    coord.epoch = 3
-    for stale in (("dropped", 9, 2, None, 1, 0),
-                  ("job-dropped", 9, 2, None, 1, 128),
-                  ("reclaimed", 9, 2, None, 1, 128)):
-        evt_send.send(stale)
-    evt_send.send(("dropped", 0, 3, None, 1, 0))  # the real completion
-    coord._run_tasks({("drop", 1, 0): (0, {"op": "drop", "job": 1,
-                                           "task": 0})}, phase="test")
-    # the command pipe saw the ports broadcast followed by the drop
-    ops = [cmd_recv.recv()["op"] for _ in range(2)]
-    assert ops == ["ports", "drop"]
+    run, pool = coord.chain_run, coord.pool
+    pool.epoch = 3
+    op = STALE_KINDS[kind]
+    key, cmd, result = BATCHES[op]
+    if op == "replicate":  # a replica needs its primary registered
+        run.registry.add_piece(PieceEntry(1, 0, 0, 1, node=5, n_records=5))
+    stale = {"epoch": dict(epoch=2), "chain": dict(epoch=3, chain="c0009"),
+             "key": dict(epoch=3)}[reason]
+    stale_key = (op, 7, 7, 7, 7, 7) if reason == "key" else key
+    if kind == "piece-dropped":  # only ever answers a loser sweep
+        stale_key = ("sweep", *REDUCE_KEY)
+    evt_send.send(_event(kind, stale_key, node=9, fetched=999, local=999,
+                         result=result if kind in protocol.DONE.values()
+                         else "boom", **stale))
+    # the real completion, which only an intact ``outstanding`` consumes
+    evt_send.send(_event(protocol.DONE[op], key, epoch=3, fetched=10,
+                         local=20, result=result))
+    pieces, freed = [], []
+    run._run_tasks({key: (0, cmd)}, phase="test", on_piece=pieces.append,
+                   on_freed=freed.append)
+    assert not pool._links[0].evt.poll()  # both events were consumed
+    assert run.shuffle_bytes == {"test": 10}
+    assert run.shuffle_bytes_local == {"test": 20}
+    assert [e.node for e in run.registry.map_outputs.values()] == \
+        ([0] if op == "map" else [])
+    assert [e.node for e in pieces] == ([0] if op == "reduce" else [])
+    assert run.registry.replicas == \
+        ({(1, 0, 0, 1): {0, 5}} if op == "replicate" else {})
+    assert freed == ([128] if op in ("drop-job", "reclaim") else [])
+    sent = _drain_commands(cmd_recv)
+    assert [c["op"] for c in sent] == ["ports", op]  # nothing re-sent
+    assert (sent[1]["key"], sent[1]["epoch"], sent[1]["chain"]) == \
+        (key, 3, None)
+
+
+@pytest.mark.parametrize("path", ["run_tasks", "drain"])
+def test_speculative_loser_is_swept_exactly_once(tmp_path, path):
+    """A resolved race's losing attempt commits late: its event misses
+    the guard, is accounted as wasted work and its output swept with one
+    drop / drop-piece under its own ``("sweep", ...)`` key — once, however
+    many duplicates arrive, from the dispatch loop and from the
+    end-of-chain drain alike."""
+    tracer = RecordingTracer()
+    coord, cmd_recv, evt_send = _fake_linked_coordinator(tmp_path,
+                                                         tracer=tracer)
+    run = coord.chain_run
+    run._spec_losers = {MAP_KEY: 0, REDUCE_KEY: 0}
+    for key, kind, result in ((MAP_KEY, "map-done", {0: 5}),
+                              (MAP_KEY, "map-done", {0: 5}),
+                              (("sweep", *REDUCE_KEY), "piece-dropped", 64),
+                              (REDUCE_KEY, "reduce-done", 5)):
+        evt_send.send(_event(kind, key, fetched=100, result=result))
+    if path == "run_tasks":
+        evt_send.send(_event("dropped", ("drop", 2, 0)))
+        run._run_tasks({("drop", 2, 0): (0, {"op": "drop", "job": 2,
+                                             "task": 0})}, phase="test")
+    else:
+        run._drain_spec_losers(deadline=5.0)
+    assert run._spec_losers == {}
+    assert run.spec_wasted_bytes == 200
+    assert run.registry.map_outputs == {} and run.registry.pieces == {}
+    sweeps = [c for c in _drain_commands(cmd_recv)
+              if c["op"] != "ports" and c["key"][0] == "sweep"]
+    assert [(c["op"], c["key"]) for c in sweeps] == \
+        [("drop", ("sweep", *MAP_KEY)),
+         ("drop-piece", ("sweep", *REDUCE_KEY))]
+    [swept] = [e for e in tracer.events
+               if e["name"] == "speculation-swept"]
+    assert swept["args"] == {"node": 0, "job": 1, "partition": 0,
+                             "split": 0, "n_splits": 1, "freed": 64}
+
+
+def test_every_event_kind_survives_a_real_pipe():
+    """Events cross the worker -> coordinator pipe pickled; each kind
+    must come back as an :class:`Event` with its fields by name."""
+    events = [protocol.ready(2, port=4000, pid=77), protocol.heartbeat(2)]
+    for op, (key, _cmd, result) in BATCHES.items():
+        events.append(_event(protocol.DONE[op], key, node=2, epoch=4,
+                             chain="c0001", fetched=3, local=4,
+                             result=result))
+    events += [_event("piece-dropped", ("sweep", *REDUCE_KEY), result=64),
+               _event("task-failed", MAP_KEY, result="peer down"),
+               _event("task-error", MAP_KEY, result="Traceback ...")]
+    recv, send = multiprocessing.Pipe(duplex=False)
+    for event in events:
+        send.send(event)
+        got = recv.recv()
+        assert isinstance(got, protocol.Event) and got == event
+        assert got[0] == got.kind and got[:4] == (
+            got.kind, got.node, got.epoch, got.chain)
+    assert {e.kind for e in events} == \
+        {"ready", "hb", "task-failed", "task-error",
+         *protocol.DONE.values()}
+    ready, beat = events[:2]
+    assert (ready.result, ready.pid, ready.chain, ready.key) == \
+        (4000, 77, None, None)
+    assert beat.chain is None and beat.epoch is None
 
 
 def test_ports_broadcast_once_per_epoch(tmp_path):
     coord, cmd_recv, evt_send = _fake_linked_coordinator(tmp_path)
+    run = coord.chain_run
     for task in (0, 1):
-        evt_send.send(("dropped", 0, 0, None, 1, task))
-        coord._run_tasks({("drop", 1, task): (0, {"op": "drop", "job": 1,
-                                                  "task": task})},
-                         phase="test")
+        evt_send.send(_event("dropped", ("drop", 1, task)))
+        run._run_tasks({("drop", 1, task): (0, {"op": "drop", "job": 1,
+                                                "task": task})},
+                       phase="test")
     cmds = [cmd_recv.recv() for _ in range(3)]
     assert [c["op"] for c in cmds] == ["ports", "drop", "drop"]
     assert cmds[0]["ports"] == {0: 1}
     # a death bumps the epoch: the next dispatch re-broadcasts
-    coord.epoch += 1
-    evt_send.send(("dropped", 0, 1, None, 1, 2))
-    coord._run_tasks({("drop", 1, 2): (0, {"op": "drop", "job": 1,
-                                           "task": 2})}, phase="test")
+    coord.pool.epoch += 1
+    evt_send.send(_event("dropped", ("drop", 1, 2), epoch=1))
+    run._run_tasks({("drop", 1, 2): (0, {"op": "drop", "job": 1,
+                                         "task": 2})}, phase="test")
     assert [cmd_recv.recv()["op"] for _ in range(2)] == ["ports", "drop"]
 
 
@@ -336,22 +449,31 @@ def test_multi_slot_matrix_parity(tmp_path, strategy, scenario):
 
 @pytest.mark.slow
 def test_server_split_filter_shrinks_recompute_shuffle(tmp_path):
-    """With a 2-way split recomputation, server-side filtering must ship
-    roughly half the recompute-reduce bytes the unfiltered client-side
-    path pulls — at identical output checksums."""
+    """With a 2-way split recomputation, each split reducer is shipped
+    its share of the partition, not all of it: the recompute-reduce
+    phases pull roughly 1/k of the k x stored-slice bytes an unfiltered
+    shuffle would — at the reference checksum."""
     chain = replace(CHAIN, records_per_node=96)
-    totals = {}
-    for filtered in (True, False):
-        hooks = KillAt("job-commit", job=2, victims=[1])
-        report = run_process_chain(tmp_path / str(filtered), chain=chain,
-                                   hooks=hooks,
-                                   server_split_filter=filtered)
-        assert report.checksum == reference_checksum(chain)
-        totals[filtered] = sum(
-            n for phase, n in report.shuffle_bytes.items()
-            if phase.startswith("recompute-reduce"))
-    assert totals[False] > 0
-    assert totals[True] <= totals[False] * 0.5 * 1.35
+    k = chain.split_ratio
+    hooks = KillAt("job-commit", job=2, victims=[1])
+    report = run_process_chain(tmp_path, chain=chain, hooks=hooks)
+    assert report.checksum == reference_checksum(chain)
+    registry = hooks.coord.chain_run.registry
+    split = [(job, partition)
+             for job, parts in registry.pieces.items()
+             for partition, plist in parts.items()
+             if any(e.n_splits == k for e in plist)]
+    assert split
+    stored = sum(
+        len(NodeStore(tmp_path / "cluster", entry.node).read_map_slice(
+            job, entry.task_id, partition))
+        for job, partition in split
+        for entry in registry.map_outputs.values() if entry.job == job)
+    pulled = sum(n for ledger in (report.shuffle_bytes,
+                                  report.shuffle_bytes_local)
+                 for phase, n in ledger.items()
+                 if phase.startswith("recompute-reduce"))
+    assert 0 < pulled <= k * stored * (1 / k) * 1.35
 
 
 @pytest.mark.slow
@@ -378,10 +500,15 @@ def test_worker_ignores_stale_epoch_commands(tmp_path):
         worker.close()
 
 
-def test_transport_module_fetch_is_one_shot(tmp_path):
-    store, payload = _piece_store(tmp_path)
-    server = ShuffleServer(store, timeout=5.0)
+def test_keyless_command_is_still_answered(tmp_path):
+    """A bare command without ``key`` (what the benchmark spine's
+    dispatch round-trip sends) gets its completion event, key ``None``."""
+    worker = _make_worker(tmp_path, node=0)
     try:
-        assert transport.fetch_piece(server.port, 1, 0, 0, 1) == payload
+        worker.dispatch({"op": "drop", "job": 0, "task": 0, "epoch": 0,
+                         "chain": None})
+        [event] = worker.evt.sent
+        assert event[0] == "dropped" and event.kind == "dropped"
+        assert event.key is None and event.epoch == 0
     finally:
-        server.close()
+        worker.close()

@@ -451,7 +451,7 @@ def test_pre_replication_leaves_no_sole_copy_on_the_straggler(tmp_path):
         assert report.checksum == reference_checksum(chain, 4)
         assert report.deaths == []
         assert report.speculation["pre_replicated"] > 0
-        registry = coord.registry
+        registry = coord.chain_run.registry
         straggler_pieces = [
             entry for per_part in registry.pieces.values()
             for entries in per_part.values() for entry in entries
