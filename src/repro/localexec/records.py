@@ -13,13 +13,13 @@ values of a key, again mixing in the MD5 and byte-sum checks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Record:
-    """An immutable key-value record."""
+class Record(NamedTuple):
+    """An immutable key-value record: a native tuple, so construction,
+    ``(key, value)`` ordering, equality and hashing all run at C speed —
+    every record of every job is built and sorted at least once."""
 
     key: int
     value: bytes

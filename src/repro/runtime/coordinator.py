@@ -109,8 +109,8 @@ from repro.runtime.storage import (
     MapEntry,
     NodeStore,
     PieceEntry,
-    chain_checksum,
-    decode_records,
+    iter_records,
+    stored_checksum,
 )
 from repro.runtime.transport import CHANNEL_DOWN
 from repro.runtime.worker import worker_main
@@ -692,6 +692,10 @@ class WorkerPool:
         conns = {link.evt: node for node, link in self._links.items()
                  if (node in self.alive or node in self._respawning)
                  and not link.closed}
+        if self._inbox:
+            # several pipes were ready last tick and one event was handed
+            # over: the rest is already here — poll, never sleep on it
+            timeout = 0
         if conns:
             for conn in connection_wait(list(conns), timeout=timeout):
                 node = conns[conn]
@@ -1725,35 +1729,42 @@ class ChainRun:
         self.pre_replications += len(cmds)
 
     # -------------------------------------------------------------- queries
-    def final_output(self) -> dict[int, list[Record]]:
-        """The computation's output, read back from the nodes' files
-        (registry-driven, like any DFS read): the union over sink jobs,
-        keyed ``sink_pos * STRIDE + partition`` so a single-sink chain
-        keeps plain partition keys (and checksums) unchanged."""
+    def _sink_pieces(self) -> dict[int, list[tuple[int, bytes]]]:
+        """``(record count, bytes)`` of every stored sink piece, read
+        back from the nodes' files (registry-driven, like any DFS read):
+        the union over sink jobs, keyed ``sink_pos * STRIDE + partition``
+        so a single-sink chain keeps plain partition keys (and
+        checksums) unchanged."""
         chain = self.config.chain
-        out: dict[int, list[Record]] = {}
+        out: dict[int, list[tuple[int, bytes]]] = {}
         for pos, sink in enumerate(sorted(self.graph.sinks())):
             last = self.registry.pieces.get(sink)
             if last is None or not self.registry.coverage_complete(
                     sink, chain.n_partitions):
                 raise RuntimeError("chain has not completed")
             for partition, plist in last.items():
-                records: list[Record] = []
+                pieces = out[pos * STRIDE + partition] = []
                 for entry in plist:
                     # an adopted piece (cache hit) lives in its donor
                     # chain's namespace; everything else in our own
                     namespace = entry.chain if entry.chain is not None \
                         else self.chain_id
-                    data = NodeStore(self.pool.workdir, entry.node,
-                                     chain=namespace).read_piece(
-                        entry.job, entry.partition, entry.split_index,
-                        entry.n_splits)
-                    records.extend(decode_records(data))
-                out[pos * STRIDE + partition] = sorted(records)
+                    store = NodeStore(self.pool.workdir, entry.node,
+                                      chain=namespace)
+                    pieces.append((entry.n_records,
+                                   store.read_piece(*entry.key)))
         return out
 
+    def final_output(self) -> dict[int, list[Record]]:
+        """The computation's output as sorted records per output key."""
+        return {key: sorted(record for _, data in pieces
+                            for record in iter_records(data))
+                for key, pieces in self._sink_pieces().items()}
+
     def checksum(self) -> str:
-        return chain_checksum(self.final_output())
+        """``chain_checksum(self.final_output())``, hashed from the
+        stored bytes wherever one piece covers a partition."""
+        return stored_checksum(self._sink_pieces())
 
 
 class Coordinator:

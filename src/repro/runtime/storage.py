@@ -4,9 +4,15 @@ On-disk layout (``repro.dfs``-compatible: one directory per node, one
 single-replica file per stored object, exactly what a collocated
 compute/storage node loses when it dies)::
 
-    <root>/node03/map/job2/task1000007/part0.bin      one shuffle slice
-    <root>/node03/map/job2/task1000007/meta.json      task id, origin, counts
-    <root>/node03/reduce/job1/part2/s1of3.bin         one stored piece
+    <root>/node03/map/job2/task1000007.bin        one map task's output
+    <root>/node03/reduce/job1/part2/s1of3.bin     one stored piece
+
+A map output is Hadoop's shape, one file with a partition index in front
+(one fsync and one rename commit all of a task's slices or none)::
+
+    u32 bytes of slots | i64 task id, origin job, origin partition (-1
+    = none) | per slice: u32 partition, u64 offset past the index, u64
+    length, u32 record count | the encoded slices, concatenated
 
 Records are framed binary — 8-byte big-endian key, 4-byte length, value —
 so a partition's bytes are a pure function of its record multiset and the
@@ -29,11 +35,11 @@ partition) the shared recovery planner consumes.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 import threading
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -46,6 +52,12 @@ except ImportError:  # pragma: no cover - numpy is in the baked toolchain
     _np = None
 
 _KEY = struct.Struct(">QI")
+FRAME_HEADER = _KEY.size  # a frame's value starts this far past its start
+#: map-output index: head (slot bytes that follow, task id, origin job,
+#: origin partition), then one slot (partition, offset, length, record
+#: count) per slice
+_INDEX_HEAD = struct.Struct(">Iqqq")
+_INDEX_SLOT = struct.Struct(">IQQI")
 
 
 # --------------------------------------------------------------- record codec
@@ -116,10 +128,20 @@ def iter_record_frames(data):
         offset = end
 
 
-def iter_records(data: bytes):
-    """Lazily decode the framed encoding into :class:`Record`s."""
-    for key, start, end in iter_record_frames(data):
-        yield Record(key, data[start + _KEY.size:end])
+def iter_records(data: bytes, start: int = 0, count: Optional[int] = None):
+    """Lazily decode the framed encoding into :class:`Record`s.
+
+    ``start``/``count`` select the records ``[start, start + count)``:
+    the frames before the range are walked by header only — with the
+    same truncation checks, so a torn frame ahead of the range still
+    raises — and the frames after it are never touched.  A map task
+    reading one block of an upstream piece pays for its block."""
+    frames = iter_record_frames(data)
+    if start or count is not None:
+        frames = islice(frames, start,
+                        None if count is None else start + count)
+    for key, lo, hi in frames:
+        yield Record(key, data[lo + _KEY.size:hi])
 
 
 def decode_records(data: bytes) -> list[Record]:
@@ -184,6 +206,25 @@ def chain_checksum(final_output: dict[int, list[Record]]) -> str:
     return h.hexdigest()
 
 
+def stored_checksum(stored: dict[int, list[tuple[int, bytes]]]) -> str:
+    """:func:`chain_checksum` of an output still in its stored form,
+    partition -> ``[(record count, piece bytes)]``.  A partition one
+    piece covers is its own canonical encoding — a reducer writes unique
+    keys in key order — so its bytes are hashed as they are; only a
+    partition covered by several split pieces is decoded and sorted."""
+    h = hashlib.md5()
+    for partition in sorted(stored):
+        if len(stored[partition]) == 1:
+            (count, data), = stored[partition]
+        else:
+            records = sorted(record for _, piece in stored[partition]
+                             for record in iter_records(piece))
+            count, data = len(records), encode_records(records)
+        h.update(_KEY.pack(partition, count))
+        h.update(data)
+    return h.hexdigest()
+
+
 # ---------------------------------------------------------------- memory tier
 class MemoryTier:
     """A write-through RAM cache over a node's on-disk outputs.
@@ -221,16 +262,12 @@ class MemoryTier:
 
         An object larger than the whole budget is not admitted — it
         would only evict everything else to be evicted itself next."""
-        if len(data) > self.budget:
-            with self._lock:
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self.bytes -= len(old)
-            return
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self.bytes -= len(old)
+            if len(data) > self.budget:
+                return
             self._entries[key] = data
             self.bytes += len(data)
             while self.bytes > self.budget:
@@ -274,6 +311,25 @@ class MemoryTier:
 
 
 # ----------------------------------------------------------------- node store
+def read_map_index(fh) -> tuple[int, Optional[tuple[int, int]], dict]:
+    """Parse the index in front of an open map-output file: ``(task id,
+    origin, {partition: (file offset, length, record count)})``.  A
+    truncated or inconsistent file raises — never a short slice."""
+    try:
+        n, task_id, *origin = _INDEX_HEAD.unpack(fh.read(_INDEX_HEAD.size))
+        raw = fh.read(n)
+        slots = {partition: (_INDEX_HEAD.size + n + offset, length, count)
+                 for partition, offset, length, count
+                 in _INDEX_SLOT.iter_unpack(raw)}
+    except struct.error as exc:
+        raise ValueError(f"corrupt map output index: {fh.name}") from exc
+    size = os.fstat(fh.fileno()).st_size
+    if len(raw) != n or any(offset + length > size
+                            for offset, length, _ in slots.values()):
+        raise ValueError(f"truncated map output: {fh.name}")
+    return task_id, (tuple(origin) if origin[0] >= 0 else None), slots
+
+
 class NodeStore:
     """One node's single-replica on-disk storage.
 
@@ -306,11 +362,8 @@ class NodeStore:
                          memory=self.memory)
 
     # -- paths ----------------------------------------------------------
-    def map_dir(self, job: int, task_id: int) -> Path:
-        return self.dir / "map" / f"job{job}" / f"task{task_id}"
-
-    def map_slice_path(self, job: int, task_id: int, partition: int) -> Path:
-        return self.map_dir(job, task_id) / f"part{partition}.bin"
+    def map_path(self, job: int, task_id: int) -> Path:
+        return self.dir / "map" / f"job{job}" / f"task{task_id}.bin"
 
     def piece_path(self, job: int, partition: int, split_index: int,
                    n_splits: int) -> Path:
@@ -319,7 +372,7 @@ class NodeStore:
 
     # -- writes ---------------------------------------------------------
     @staticmethod
-    def _write_atomic(path: Path, data: bytes) -> None:
+    def _write_atomic(path: Path, *chunks: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         # the tmp name carries pid + thread id: a multi-slot worker may
         # execute a re-dispatched duplicate of a task concurrently with
@@ -328,7 +381,7 @@ class NodeStore:
         tmp = path.with_suffix(
             path.suffix + f".{os.getpid()}-{threading.get_ident()}.tmp")
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
             fh.flush()
             # the disk tier is the durability story recovery depends on:
             # fsync before the rename so the committed name can never
@@ -353,16 +406,25 @@ class NodeStore:
     def write_map_output(self, job: int, task_id: int,
                          origin: Optional[tuple[int, int]],
                          slices: dict[int, list[Record]]) -> dict[int, int]:
-        """Persist one mapper's per-partition shuffle slices; returns the
+        """Persist one mapper's per-partition shuffle slices as one
+        indexed file — one fsync, one rename, all slices or none — and
+        pin each slice hot under ``<path>#<partition>``; returns the
         per-partition record counts (the commit message payload)."""
-        counts = {}
-        for partition, records in slices.items():
-            self._commit(self.map_slice_path(job, task_id, partition),
-                         encode_records(records))
-            counts[partition] = len(records)
-        meta = {"task_id": task_id, "origin": origin, "counts": counts}
-        self._write_atomic(self.map_dir(job, task_id) / "meta.json",
-                           json.dumps(meta).encode())
+        path = self.map_path(job, task_id)
+        counts = {p: len(records) for p, records in slices.items()}
+        encoded = {p: encode_records(records)
+                   for p, records in slices.items()}
+        slots, offset = [], 0
+        for partition, data in encoded.items():
+            slots.append(_INDEX_SLOT.pack(partition, offset, len(data),
+                                          counts[partition]))
+            offset += len(data)
+        head = _INDEX_HEAD.pack(len(slots) * _INDEX_SLOT.size, task_id,
+                                *(origin or (-1, -1)))
+        self._write_atomic(path, head, *slots, *encoded.values())
+        if self.memory is not None:
+            for partition, data in encoded.items():
+                self.memory.put(f"{path}#{partition}", data)
         return counts
 
     def write_piece(self, job: int, partition: int, split_index: int,
@@ -380,45 +442,46 @@ class NodeStore:
                      data)
 
     # -- reads ----------------------------------------------------------
+    def _read_through(self, key: str, load) -> bytes:
+        """Serve ``key`` from the memory tier; a spilled (or never
+        pinned) entry reloads from its file on access."""
+        if self.memory is None:
+            return load()
+        data = self.memory.get(key)
+        if data is None:
+            data = load()
+            self.memory.put(key, data)
+        return data
+
     def read_map_slice(self, job: int, task_id: int, partition: int) -> bytes:
         """A mapper's slice for one partition (empty when the mapper
         produced no record for it)."""
-        path = self.map_slice_path(job, task_id, partition)
-        if self.memory is not None:
-            data = self.memory.get(str(path))
-            if data is not None:
-                return data
+        path = self.map_path(job, task_id)
+
+        def load() -> bytes:
+            with open(path, "rb") as fh:
+                offset, length, _ = read_map_index(fh)[2].get(
+                    partition, (0, 0, 0))
+                fh.seek(offset)
+                return fh.read(length)
+
         try:
-            data = path.read_bytes()
+            return self._read_through(f"{path}#{partition}", load)
         except FileNotFoundError:
             return b""
-        if self.memory is not None:  # spilled entry reloads on access
-            self.memory.put(str(path), data)
-        return data
 
     def read_piece(self, job: int, partition: int, split_index: int,
                    n_splits: int) -> bytes:
         path = self.piece_path(job, partition, split_index, n_splits)
-        if self.memory is not None:
-            data = self.memory.get(str(path))
-            if data is not None:
-                return data
-        data = path.read_bytes()
-        if self.memory is not None:
-            self.memory.put(str(path), data)
-        return data
+        return self._read_through(str(path), path.read_bytes)
 
     # -- invalidation ---------------------------------------------------
     def drop_map_output(self, job: int, task_id: int) -> None:
         """Delete one persisted map output (the Fig. 5 guard)."""
-        directory = self.map_dir(job, task_id)
+        path = self.map_path(job, task_id)
         if self.memory is not None:
-            self.memory.invalidate_prefix(str(directory))
-        if not directory.is_dir():
-            return
-        for path in directory.iterdir():
-            path.unlink(missing_ok=True)
-        directory.rmdir()
+            self.memory.invalidate_prefix(f"{path}#")
+        path.unlink(missing_ok=True)
 
     def drop_piece(self, job: int, partition: int, split_index: int,
                    n_splits: int) -> int:
@@ -456,7 +519,7 @@ class NodeStore:
         return freed
 
     def drop_job(self, job: int) -> int:
-        """Delete every file of one job — map slices, metas, and reducer
+        """Delete every file of one job — map outputs and reducer
         pieces (orphan sweep before an OPTIMISTIC rerun).  Returns the
         bytes freed."""
         return (self._rm_tree(self.dir / "map" / f"job{job}")
@@ -473,26 +536,24 @@ class NodeStore:
                              "namespaces")
         keep = set(keep_reduce_jobs)
         freed = self._rm_tree(self.dir / "map")
-        root = self.dir / "reduce"
-        if root.is_dir():
-            for directory in sorted(root.iterdir()):
-                if not directory.name.startswith("job"):
-                    continue
-                try:
-                    job = int(directory.name[3:])
-                except ValueError:
-                    continue
-                if job not in keep:
-                    freed += self._rm_tree(directory)
+        for job, directory in self._job_dirs("reduce"):
+            if job not in keep:
+                freed += self._rm_tree(directory)
+        for directory in (self.dir / "reduce", self.dir):
             try:
-                root.rmdir()
+                directory.rmdir()
             except OSError:
-                pass
-        try:
-            self.dir.rmdir()
-        except OSError:
-            pass
+                pass  # cached jobs keep it alive, or it never existed
         return freed
+
+    def _job_dirs(self, kind: str) -> list[tuple[int, Path]]:
+        """The ``(job, directory)`` pairs under ``map/`` or ``reduce/``."""
+        root = self.dir / kind
+        found = []
+        for directory in sorted(root.iterdir()) if root.is_dir() else ():
+            if directory.name[:3] == "job" and directory.name[3:].isdigit():
+                found.append((int(directory.name[3:]), directory))
+        return found
 
     def reclaim_job_sets(self, map_jobs: Iterable[int],
                          piece_jobs: Iterable[int]) -> int:
@@ -502,22 +563,11 @@ class NodeStore:
         need not be a contiguous index range (the data behind an anchor
         sits safely in its replicated output).  Returns the bytes
         freed."""
-        freed = 0
-        for kind, jobs in (("map", set(map_jobs)),
-                           ("reduce", set(piece_jobs))):
-            root = self.dir / kind
-            if not root.is_dir():
-                continue
-            for directory in root.iterdir():
-                if not directory.name.startswith("job"):
-                    continue
-                try:
-                    job = int(directory.name[3:])
-                except ValueError:
-                    continue
-                if job in jobs:
-                    freed += self._rm_tree(directory)
-        return freed
+        return sum(self._rm_tree(directory)
+                   for kind, jobs in (("map", set(map_jobs)),
+                                      ("reduce", set(piece_jobs)))
+                   for job, directory in self._job_dirs(kind)
+                   if job in jobs)
 
 
 # ------------------------------------------------------------------- registry

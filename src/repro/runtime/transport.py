@@ -200,6 +200,13 @@ def serve_request(store: "NodeStore", request: dict) -> bytes:
     return b"".join(spans)
 
 
+def _no_delay(sock: socket.socket) -> None:
+    """Both ends of a shuffle connection: a split-filtered response
+    leaves in several ``sendmsg`` calls of small spans, and Nagle plus
+    the peer's delayed ACK would hold the second one back ~40 ms."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _sendall_spans(sock: socket.socket, spans: list) -> None:
     """Send every span with scatter-gather ``sendmsg`` — no join, no
     intermediate copy.  Handles partial sends (a blocking socket under
@@ -286,6 +293,7 @@ class ShuffleServer:
             if self._closed:  # pragma: no cover - shutdown race
                 conn.close()
                 return
+            _no_delay(conn)
             with self._lock:
                 self._conns.add(conn)
                 self.connections_accepted += 1
@@ -403,6 +411,7 @@ class PeerPool:
                     if sock is None:
                         sock = socket.create_connection(
                             ("127.0.0.1", port), timeout=self.timeout)
+                        _no_delay(sock)
                         peer.sock = sock
                     sock.sendall(_LEN.pack(len(payload)) + payload)
                     size = _LEN.unpack(_recv_exact(sock, _LEN.size))[0]

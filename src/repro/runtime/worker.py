@@ -47,9 +47,11 @@ from repro.localexec.records import (
 )
 from repro.runtime import protocol, shm, transport
 from repro.runtime.storage import (
+    FRAME_HEADER,
     MemoryTier,
     NodeStore,
     filter_split,
+    iter_record_frames,
     iter_records,
 )
 
@@ -380,7 +382,6 @@ class _Worker:
                 else self._store(src_chain)
             data = read_store.read_piece(job, partition, split_index,
                                          n_splits)
-            local = len(data)
         else:
             data = self._attach(node, ("piece", piece_chain, job,
                                        partition, split_index, n_splits))
@@ -391,8 +392,12 @@ class _Worker:
                     ports[node], job, partition, split_index, n_splits,
                     chain=piece_chain)
                 fetched = len(data)
-        records = list(iter_records(data))
-        return records[start:start + count], fetched, local
+        records = list(iter_records(data, start, count))
+        if node == self.node:
+            # the resident piece is shared, not copied: the block only
+            # touched its own frames, so only those count as read
+            local = sum(FRAME_HEADER + len(r.value) for r in records)
+        return records, fetched, local
 
     # -- parallel fetch --------------------------------------------------
     def _fetch_merge(self, requests: list[tuple[int, dict]],
@@ -464,8 +469,10 @@ class _Worker:
         groups: dict[int, list[bytes]] = {}
 
         def merge(node: int, data: bytes) -> None:
-            for record in iter_records(data):
-                groups.setdefault(record.key, []).append(record.value)
+            # straight from the frames: no Record per fetched value
+            for key, start, end in iter_record_frames(data):
+                groups.setdefault(key, []).append(
+                    data[start + FRAME_HEADER:end])
 
         # a split reducer only ever sees its 1/k of a slice: peers filter
         # server-side, own-store and shm slices are filtered here, so

@@ -38,6 +38,26 @@ def test_generate_records_deterministic():
     assert a != c
 
 
+def test_record_is_immutable_ordered_and_hashable():
+    """The contract the frozen, ordered dataclass gave and the native
+    tuple keeps: field access, no mutation, ``(key, value)`` ordering,
+    value equality and a hash consistent with it."""
+    rec = Record(7, b"v")
+    assert (rec.key, rec.value) == (7, b"v")
+    assert rec == Record(key=7, value=b"v") and rec != Record(7, b"w")
+    with pytest.raises(AttributeError):
+        rec.key = 8
+    with pytest.raises(AttributeError):
+        rec.extra = 1  # no instance dict to grow either
+    assert Record(1, b"z") < Record(2, b"a") < Record(2, b"b")
+    shuffled = [Record(3, b"a"), Record(1, b"b"), Record(2, b""),
+                Record(1, b"a")]
+    assert sorted(shuffled) == [Record(1, b"a"), Record(1, b"b"),
+                                Record(2, b""), Record(3, b"a")]
+    assert hash(rec) == hash(Record(7, b"v"))
+    assert len({rec, Record(7, b"v"), Record(7, b"w")}) == 2
+
+
 def test_map_udf_deterministic_and_key_randomizing():
     rec = Record(42, b"0123456789abcdef")
     out1 = map_udf(rec, job_index=2)

@@ -209,6 +209,27 @@ def test_cube_clean_run_schedules_by_level(tmp_path):
 
 
 @pytest.mark.slow
+def test_checksum_from_bytes_on_split_recomputed_sinks(tmp_path):
+    """A kill after three of the cube's four sinks committed damages the
+    sinks themselves: their lost partitions come back as split pieces,
+    so the final checksum mixes both paths — stored bytes for one-piece
+    partitions, decode and sort for split ones — and must still equal
+    its definition and the failure-free reference."""
+    hooks = KillAt("job-commit", job=7, victims=[1])
+    config = RuntimeConfig(n_nodes=4, chain=CUBE3)
+    with Coordinator(config, tmp_path / "cluster", hooks=hooks) as coord:
+        hooks.coord = coord
+        report = coord.run_chain()
+        pieces = coord.chain_run.registry.pieces
+        assert {len(plist) for sink in CUBE3.graph().sinks()
+                for plist in pieces[sink].values()} == \
+            {1, CUBE3.split_ratio}
+        assert report.checksum == coord.checksum() == \
+            chain_checksum(coord.final_output()) == \
+            reference_checksum(CUBE3)
+
+
+@pytest.mark.slow
 def test_cube_hybrid_with_reclaim_kill_recovers(tmp_path):
     hooks = KillAt("job-commit", job=6, victims=[2])
     report = run_process_chain(tmp_path, chain=CUBE3, hooks=hooks,

@@ -95,7 +95,8 @@ def test_drops_and_sweeps_evict_memory_entries(tmp_path):
     store.write_map_output(1, 0, None, {0: [Record(5, b"v")]})
     store.write_piece(1, 0, 0, 1, [Record(5, b"w")])
     store.drop_map_output(1, 0)
-    assert tier.get(str(store.map_slice_path(1, 0, 0))) is None
+    assert tier.get(f"{store.map_path(1, 0)}#0") is None
+    assert not store.map_path(1, 0).exists()
     store.drop_job(1)
     assert tier.get(str(store.piece_path(1, 0, 0, 1))) is None
     assert tier.bytes == 0

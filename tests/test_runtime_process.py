@@ -124,12 +124,12 @@ def on_disk_orphans(coord, jobs):
     workdir = coord.pool.workdir
     for node in sorted(coord.pool.alive):
         store = NodeStore(workdir, node)
-        for task_dir in sorted(store.dir.glob("map/job*/task*")):
-            job = int(task_dir.parent.name[3:])
-            task = int(task_dir.name[4:])
+        for task_file in sorted(store.dir.glob("map/job*/task*.bin")):
+            job = int(task_file.parent.name[3:])
+            task = int(task_file.stem[4:])
             entry = reg.map_outputs.get((job, task))
             if job in jobs and (entry is None or entry.node != node):
-                orphans.append(str(task_dir.relative_to(workdir)))
+                orphans.append(str(task_file.relative_to(workdir)))
         for path in sorted(store.dir.glob("reduce/job*/part*/*.bin")):
             job = int(path.parent.parent.name[3:])
             partition = int(path.parent.name[4:])

@@ -131,6 +131,33 @@ def test_shutdown_joins_workers_in_parallel(tmp_path):
     assert all(not link.proc.is_alive() for link in pool._links.values())
 
 
+def test_pump_hands_over_queued_events_without_sleeping(tmp_path):
+    """Regression: when several pipes were ready in one tick, ``pump``
+    queued all their events, returned one, and then waited out its whole
+    timeout for *new* traffic before handing over the next — the spine's
+    17-or-37 ms ``setup_s`` coin flip, and a tick at the tail of every
+    dispatch batch.  Heartbeats are slowed to 5 s so nothing but the
+    two replies can wake the wait."""
+    config = RuntimeConfig(n_nodes=2, chain=TINY, heartbeat_interval=5.0)
+    with WorkerPool(config, tmp_path / "c") as pool:
+        for node in (0, 1):
+            pool.dispatch(node, {"op": "drop", "job": 0, "task": 0,
+                                 "key": ("drop", 0, node),
+                                 "epoch": pool.epoch, "chain": None})
+        time.sleep(0.3)  # both replies are sitting in their pipes
+        first = pool.pump(timeout=2.0)
+        t0 = time.monotonic()
+        second = pool.pump(timeout=2.0)
+        waited = time.monotonic() - t0
+        assert {first.kind, second.kind} == {"dropped"}
+        assert {first.node, second.node} == {0, 1}
+        assert waited < 1.0, f"pump slept {waited:.2f}s on a full inbox"
+        # and an empty inbox still waits for traffic, as before
+        t0 = time.monotonic()
+        assert pool.pump(timeout=0.2) is None
+        assert time.monotonic() - t0 >= 0.15
+
+
 def test_startup_timeout_config_validation():
     with pytest.raises(ValueError, match="startup_timeout"):
         RuntimeConfig(startup_timeout=0)

@@ -78,8 +78,8 @@ def test_serve_request_filters_maps_server_side(tmp_path):
     store = NodeStore(tmp_path, 0)
     r1 = generate_records(40, seed=1)
     r2 = generate_records(40, seed=2)
-    store.write_map_output(1, 0, 0, {0: r1})
-    store.write_map_output(1, 1, 0, {0: r2})
+    store.write_map_output(1, 0, None, {0: r1})
+    store.write_map_output(1, 1, None, {0: r2})
     base = {"kind": "maps", "job": 1, "tasks": [0, 1], "partition": 0}
     full = serve_request(store, base)
     assert full == encode_records(r1) + encode_records(r2)
@@ -107,6 +107,33 @@ def test_peer_pool_reuses_one_connection(tmp_path):
             assert pool.fetch_piece(server.port, 1, 0, 0, 1) == payload
         time.sleep(0.05)  # let any surplus connections register
         assert server.connections_accepted == 1
+    finally:
+        pool.close()
+        server.close()
+
+
+def test_shuffle_sockets_disable_nagle_on_both_ends(tmp_path):
+    """A split-filtered response leaves the server in several small
+    ``sendmsg`` calls; with Nagle on, the second waits ~40 ms for the
+    client's delayed ACK.  Both ends must carry ``TCP_NODELAY`` — also
+    after a reconnect (no timing assertion: the option is the fix)."""
+    store, payload = _piece_store(tmp_path)
+    server = ShuffleServer(store, timeout=5.0)
+    pool = PeerPool(timeout=2.0)
+
+    def nodelay(sock):
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    try:
+        for _ in range(2):
+            assert pool.fetch_piece(server.port, 1, 0, 0, 1) == payload
+            client = pool._peers[server.port].sock
+            [accepted] = list(server._conns)
+            assert nodelay(client) and nodelay(accepted)
+            client.close()  # the next fetch fails once, then reconnects
+            deadline = time.monotonic() + 2.0
+            while server._conns and time.monotonic() < deadline:
+                time.sleep(0.01)  # server notices the close
     finally:
         pool.close()
         server.close()
@@ -167,7 +194,7 @@ def test_fetch_merge_lands_all_sources(tmp_path):
     for node in (0, 1, 2):
         store = NodeStore(tmp_path, node)
         records = generate_records(30, seed=node)
-        store.write_map_output(1, node, node, {0: records})
+        store.write_map_output(1, node, None, {0: records})
         servers.append(ShuffleServer(store, timeout=5.0))
         expected[node] = encode_records(records)
     ports = {n: s.port for n, s in zip((0, 1, 2), servers)}
@@ -190,7 +217,8 @@ def test_fetch_merge_dead_source_raises_without_hanging(tmp_path):
     dead one surfaces as FetchError once every fetcher settles — the
     task fails cleanly instead of deadlocking mid-parallel-fetch."""
     live_store = NodeStore(tmp_path, 0)
-    live_store.write_map_output(1, 0, 0, {0: generate_records(10, seed=0)})
+    live_store.write_map_output(1, 0, None,
+                                {0: generate_records(10, seed=0)})
     live = ShuffleServer(live_store, timeout=5.0)
     dead = socket.socket()
     dead.bind(("127.0.0.1", 0))
