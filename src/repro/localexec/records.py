@@ -8,12 +8,24 @@ exactly that: the mapper rewrites the key as an MD5-derived integer (a
 deterministic function of job index and old key, so re-executions are
 reproducible) and folds both checks into the value; the reducer combines all
 values of a key, again mixing in the MD5 and byte-sum checks.
+
+Two implementations sharing no code: the per-record functions are the
+definition, and what ``LocalCluster`` — the reference every checksum is
+compared against — runs; the ``*_batch`` functions compute the same
+bytes on columns for the process runtime's workers: ``keys: uint64[n]``
+plus an ``n x L`` ``uint8`` value matrix (the UDFs keep a stage's values
+one size: input ``value_size`` -> map ``10 + min(6, L)`` -> reduce 14)
+or, for ragged values, a 1-D object array of ``bytes`` (correct, not
+fast).  MD5 has no batch form, so it stays one ``hashlib`` call per
+record; everything around it is numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class Record(NamedTuple):
@@ -83,3 +95,87 @@ def split_of(key: int, n_splits: int) -> int:
     partition among the splits (paper §IV-B1, Fig. 5 uses odd/even —
     i.e. exactly this modulo hash with k=2)."""
     return (key // 7919) % n_splits  # independent of partition_of
+
+
+# ------------------------------------------------------------- column batches
+def _be_column(raw: np.ndarray) -> np.ndarray:
+    """An ``n x w`` matrix of big-endian integers as ``uint64[n]``."""
+    return np.ascontiguousarray(raw).view(
+        f">u{raw.shape[1]}").ravel().astype(np.uint64)
+
+
+def _be_bytes(column, width: int) -> np.ndarray:
+    """The inverse: an integer column as ``n x width`` big-endian bytes
+    (values wrap modulo ``256 ** width``)."""
+    return np.asarray(column).astype(f">u{width}").view(
+        np.uint8).reshape(-1, width)
+
+
+def _rows(values: np.ndarray) -> list[bytes]:
+    """One ``bytes`` per row of a value column."""
+    if values.ndim == 1:
+        return values.tolist()
+    if not values.shape[1]:
+        return [b""] * len(values)
+    return np.ascontiguousarray(values).view(
+        f"V{values.shape[1]}").ravel().tolist()
+
+
+def _digests(blobs: Iterable[bytes]) -> np.ndarray:
+    """MD5 of every blob as an ``n x 16`` byte matrix."""
+    return np.frombuffer(
+        b"".join([hashlib.md5(blob).digest() for blob in blobs]),
+        np.uint8).reshape(-1, 16)
+
+
+def generate_batch(n: int, seed: int, value_size: int = 16
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`generate_records` as ``(keys, values)`` columns."""
+    material = _digests(b"%d:%d" % (seed, i) for i in range(n))
+    return (_be_column(material[:, :4]),
+            np.tile(material, (1, value_size // 16 + 1))[:, :value_size])
+
+
+def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`map_udf` over a column batch, row for row."""
+    new_keys = _be_column(_digests(
+        b"%d:%d" % (job_index, key) for key in keys.tolist())[:, :8])
+    rows = _rows(values)
+    digests = _digests(rows)[:, :8]
+    if values.ndim == 1:  # ragged
+        return new_keys, np.array(
+            [digest.tobytes() + (sum(row) & 0xFFFF).to_bytes(2, "big")
+             + row[:6] for digest, row in zip(digests, rows)], dtype=object)
+    out = np.empty((len(rows), 10 + min(6, values.shape[1])), np.uint8)
+    out[:, :8] = digests
+    out[:, 8:10] = _be_bytes(values.sum(axis=1, dtype=np.uint64), 2)
+    out[:, 10:] = values[:, :6]
+    return new_keys, out
+
+
+def reduce_batch(keys: np.ndarray, values: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reduce_udf` over every key group of a column batch, in
+    ascending key order (what ``sorted(groups.items())`` yields)."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)  # marks the first row of a group
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(keys)))
+    blobs = _rows(values[order])
+    if (sizes > 1).any():  # DAG joins, key collisions: sort + join
+        blobs = [b"".join(sorted(blobs[start:start + size]))
+                 for start, size in zip(starts.tolist(), sizes.tolist())]
+    if values.ndim == 1:  # ragged
+        sums, lengths = list(map(sum, blobs)), list(map(len, blobs))
+    else:
+        sums = np.add.reduceat(
+            values.sum(axis=1, dtype=np.uint64)[order], starts)
+        lengths = sizes * values.shape[1]
+    out = np.empty((len(starts), 14), np.uint8)
+    out[:, :8] = _digests(blobs)[:, :8]
+    out[:, 8:10] = _be_bytes(sums, 2)
+    out[:, 10:] = _be_bytes(lengths, 4)
+    return keys[starts], out

@@ -66,14 +66,18 @@ _FORMAT_VERSION = 1
 
 # ----------------------------------------------------------- fingerprints
 def udf_identity() -> str:
-    """Hash of the source of the record-level UDFs.
+    """Hash of the source of the UDFs.
 
     The fingerprint must change when the computation changes, so the
     identity is the *source text* of the map/reduce/partition functions
-    rather than a version constant someone would forget to bump."""
+    rather than a version constant someone would forget to bump: the
+    per-record definitions and the batch forms the workers execute,
+    which are what actually decides a stored piece's bytes."""
     h = hashlib.md5()
     for fn in (_records_mod.generate_records, _records_mod.map_udf,
-               _records_mod.reduce_udf, _records_mod.partition_of):
+               _records_mod.reduce_udf, _records_mod.partition_of,
+               _records_mod.generate_batch, _records_mod.map_batch,
+               _records_mod.reduce_batch):
         h.update(inspect.getsource(fn).encode())
     return h.hexdigest()
 

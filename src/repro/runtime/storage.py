@@ -18,7 +18,15 @@ Records are framed binary — 8-byte big-endian key, 4-byte length, value —
 so a partition's bytes are a pure function of its record multiset and the
 final-output checksum is comparable byte-for-byte across backends
 (:func:`chain_checksum` is the single definition both the in-process and
-the multi-process backend report).
+the multi-process backend report).  The paper's UDFs keep every value of
+a stage the same size, so a stored slice or piece *is* an ``n x (12 + L)``
+byte matrix — row = key (8) | L (4) | value (L) — and the workers never
+leave that shape: :func:`decode_columns` reshapes it into ``keys:
+uint64[n]`` plus the ``n x L`` value matrix without copying a value,
+:func:`encode_columns` is the inverse, and :func:`filter_split_spans` /
+:func:`partition_columns` route by one mask over the key column.  Bytes
+that are no such matrix (ragged values, a torn frame) take the frame
+walk, with the same truncation errors.
 
 Writes go through a temp file + ``os.replace`` so a ``SIGKILL`` mid-write
 can never surface a torn file as a committed output: the coordinator only
@@ -43,13 +51,10 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.localexec.records import Record, split_of
-from repro.runtime.recovery import PARENT_STRIDE, STRIDE, PieceSignature
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the baked toolchain
-    _np = None
+from repro.localexec.records import Record, partition_of, split_of
+from repro.runtime.recovery import PARENT_STRIDE, STRIDE, PieceSignature
 
 _KEY = struct.Struct(">QI")
 FRAME_HEADER = _KEY.size  # a frame's value starts this far past its start
@@ -61,49 +66,45 @@ _INDEX_SLOT = struct.Struct(">IQQI")
 
 
 # --------------------------------------------------------------- record codec
-def _encode_uniform(records: list, values: list, length: int) -> bytes:
-    """Encode a uniform-value-length batch into one preallocated output
-    buffer: the frames form an ``n x (12 + length)`` matrix, so keys,
-    the constant length field, and the value blob each land with a
-    single vectorized column write — no per-record Python bytecode on
-    the ~2M-frame batches the shuffle writes."""
-    n = len(records)
-    out = _np.empty((n, _KEY.size + length), dtype=_np.uint8)
-    keys = _np.array([rec.key for rec in records], dtype=_np.uint64)
-    out[:, :8] = keys.astype(">u8").view(_np.uint8).reshape(n, 8)
-    out[:, 8:12] = _np.frombuffer(struct.pack(">I", length), _np.uint8)
-    if length:
-        out[:, 12:] = _np.frombuffer(b"".join(values),
-                                     _np.uint8).reshape(n, length)
+def _frame_dtype(length: int) -> np.dtype:
+    """One frame of an ``length``-byte value as a numpy record."""
+    return np.dtype([("key", ">u8"), ("length", ">u4"),
+                     ("value", np.uint8, (length,))])
+
+
+def encode_columns(keys: np.ndarray, values: np.ndarray) -> bytes:
+    """Frame a column batch.  An ``n x L`` value matrix makes the frames
+    ``n`` fixed-size rows, so keys, the constant length field and the
+    values each land with one vectorized column write into one
+    preallocated buffer; a ragged (object) value column takes the
+    per-record loop."""
+    if values.ndim == 1:
+        return b"".join([_KEY.pack(key, len(value)) + value
+                         for key, value in zip(keys.tolist(), values)])
+    out = np.empty(len(keys), _frame_dtype(values.shape[1]))
+    out["key"], out["length"], out["value"] = keys, values.shape[1], values
     return out.tobytes()
 
 
 def encode_records(records: Iterable[Record]) -> bytes:
     """Canonical framed encoding of a record sequence.
 
-    The hot path: every real workload here carries uniform-size values,
-    so the frames are a fixed-stride matrix and the whole batch encodes
-    with three vectorized column writes into one preallocated buffer
-    instead of a two-entries-per-record Python list joined at the end
-    (``benchmarks/common.py::codec_bench`` measures the difference).
-    Ragged values — and keys outside the u64 range numpy can vectorize,
-    which ``pack`` rejects below anyway — take the per-record loop."""
+    Every real workload here carries uniform-size values, which encode
+    as columns (:func:`encode_columns`).  Ragged values — and keys
+    outside the u64 range numpy can vectorize, which ``pack`` rejects
+    below anyway — take the per-record loop."""
     records = records if isinstance(records, list) else list(records)
-    if not records:
-        return b""
-    if _np is not None:
-        values = [rec.value for rec in records]
-        lengths = list(map(len, values))
-        if min(lengths) == max(lengths):
-            try:
-                return _encode_uniform(records, values, lengths[0])
-            except OverflowError:
-                pass
-    parts = []
-    for rec in records:
-        parts.append(_KEY.pack(rec.key, len(rec.value)))
-        parts.append(rec.value)
-    return b"".join(parts)
+    values = [rec.value for rec in records]
+    if len(set(map(len, values))) == 1:
+        try:
+            return encode_columns(
+                np.array([rec.key for rec in records], dtype=np.uint64),
+                np.frombuffer(b"".join(values), np.uint8).reshape(
+                    len(records), len(values[0])))
+        except OverflowError:
+            pass
+    return b"".join([_KEY.pack(rec.key, len(rec.value)) + rec.value
+                     for rec in records])
 
 
 def iter_record_frames(data):
@@ -148,28 +149,72 @@ def decode_records(data: bytes) -> list[Record]:
     return list(iter_records(data))
 
 
+def _frame_rows(data) -> Optional[np.ndarray]:
+    """``data`` as fixed-size frame rows (:func:`_frame_dtype`, a
+    zero-copy view) when it is that: the size divides by the first
+    frame's stride and every length field equals the first.  ``None``
+    otherwise (ragged, torn, or empty): the caller walks the frames."""
+    if len(data) < FRAME_HEADER:
+        return None
+    length = _KEY.unpack_from(data)[1]
+    if len(data) % (FRAME_HEADER + length):
+        return None
+    rows = np.frombuffer(data, _frame_dtype(length))
+    return None if (rows["length"] != length).any() else rows
+
+
+def decode_columns(data, start: int = 0, count: Optional[int] = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The framed encoding as ``(keys, values)`` columns — what
+    ``list(iter_records(data, start, count))`` holds, same range
+    semantics, same truncation errors.  Uniform frames decode without a
+    copy of the values; anything else walks the frames into a ragged
+    (object) value column."""
+    stop = None if count is None else start + count
+    rows = _frame_rows(data)
+    if rows is not None:
+        return (rows["key"][start:stop].astype(np.uint64),
+                rows["value"][start:stop])
+    walked = list(islice(iter_record_frames(data), start, stop))
+    return (np.array([key for key, _, _ in walked], dtype=np.uint64),
+            np.array([bytes(data[lo + FRAME_HEADER:hi])
+                      for _, lo, hi in walked], dtype=object))
+
+
+def partition_columns(keys: np.ndarray, values: np.ndarray,
+                      n_partitions: int) -> dict[int, tuple[int, bytes]]:
+    """Route a column batch by ``partition_of``: partition -> (record
+    count, encoded slice), ascending, batch order kept within a slice."""
+    routes = partition_of(keys, n_partitions)
+    slices = {}
+    for partition in np.unique(routes).tolist():
+        mine = routes == partition
+        slices[partition] = (int(mine.sum()),
+                             encode_columns(keys[mine], values[mine]))
+    return slices
+
+
 def filter_split_spans(data, split_index: int, n_splits: int
                        ) -> list[memoryview]:
     """The frames of ``data`` routing to ``split_index`` of a
-    ``n_splits``-way split, as zero-copy ``memoryview`` spans.
+    ``n_splits``-way split, as ``memoryview`` spans the serve path can
+    hand to ``socket.sendmsg`` verbatim.
 
-    Adjacent kept frames coalesce into single spans, so the common case
-    (long runs of same-split keys) yields a short span list the serve
-    path can hand to ``socket.sendmsg`` verbatim — the filtered bytes
-    are never copied into an intermediate buffer.  The spans alias
-    ``data``: callers that outlive ``data`` must join first."""
+    Uniform frames take ``split_of`` as one mask over the key column and
+    come back as one gathered span (hashed keys leave runs of one or two
+    frames: a copy beats thousands of tiny spans).  Anything else walks
+    the frames into one zero-copy span per kept frame, aliasing ``data``
+    — callers that outlive ``data`` must join first."""
     mv = data if isinstance(data, memoryview) else memoryview(data)
     if n_splits <= 1:
         return [mv] if len(mv) else []
-    merged: list[list[int]] = []
-    for key, start, end in iter_record_frames(mv):
-        if split_of(key, n_splits) != split_index:
-            continue
-        if merged and merged[-1][1] == start:
-            merged[-1][1] = end
-        else:
-            merged.append([start, end])
-    return [mv[start:end] for start, end in merged]
+    rows = _frame_rows(mv)
+    if rows is None:
+        return [mv[lo:hi] for key, lo, hi in iter_record_frames(mv)
+                if split_of(key, n_splits) == split_index]
+    rows = rows[split_of(rows["key"].astype(np.uint64), n_splits)
+                == split_index]
+    return [memoryview(rows.view(np.uint8))] if len(rows) else []
 
 
 def filter_split(data: bytes, split_index: int, n_splits: int) -> bytes:
@@ -185,10 +230,7 @@ def filter_split(data: bytes, split_index: int, n_splits: int) -> bytes:
     free repartition of ``data`` and decoding is unchanged."""
     if n_splits <= 1:
         return data
-    spans = filter_split_spans(data, split_index, n_splits)
-    if not spans:
-        return b""
-    return b"".join(spans)
+    return b"".join(filter_split_spans(data, split_index, n_splits))
 
 
 def chain_checksum(final_output: dict[int, list[Record]]) -> str:
@@ -403,34 +445,42 @@ class NodeStore:
         if self.memory is not None:
             self.memory.put(str(path), data)
 
-    def write_map_output(self, job: int, task_id: int,
+    def write_map_slices(self, job: int, task_id: int,
                          origin: Optional[tuple[int, int]],
-                         slices: dict[int, list[Record]]) -> dict[int, int]:
-        """Persist one mapper's per-partition shuffle slices as one
-        indexed file — one fsync, one rename, all slices or none — and
-        pin each slice hot under ``<path>#<partition>``; returns the
-        per-partition record counts (the commit message payload)."""
+                         slices: dict[int, tuple[int, bytes]]
+                         ) -> dict[int, int]:
+        """Persist one mapper's encoded per-partition shuffle slices
+        (partition -> ``(record count, bytes)``) as one indexed file —
+        one fsync, one rename, all slices or none — and pin each slice
+        hot under ``<path>#<partition>``; returns the per-partition
+        record counts (the commit message payload)."""
         path = self.map_path(job, task_id)
-        counts = {p: len(records) for p, records in slices.items()}
-        encoded = {p: encode_records(records)
-                   for p, records in slices.items()}
         slots, offset = [], 0
-        for partition, data in encoded.items():
+        for partition, (count, data) in slices.items():
             slots.append(_INDEX_SLOT.pack(partition, offset, len(data),
-                                          counts[partition]))
+                                          count))
             offset += len(data)
         head = _INDEX_HEAD.pack(len(slots) * _INDEX_SLOT.size, task_id,
                                 *(origin or (-1, -1)))
-        self._write_atomic(path, head, *slots, *encoded.values())
+        self._write_atomic(path, head, *slots,
+                           *(data for _, data in slices.values()))
         if self.memory is not None:
-            for partition, data in encoded.items():
+            for partition, (_, data) in slices.items():
                 self.memory.put(f"{path}#{partition}", data)
-        return counts
+        return {p: count for p, (count, _) in slices.items()}
+
+    def write_map_output(self, job: int, task_id: int,
+                         origin: Optional[tuple[int, int]],
+                         slices: dict[int, list[Record]]) -> dict[int, int]:
+        """:meth:`write_map_slices` of per-partition record lists."""
+        return self.write_map_slices(job, task_id, origin, {
+            p: (len(records), encode_records(records))
+            for p, records in slices.items()})
 
     def write_piece(self, job: int, partition: int, split_index: int,
                     n_splits: int, records: list[Record]) -> int:
-        self._commit(self.piece_path(job, partition, split_index, n_splits),
-                     encode_records(records))
+        self.write_piece_bytes(job, partition, split_index, n_splits,
+                               encode_records(records))
         return len(records)
 
     def write_piece_bytes(self, job: int, partition: int, split_index: int,

@@ -146,8 +146,8 @@ def serve_request_spans(store: "NodeStore", request: dict) -> list:
 
     The zero-copy serve primitive: spans are the stored buffers
     themselves (``bytes`` straight from the memory tier or disk read)
-    or ``memoryview`` slices of them (split filtering), never an
-    intermediate concatenation — the server hands the list to
+    or, per split-filtered slice, its kept frames gathered once — never
+    a concatenation across slices: the server hands the list to
     ``socket.sendmsg`` and the kernel gathers it onto the wire.
     ``b"".join`` of the spans is the classic contiguous payload
     (:func:`serve_request`).

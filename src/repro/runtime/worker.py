@@ -5,10 +5,15 @@ command pipe; with ``task_slots == 1`` (the default) it executes them
 serially — exactly one task at a time, the classic single-slot node —
 and with ``task_slots > 1`` it feeds a small pool of slot threads so one
 worker process keeps several tasks in flight (the paper's surviving
-parallelism, exploited *within* a node).  Map and reduce semantics reuse
-the paper's UDFs from :mod:`repro.localexec.records`, so the bytes a
-worker persists are identical to what the in-process backend computes
-for the same task.
+parallelism, exploited *within* a node).  A task keeps its data as
+columns — ``keys: uint64[n]`` plus an ``n x L`` value matrix — from the
+moment a block's or a shuffle response's bytes are decoded
+(:func:`~repro.runtime.storage.decode_columns`) to the moment the output
+frames are written: map and reduce are the batch UDFs of
+:mod:`repro.localexec.records`, defined as byte-for-byte what the
+paper's per-record UDFs yield row by row, so the bytes a worker persists
+are identical to what the in-process backend — which runs the per-record
+UDFs, and shares no code with this path — computes for the same task.
 
 A worker never talks to another worker except through the shuffle:
 reduce tasks fetch map-output slices from the mapper nodes' shuffle
@@ -16,10 +21,10 @@ servers (local slices are read straight from disk), and a re-homed
 mapper fetches its input piece range the same way.  Fetches from
 distinct source nodes run **concurrently** through a bounded fetcher
 pool over :class:`~repro.runtime.transport.PeerPool`'s persistent
-connections, and each response is merged into the reduce groups as it
-lands.  When a fetch fails because the source died, the worker reports
-``task-failed`` and returns to its loop; the coordinator's heartbeat
-expiry declares the death and re-plans.
+connections; the responses are collected as they land and grouped by
+one stable sort of the key column.  When a fetch fails because the
+source died, the worker reports ``task-failed`` and returns to its loop;
+the coordinator's heartbeat expiry declares the death and re-plans.
 
 Epoch hygiene: the coordinator bumps the dispatch epoch on every death
 and discards stale results, so the worker skips queued commands from a
@@ -38,21 +43,16 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Callable, Optional
 
-from repro.localexec.records import (
-    Record,
-    generate_records,
-    map_udf,
-    partition_of,
-    reduce_udf,
-)
+from repro.localexec.records import generate_batch, map_batch, reduce_batch
 from repro.runtime import protocol, shm, transport
 from repro.runtime.storage import (
     FRAME_HEADER,
     MemoryTier,
     NodeStore,
+    decode_columns,
+    encode_columns,
     filter_split,
-    iter_record_frames,
-    iter_records,
+    partition_columns,
 )
 
 #: multiprocessing.Process target — keep the signature pickle-friendly
@@ -178,8 +178,8 @@ class _Worker:
         self._slots = _SlotPool(slots, self.execute) if slots > 1 else None
         self._ports: dict[int, int] = {}
         self._latest_epoch = -1
-        #: (chain, node) -> memoized regenerated chain input
-        self._inputs: dict[tuple, list[Record]] = {}
+        #: (chain, node) -> memoized regenerated chain input columns
+        self._inputs: dict[tuple, tuple] = {}
         self._inputs_lock = threading.Lock()
 
     def close(self) -> None:
@@ -340,36 +340,38 @@ class _Worker:
         return shm.attach(shm.segment_name(self.shm_run, node, identity))
 
     # -- input ----------------------------------------------------------
-    def _node_input(self, chain, node: int) -> list[Record]:
+    def _node_input(self, chain, node: int) -> tuple:
         """Any worker can regenerate any node's chain input: the input is
         a pure function of the chain's seed (the paper's randomly
         generated binary data), so a re-homed mapper needs no fetch for
         job 1.  Memoized per (chain, node) — a node's stored input is
-        generated once, like ``LocalCluster._make_input``."""
+        generated once, like ``LocalCluster._make_input``, and held as
+        its ``(keys, values)`` columns."""
         params = self._chains.get(chain)
         if params is None:
             raise RuntimeError(
                 f"chain {chain!r} is not open on node {self.node}")
         seed, records_per_node, value_size = params
         with self._inputs_lock:
-            records = self._inputs.get((chain, node))
-            if records is None:
-                records = self._inputs[(chain, node)] = generate_records(
+            columns = self._inputs.get((chain, node))
+            if columns is None:
+                columns = self._inputs[(chain, node)] = generate_batch(
                     records_per_node, seed=seed * 1000 + node,
                     value_size=value_size)
-            return records
+            return columns
 
-    def _block_records(self, cmd: dict, chain, store: NodeStore,
-                       ports: dict[int, int]
-                       ) -> tuple[list[Record], int, int]:
-        """Resolve one map-input block; returns ``(records, bytes fetched
-        over TCP, bytes resolved locally)`` — local meaning the node's
-        own store (memory tier first) or a colocated peer's published
-        shared-memory segment, never a socket."""
+    def _block_columns(self, cmd: dict, chain, store: NodeStore,
+                       ports: dict[int, int]) -> tuple:
+        """Resolve one map-input block; returns ``(keys, values, bytes
+        fetched over TCP, bytes resolved locally)`` — local meaning the
+        node's own store (memory tier first) or a colocated peer's
+        published shared-memory segment, never a socket."""
         source = cmd["source"]
         if source[0] == "input":
             _, node, start, count = source
-            return self._node_input(chain, node)[start:start + count], 0, 0
+            keys, values = self._node_input(chain, node)
+            stop = start + count
+            return keys[start:stop], values[start:stop], 0, 0
         (_, job, partition, split_index, n_splits, node, start,
          count) = source[:8]
         # a 9th element names the namespace the piece lives in — a donor
@@ -392,12 +394,13 @@ class _Worker:
                     ports[node], job, partition, split_index, n_splits,
                     chain=piece_chain)
                 fetched = len(data)
-        records = list(iter_records(data, start, count))
+        keys, values = decode_columns(data, start, count)
         if node == self.node:
             # the resident piece is shared, not copied: the block only
             # touched its own frames, so only those count as read
-            local = sum(FRAME_HEADER + len(r.value) for r in records)
-        return records, fetched, local
+            local = len(keys) * FRAME_HEADER + (
+                values.size if values.ndim == 2 else sum(map(len, values)))
+        return keys, values, fetched, local
 
     # -- parallel fetch --------------------------------------------------
     def _fetch_merge(self, requests: list[tuple[int, dict]],
@@ -440,15 +443,11 @@ class _Worker:
     def _map(self, cmd: dict, chain, store: NodeStore) -> None:
         started = time.perf_counter()
         job, task_id = cmd["job"], cmd["task"]
-        records, fetched, local = self._block_records(cmd, chain, store,
-                                                      self._ports)
-        slices: dict[int, list[Record]] = {}
-        for record in records:
-            out = map_udf(record, job)
-            slices.setdefault(
-                partition_of(out.key, cmd["n_partitions"]), []).append(out)
-        counts = store.write_map_output(job, task_id, cmd["origin"],
-                                        slices)
+        keys, values, fetched, local = self._block_columns(
+            cmd, chain, store, self._ports)
+        counts = store.write_map_slices(
+            job, task_id, cmd["origin"], partition_columns(
+                *map_batch(keys, values, job), cmd["n_partitions"]))
         if self._shm is not None:
             for partition in counts:
                 self._publish(
@@ -466,19 +465,13 @@ class _Worker:
         by_node: dict[int, list[int]] = {}
         for task_id, node in cmd["sources"]:
             by_node.setdefault(node, []).append(task_id)
-        groups: dict[int, list[bytes]] = {}
-
-        def merge(node: int, data: bytes) -> None:
-            # straight from the frames: no Record per fetched value
-            for key, start, end in iter_record_frames(data):
-                groups.setdefault(key, []).append(
-                    data[start + FRAME_HEADER:end])
+        landed: list[bytes] = []
 
         # a split reducer only ever sees its 1/k of a slice: peers filter
         # server-side, own-store and shm slices are filtered here, so
-        # local bytes mirror what the TCP path would have shipped and
-        # tcp + local is comparable across slot/node placements
-        local = 0
+        # local bytes (whatever landed without a socket) mirror what the
+        # TCP path would have shipped and tcp + local is comparable
+        # across slot/node placements
         requests = []
         for node, tasks in sorted(by_node.items()):
             if node == self.node:
@@ -492,9 +485,7 @@ class _Worker:
                     if data is None:
                         remaining.append(task_id)
                         continue
-                    data = filter_split(data, split_index, n_splits)
-                    local += len(data)
-                    merge(node, data)
+                    landed.append(filter_split(data, split_index, n_splits))
                 if not remaining:
                     continue
             request = {"kind": "maps", "job": job, "tasks": remaining,
@@ -505,24 +496,23 @@ class _Worker:
                 request["split"] = split_index
                 request["n_splits"] = n_splits
             requests.append((node, request))
-        fetched = self._fetch_merge(requests, self._ports, merge)
+        fetched = self._fetch_merge(requests, self._ports,
+                                    lambda _node, data: landed.append(data))
         if self.node in by_node:  # local slices never touch the network
-            own = filter_split(b"".join(
+            landed.append(filter_split(b"".join(
                 store.read_map_slice(job, task_id, partition)
-                for task_id in by_node[self.node]), split_index, n_splits)
-            local += len(own)
-            merge(self.node, own)
-        records = [reduce_udf(key, values)
-                   for key, values in sorted(groups.items())]
-        n_records = store.write_piece(job, partition, split_index,
-                                      n_splits, records)
+                for task_id in by_node[self.node]), split_index, n_splits))
+        data = b"".join(landed)
+        keys, values = reduce_batch(*decode_columns(data))
+        store.write_piece_bytes(job, partition, split_index, n_splits,
+                                encode_columns(keys, values))
         if self._shm is not None:
             self._publish(("piece", chain, job, partition, split_index,
                            n_splits),
                           store.read_piece(job, partition, split_index,
                                            n_splits))
         self.throttle.pace(time.perf_counter() - started)
-        self._done(cmd, n_records, fetched, local)
+        self._done(cmd, len(keys), fetched, len(data) - fetched)
 
     def _replicate(self, cmd: dict, chain, store: NodeStore) -> None:
         """Copy one stored piece from its primary holder to this node's

@@ -7,6 +7,7 @@ direct construction of the paper's Fig. 5 hazard showing that the guard
 (invalidating map outputs whose input partition was split) is *necessary*.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,15 @@ from repro.localexec import (
     recover_and_finish,
     reduce_udf,
 )
-from repro.localexec.records import Record, byte_sum, partition_of, split_of
+from repro.localexec.records import (
+    Record,
+    byte_sum,
+    generate_batch,
+    map_batch,
+    partition_of,
+    reduce_batch,
+    split_of,
+)
 from repro.localexec.recovery import recompute_job
 
 
@@ -74,6 +83,83 @@ def test_reduce_udf_order_independent():
     assert reduce_udf(7, values) == reduce_udf(7, list(reversed(values)))
 
 
+# ------------------------------------------------ batch UDFs vs the oracle
+def to_columns(records):
+    """Records as the ``(keys, values)`` columns the batch UDFs take: an
+    ``n x L`` matrix when every value is ``L`` bytes, an object column
+    when they are ragged."""
+    keys = np.array([r.key for r in records], dtype=np.uint64)
+    lengths = {len(r.value) for r in records}
+    if len(lengths) > 1:
+        return keys, np.array([r.value for r in records], dtype=object)
+    return keys, np.frombuffer(
+        b"".join(r.value for r in records), np.uint8).reshape(
+            len(records), lengths.pop() if lengths else 0)
+
+
+def to_records(keys, values):
+    assert keys.dtype == np.uint64 and len(keys) == len(values)
+    return [Record(key, bytes(value))
+            for key, value in zip(keys.tolist(), values)]
+
+
+def batch_strategy(keys=st.integers(0, 2**64 - 1)):
+    uniform = st.sampled_from([0, 1, 5, 6, 64]).flatmap(
+        lambda size: st.lists(st.builds(
+            Record, keys, st.binary(min_size=size, max_size=size)),
+            max_size=20))
+    ragged = st.lists(st.builds(Record, keys, st.binary(max_size=9)),
+                      max_size=20)
+    return st.one_of(uniform, ragged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=batch_strategy(), job=st.integers(0, 12))
+def test_map_batch_is_map_udf_row_by_row(records, job):
+    assert to_records(*map_batch(*to_columns(records), job)) == \
+        [map_udf(r, job) for r in records]
+
+
+# few distinct keys: every batch has groups of 2-5 values, in any order
+@settings(max_examples=200, deadline=None)
+@given(records=st.one_of(batch_strategy(),
+                         batch_strategy(st.sampled_from([0, 3, 2**64 - 1,
+                                                         7919, 2**63]))))
+def test_reduce_batch_is_reduce_udf_per_sorted_group(records):
+    groups = {}
+    for r in records:
+        groups.setdefault(r.key, []).append(r.value)
+    keys, values = reduce_batch(*to_columns(records))
+    assert values.shape == (len(groups), 14)
+    assert to_records(keys, values) == \
+        [reduce_udf(k, v) for k, v in sorted(groups.items())]
+
+
+@pytest.mark.parametrize("value_size", [0, 1, 5, 6, 16, 17, 64])
+def test_generate_batch_is_generate_records(value_size):
+    for n in (0, 1, 37):
+        keys, values = generate_batch(n, seed=5003, value_size=value_size)
+        assert values.shape == (n, value_size)
+        assert to_records(keys, values) == \
+            generate_records(n, seed=5003, value_size=value_size)
+
+
+def test_batch_udfs_compose_like_a_chain_job():
+    """One job the way a worker runs it — on views of a larger input, as
+    a block is — equals the per-record job."""
+    records = generate_records(200, seed=9, value_size=64)
+    keys, values = generate_batch(200, seed=9, value_size=64)
+    mapped = map_batch(keys[50:150], values[50:150], 2)
+    assert to_records(*mapped) == [map_udf(r, 2) for r in records[50:150]]
+    groups = {}
+    for r in to_records(*mapped) * 3:  # every key three times over
+        groups.setdefault(r.key, []).append(r.value)
+    tripled = (np.tile(mapped[0], 3), np.tile(mapped[1], (3, 1)))
+    assert to_records(*reduce_batch(*tripled)) == \
+        [reduce_udf(k, v) for k, v in sorted(groups.items())]
+
+
+# ------------------------------------------------------------- partitioning
 def test_partitioner_and_split_hash_cover_everything():
     keys = [r.key for r in generate_records(200, seed=1)]
     partitions = {partition_of(k, 4) for k in keys}

@@ -92,6 +92,21 @@ def test_udf_identity_is_stable():
     assert udf_identity() == udf_identity()
 
 
+@pytest.mark.parametrize("name", ["generate_batch", "map_batch",
+                                  "reduce_batch", "map_udf"])
+def test_fingerprints_follow_the_udfs_that_run(monkeypatch, name):
+    """The workers execute the batch UDFs, so an edit to one of them —
+    like an edit to its per-record definition — must miss the cache."""
+    before = chain_fingerprints(CHAIN3, 4)
+
+    def edited(*args):
+        """Same name, different source text."""
+
+    monkeypatch.setattr(f"repro.localexec.records.{name}", edited)
+    after = chain_fingerprints(CHAIN3, 4)
+    assert all(a != b for a, b in zip(before, after))
+
+
 DIAMOND4 = LocalJobConfig(n_jobs=4, n_partitions=4, records_per_node=48,
                           records_per_block=16, seed=0,
                           dependencies=((), (1,), (1,), (2, 3)))

@@ -375,11 +375,11 @@ def test_worker_software_error_surfaces_with_traceback(tmp_path,
     """A deterministic bug inside a task must surface as a coordinator
     error carrying the worker's traceback — not masquerade as a node
     death and cascade through recovery killing node after node."""
-    def buggy_udf(record, job):
+    def buggy_udf(keys, values, job):
         raise ValueError("deterministic UDF bug")
 
     # fork start method: the patched module state is inherited by workers
-    monkeypatch.setattr("repro.runtime.worker.map_udf", buggy_udf)
+    monkeypatch.setattr("repro.runtime.worker.map_batch", buggy_udf)
     with pytest.raises(RuntimeError,
                        match="deterministic UDF bug") as excinfo:
         run_process_chain(tmp_path)

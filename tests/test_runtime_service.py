@@ -331,7 +331,12 @@ def test_service_runs_one_chain_end_to_end(tmp_path):
     chain = LocalJobConfig(n_jobs=2, n_partitions=2, records_per_node=16,
                            records_per_block=8, seed=5)
     config = RuntimeConfig(n_nodes=2, chain=TINY, task_slots=2)
-    with ChainService(config, tmp_path / "svc") as service:
+    # cache on: the close-time sweep spares the registered reduce jobs,
+    # so the namespace outlives the chain (with the cache off the
+    # workers delete it moments after wait() returns — checking for it
+    # then is a race)
+    with ChainService(config, tmp_path / "svc",
+                      cache_budget=1 << 20) as service:
         job = service.submit(chain=chain)
         service.wait(job.id, timeout=60)
         assert job.state == DONE, job.error
@@ -339,7 +344,7 @@ def test_service_runs_one_chain_end_to_end(tmp_path):
         assert job.report.checksum == reference_checksum(chain, 2)
         # the chain's files live under its namespace on each node
         scoped = tmp_path / "svc" / "node000" / "chains" / job.id
-        assert scoped.is_dir()
+        assert (scoped / "reduce").is_dir()
 
 
 @pytest.mark.slow

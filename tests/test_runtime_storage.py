@@ -24,11 +24,17 @@ from repro.runtime.storage import (
     NodeStore,
     PieceEntry,
     chain_checksum,
+    decode_columns,
     decode_records,
+    encode_columns,
     encode_records,
+    filter_split_spans,
+    iter_record_frames,
     iter_records,
+    partition_columns,
     read_map_index,
 )
+from tests.test_localexec import to_records
 
 records_strategy = st.one_of(
     # uniform values (the vectorized encode path) and ragged ones
@@ -88,6 +94,104 @@ def test_ranged_decode_checks_the_frames_before_the_range():
         list(iter_records(data[:first + 5], 1, 1))  # header in range
     with pytest.raises(ValueError, match="truncated record header"):
         list(iter_records(data[:5], 3, 1))  # header before range
+
+
+# ------------------------------------------------------------ column codec
+@settings(max_examples=200, deadline=None)
+@given(records=records_strategy, start=st.integers(0, 30),
+       count=st.one_of(st.none(), st.integers(0, 30)))
+def test_decode_columns_equals_iter_records(records, start, count):
+    data = encode_records(records)
+    keys, values = decode_columns(data, start, count)
+    assert to_records(keys, values) == \
+        list(iter_records(data, start, count))
+    # uniform frames decode to the value matrix, not the ragged fallback
+    if records and len({len(r.value) for r in records}) == 1:
+        assert values.shape == (len(keys), len(records[0].value))
+    stop = None if count is None else start + count
+    assert encode_columns(keys, values) == encode_records(records[start:stop])
+    assert decode_columns(memoryview(data), start, count)[0].tolist() == \
+        keys.tolist()
+
+
+def test_decode_columns_raises_where_iter_records_does():
+    """Torn bytes never reshape: a torn frame before or in the range
+    raises the frame walk's error, one past the range is never seen."""
+    records = generate_records(10, seed=2, value_size=20)
+    frame = FRAME_HEADER + 20
+    data = encode_records(records)
+    for torn in (data[:-1], data[:9 * frame + 5]):
+        assert to_records(*decode_columns(torn, 2, 4)) == \
+            records[2:6]
+        with pytest.raises(ValueError, match="truncated record"):
+            decode_columns(torn)
+        with pytest.raises(ValueError, match="truncated record"):
+            decode_columns(torn, 8, 2)
+    with pytest.raises(ValueError, match="truncated record value"):
+        decode_columns(data[:frame - 1], 1, 1)  # value before the range
+    with pytest.raises(ValueError, match="truncated record header"):
+        decode_columns(data[:frame + 5], 1, 1)  # header in the range
+    with pytest.raises(ValueError, match="truncated record header"):
+        decode_columns(data[:5], 3, 1)  # header before the range
+
+
+def test_decode_columns_checks_every_length_field_against_the_stride():
+    """The size dividing by the first frame's stride is not enough: one
+    length field that disagrees sends the bytes down the frame walk."""
+    a, b = Record(1, b"x" * 4), Record(2, b"y" * 4)
+    # 48 bytes = 3 strides of 16, but the frames are 16, 20 and 12 long
+    ragged = [a, Record(3, b"z" * 8), Record(4, b"")]
+    data = encode_records(ragged)
+    assert len(data) % (FRAME_HEADER + 4) == 0
+    assert to_records(*decode_columns(data)) == ragged
+    # same size, a length field overwritten: the walk runs off the end
+    good = encode_records([a, b, a])
+    bad = good[:16 + 8] + (99).to_bytes(4, "big") + good[16 + 12:]
+    for decode in (decode_columns, lambda d: list(iter_records(d))):
+        with pytest.raises(ValueError, match="truncated record value"):
+            decode(bad)
+    assert to_records(*decode_columns(bad, 0, 1)) == [a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.one_of(records_strategy, st.lists(st.builds(
+    # keys a few multiples of the split hash's divisor apart: long runs
+    Record, st.integers(0, 20 * 7919), st.just(b"12345678")), max_size=40)))
+def test_filter_split_spans_equal_the_frame_walk(records):
+    """One mask over the key column keeps exactly the frames the
+    per-frame ``split_of`` test keeps, and the splits tile the input in
+    frame order."""
+    data = encode_records(records)
+    frames = list(iter_record_frames(data))
+    for n_splits in range(1, 6):
+        owners = [split_of(key, n_splits) for key, _, _ in frames]
+        streams = []
+        for split in range(n_splits):
+            spans = filter_split_spans(data, split, n_splits)
+            assert b"".join(spans) == b"".join(
+                data[lo:hi] for (_, lo, hi), owner in zip(frames, owners)
+                if owner == split)
+            assert all(len(span) for span in spans)
+            streams.append(memoryview(b"".join(spans)))
+        # dealing the frames back out in input order rebuilds the input
+        rebuilt, cursors = [], [0] * n_splits
+        for (_, lo, hi), owner in zip(frames, owners):
+            at = cursors[owner]
+            rebuilt.append(streams[owner][at:at + hi - lo])
+            cursors[owner] += hi - lo
+        assert b"".join(rebuilt) == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=records_strategy, n_partitions=st.integers(1, 5))
+def test_partition_columns_routes_like_partition_of(records, n_partitions):
+    slices = partition_columns(*decode_columns(encode_records(records)),
+                               n_partitions)
+    assert list(slices) == sorted(slices)  # ascending, and only non-empty
+    assert slices == {
+        p: (len(mine), encode_records(mine))
+        for p in range(n_partitions)
+        if (mine := [r for r in records if r.key % n_partitions == p])}
 
 
 # --------------------------------------------------- one file per map output
