@@ -16,16 +16,34 @@ bytes on columns for the process runtime's workers: ``keys: uint64[n]``
 plus an ``n x L`` ``uint8`` value matrix (the UDFs keep a stage's values
 one size: input ``value_size`` -> map ``10 + min(6, L)`` -> reduce 14)
 or, for ragged values, a 1-D object array of ``bytes`` (correct, not
-fast).  MD5 has no batch form, so it stays one ``hashlib`` call per
-record; everything around it is numpy.
+fast).  MD5 has a batch form too — :mod:`repro.localexec.md5` digests
+a whole column in one vectorised pass — which wins once a batch is large
+enough to amortise its ~640 numpy calls per 64-byte block;
+:func:`_digests` sends columns of at least :data:`MD5_KERNEL_MIN_ROWS`
+rows per block there (messages of one or two blocks only) and keeps one
+``hashlib`` call per record for the rest.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
+
+from repro.localexec.md5 import TEXT_HEAD_MAX, md5_rows, md5_text, n_blocks
+
+#: Rows per 64-byte message block from which the batch kernel beats the
+#: ``hashlib`` loop: 1 000 for one-block messages, 2 000 for two-block
+#: ones (job 1's 64-byte values) — ``hashlib``'s cost is mostly its
+#: per-call constructor and grows ~0.1 us with a second block, while the
+#: kernel's doubles.  For the same reason the kernel's lead shrinks with
+#: every further block and is gone by the fourth, so longer messages
+#: (values over 119 bytes) always take the loop.  Measured, not tuned
+#: per run: ``tools/md5_crossover.py`` prints the table in
+#: docs/architecture.md §7.
+MD5_KERNEL_MIN_ROWS = 1000
+MD5_KERNEL_MAX_BLOCKS = 2
 
 
 class Record(NamedTuple):
@@ -121,17 +139,38 @@ def _rows(values: np.ndarray) -> list[bytes]:
         f"V{values.shape[1]}").ravel().tolist()
 
 
-def _digests(blobs: Iterable[bytes]) -> np.ndarray:
-    """MD5 of every blob as an ``n x 16`` byte matrix."""
-    return np.frombuffer(
-        b"".join([hashlib.md5(blob).digest() for blob in blobs]),
-        np.uint8).reshape(-1, 16)
+def _kernel_pays(rows: int, blocks: int = 1) -> bool:
+    """Whether ``rows`` messages of ``blocks`` 64-byte blocks each are
+    digested faster by the batch kernel than by the ``hashlib`` loop."""
+    return (blocks <= MD5_KERNEL_MAX_BLOCKS
+            and rows >= MD5_KERNEL_MIN_ROWS * blocks)
 
 
-def generate_batch(n: int, seed: int, value_size: int = 16
+def _digests(column, head: Optional[bytes] = None) -> np.ndarray:
+    """MD5 of every message of a column as an ``n x 16`` byte matrix.
+
+    The messages are the rows of a value matrix, the blobs of a list or
+    ragged column, or — given ``head`` — the texts ``head + b"%d" %
+    number`` of a ``uint64`` column."""
+    if head is not None:
+        if _kernel_pays(len(column)) and len(head) <= TEXT_HEAD_MAX:
+            return md5_text(head, column)
+        column = [head + b"%d" % number for number in column.tolist()]
+    elif isinstance(column, np.ndarray) and column.ndim == 2:
+        if _kernel_pays(len(column), n_blocks(column.shape[1])):
+            return md5_rows(column)
+        column = _rows(column)
+    md5 = hashlib.md5
+    return np.frombuffer(b"".join([md5(blob).digest() for blob in column]),
+                         np.uint8).reshape(-1, 16)
+
+
+def generate_batch(n: int, seed: int, value_size: int = 16, start: int = 0
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`generate_records` as ``(keys, values)`` columns."""
-    material = _digests(b"%d:%d" % (seed, i) for i in range(n))
+    """:func:`generate_records` as ``(keys, values)`` columns; ``start``
+    yields rows ``start..start + n`` of the same sequence."""
+    material = _digests(np.arange(start, start + n, dtype=np.uint64),
+                        head=b"%d:" % seed)
     return (_be_column(material[:, :4]),
             np.tile(material, (1, value_size // 16 + 1))[:, :value_size])
 
@@ -139,16 +178,15 @@ def generate_batch(n: int, seed: int, value_size: int = 16
 def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int
               ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`map_udf` over a column batch, row for row."""
-    new_keys = _be_column(_digests(
-        b"%d:%d" % (job_index, key) for key in keys.tolist())[:, :8])
-    rows = _rows(values)
-    digests = _digests(rows)[:, :8]
+    new_keys = _be_column(_digests(keys, head=b"%d:" % job_index)[:, :8])
     if values.ndim == 1:  # ragged
+        rows = values.tolist()
         return new_keys, np.array(
             [digest.tobytes() + (sum(row) & 0xFFFF).to_bytes(2, "big")
-             + row[:6] for digest, row in zip(digests, rows)], dtype=object)
-    out = np.empty((len(rows), 10 + min(6, values.shape[1])), np.uint8)
-    out[:, :8] = digests
+             + row[:6] for digest, row in zip(_digests(rows)[:, :8], rows)],
+            dtype=object)
+    out = np.empty((len(values), 10 + min(6, values.shape[1])), np.uint8)
+    out[:, :8] = _digests(values)[:, :8]
     out[:, 8:10] = _be_bytes(values.sum(axis=1, dtype=np.uint64), 2)
     out[:, 10:] = values[:, :6]
     return new_keys, out
@@ -164,15 +202,17 @@ def reduce_batch(keys: np.ndarray, values: np.ndarray
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
     sizes = np.diff(np.append(starts, len(keys)))
-    blobs = _rows(values[order])
-    if (sizes > 1).any():  # DAG joins, key collisions: sort + join
-        blobs = [b"".join(sorted(blobs[start:start + size]))
+    values = blobs = values[order]
+    if len(starts) < len(keys):  # DAG joins, key collisions: sort + join
+        rows = _rows(values)
+        blobs = [b"".join(sorted(rows[start:start + size]))
                  for start, size in zip(starts.tolist(), sizes.tolist())]
+    # else one value per key — every chain job from the second on — and
+    # the column is the blobs as it stands
     if values.ndim == 1:  # ragged
         sums, lengths = list(map(sum, blobs)), list(map(len, blobs))
     else:
-        sums = np.add.reduceat(
-            values.sum(axis=1, dtype=np.uint64)[order], starts)
+        sums = np.add.reduceat(values.sum(axis=1, dtype=np.uint64), starts)
         lengths = sizes * values.shape[1]
     out = np.empty((len(starts), 14), np.uint8)
     out[:, :8] = _digests(blobs)[:, :8]

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
+from repro.localexec import md5 as _md5_mod
 from repro.localexec import records as _records_mod
 from repro.localexec.engine import LocalJobConfig
 from repro.runtime.recovery import JobGraph, adoptable_closure
@@ -71,13 +72,15 @@ def udf_identity() -> str:
     The fingerprint must change when the computation changes, so the
     identity is the *source text* of the map/reduce/partition functions
     rather than a version constant someone would forget to bump: the
-    per-record definitions and the batch forms the workers execute,
-    which are what actually decides a stored piece's bytes."""
+    per-record definitions and the batch forms the workers execute —
+    down to the digest helper and the MD5 kernel under them — which are
+    what actually decides a stored piece's bytes."""
     h = hashlib.md5()
     for fn in (_records_mod.generate_records, _records_mod.map_udf,
                _records_mod.reduce_udf, _records_mod.partition_of,
                _records_mod.generate_batch, _records_mod.map_batch,
-               _records_mod.reduce_batch):
+               _records_mod.reduce_batch, _records_mod._digests,
+               _md5_mod.md5_rows, _md5_mod.md5_text, _md5_mod._compress):
         h.update(inspect.getsource(fn).encode())
     return h.hexdigest()
 

@@ -1398,11 +1398,14 @@ class ChainRun:
     def _map_commands(self, job: int,
                       blocks: list[BlockSpec]) -> dict:
         chain = self.config.chain
+        alive = sorted(self.pool.alive)
         cmds = {}
         for block in blocks:
             node = self.map_assignment(job, block.task_id, block.node)
             if node not in self.pool.alive:
-                node = min(self.pool.alive)
+                # re-home a dead node's blocks across *all* survivors
+                # (paper §IV: recompute on every surviving node)
+                node = alive[block.task_id % len(alive)]
             cmds[("map", job, block.task_id)] = (node, {
                 "op": "map", "job": job, "task": block.task_id,
                 "origin": block.origin, "source": block.source,

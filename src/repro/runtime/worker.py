@@ -178,8 +178,8 @@ class _Worker:
         self._slots = _SlotPool(slots, self.execute) if slots > 1 else None
         self._ports: dict[int, int] = {}
         self._latest_epoch = -1
-        #: (chain, node) -> memoized regenerated chain input columns
-        self._inputs: dict[tuple, tuple] = {}
+        #: chain -> this node's memoized chain input columns
+        self._inputs: dict = {}
         self._inputs_lock = threading.Lock()
 
     def close(self) -> None:
@@ -226,8 +226,7 @@ class _Worker:
             self._chains.pop(chain, None)
             self._stores.pop(chain, None)
             with self._inputs_lock:
-                for key in [k for k in self._inputs if k[0] == chain]:
-                    del self._inputs[key]
+                self._inputs.pop(chain, None)
             return
         if cmd["op"] == "chain-sweep":
             # close-time hygiene: delete the finished chain's namespace
@@ -340,25 +339,29 @@ class _Worker:
         return shm.attach(shm.segment_name(self.shm_run, node, identity))
 
     # -- input ----------------------------------------------------------
-    def _node_input(self, chain, node: int) -> tuple:
-        """Any worker can regenerate any node's chain input: the input is
-        a pure function of the chain's seed (the paper's randomly
-        generated binary data), so a re-homed mapper needs no fetch for
-        job 1.  Memoized per (chain, node) — a node's stored input is
-        generated once, like ``LocalCluster._make_input``, and held as
-        its ``(keys, values)`` columns."""
+    def _input_block(self, chain, node: int, start: int,
+                     count: int) -> tuple:
+        """Rows ``start..start + count`` of ``node``'s chain input.  The
+        input is a pure function of the chain's seed (the paper's
+        randomly generated binary data), so a re-homed mapper needs no
+        fetch for job 1 and regenerates just its block; a node's *own*
+        input is generated once, like ``LocalCluster._make_input``, and
+        memoized per chain as its ``(keys, values)`` columns."""
         params = self._chains.get(chain)
         if params is None:
             raise RuntimeError(
                 f"chain {chain!r} is not open on node {self.node}")
         seed, records_per_node, value_size = params
+        seed = seed * 1000 + node
+        if node != self.node:
+            return generate_batch(count, seed, value_size, start=start)
         with self._inputs_lock:
-            columns = self._inputs.get((chain, node))
+            columns = self._inputs.get(chain)
             if columns is None:
-                columns = self._inputs[(chain, node)] = generate_batch(
-                    records_per_node, seed=seed * 1000 + node,
-                    value_size=value_size)
-            return columns
+                columns = self._inputs[chain] = generate_batch(
+                    records_per_node, seed, value_size)
+        keys, values = columns
+        return keys[start:start + count], values[start:start + count]
 
     def _block_columns(self, cmd: dict, chain, store: NodeStore,
                        ports: dict[int, int]) -> tuple:
@@ -368,10 +371,7 @@ class _Worker:
         published shared-memory segment, never a socket."""
         source = cmd["source"]
         if source[0] == "input":
-            _, node, start, count = source
-            keys, values = self._node_input(chain, node)
-            stop = start + count
-            return keys[start:stop], values[start:stop], 0, 0
+            return *self._input_block(chain, *source[1:]), 0, 0
         (_, job, partition, split_index, n_splits, node, start,
          count) = source[:8]
         # a 9th element names the namespace the piece lives in — a donor

@@ -7,6 +7,8 @@ direct construction of the paper's Fig. 5 hazard showing that the guard
 (invalidating map outputs whose input partition was split) is *necessary*.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,10 @@ from repro.localexec import (
     recover_and_finish,
     reduce_udf,
 )
+from repro.localexec import records as records_mod
+from repro.localexec.md5 import _CHUNK, md5_rows, md5_text
 from repro.localexec.records import (
+    MD5_KERNEL_MIN_ROWS,
     Record,
     byte_sum,
     generate_batch,
@@ -157,6 +162,161 @@ def test_batch_udfs_compose_like_a_chain_job():
     tripled = (np.tile(mapped[0], 3), np.tile(mapped[1], (3, 1)))
     assert to_records(*reduce_batch(*tripled)) == \
         [reduce_udf(k, v) for k, v in sorted(groups.items())]
+
+
+# ------------------------------------------- the MD5 kernel vs ``hashlib``
+def hashlib_digests(blobs):
+    return [hashlib.md5(blob).digest() for blob in blobs]
+
+
+def digest_rows(digests):
+    assert digests.dtype == np.uint8 and digests.shape[1:] == (16,)
+    return [bytes(row) for row in digests]
+
+
+def assert_md5_rows_is_hashlib(values):
+    assert digest_rows(md5_rows(values)) == \
+        hashlib_digests(bytes(row) for row in values)
+
+
+def random_matrix(n, length, seed=0):
+    return np.random.default_rng(seed).integers(
+        0, 256, (n, length), dtype=np.uint8)
+
+
+# 55/56, 119/120: the 0x80 marker + bit length stop fitting the block;
+# 63/64: the message itself fills it
+@pytest.mark.parametrize("length", [*range(0, 131)])
+def test_md5_rows_is_hashlib_at_every_length(length):
+    assert_md5_rows_is_hashlib(random_matrix(5, length, seed=length))
+
+
+@pytest.mark.parametrize("length", [14, 55, 56, 63, 64, 119, 120])
+@pytest.mark.parametrize("n", [0, 1, MD5_KERNEL_MIN_ROWS - 1,
+                               MD5_KERNEL_MIN_ROWS, 4096, 2 * _CHUNK + 3])
+def test_md5_rows_is_hashlib_at_every_batch_size(n, length):
+    assert_md5_rows_is_hashlib(random_matrix(n, length, seed=n))
+
+
+def test_md5_rows_takes_strided_and_read_only_views():
+    base = random_matrix(300, 80)
+    frozen = np.frombuffer(base.tobytes(), np.uint8).reshape(base.shape)
+    assert not frozen.flags.writeable
+    for view in (base[::3], base[:, 5:69], base[::-2, 1::2], base.T,
+                 frozen, frozen[10:20, :14]):
+        before = view.copy()
+        assert_md5_rows_is_hashlib(view)
+        assert (view == before).all()  # the input is only read
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(MD5_KERNEL_MIN_ROWS, MD5_KERNEL_MIN_ROWS + 64),
+       length=st.integers(0, 130), seed=st.integers(0, 2**32 - 1))
+def test_md5_rows_is_hashlib_on_random_columns(n, length, seed):
+    assert_md5_rows_is_hashlib(random_matrix(n, length, seed))
+
+
+EDGE_NUMBERS = [0, 1, 9, 10, 2**32 - 1, 2**64 - 1]
+
+
+@pytest.mark.parametrize("prefix", range(1, 13))
+def test_md5_text_is_hashlib_on_decimal_edges(prefix):
+    numbers = np.array(EDGE_NUMBERS + [10**k for k in range(20)]
+                       + [10**k - 1 for k in range(1, 20)], np.uint64)
+    assert digest_rows(md5_text(b"%d:" % prefix, numbers)) == \
+        hashlib_digests(b"%d:%d" % (prefix, number)
+                        for number in numbers.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(numbers=st.lists(st.one_of(st.integers(0, 2**64 - 1),
+                                  st.sampled_from(EDGE_NUMBERS)),
+                        max_size=30),
+       head=st.binary(max_size=35))
+def test_md5_text_is_hashlib_on_random_columns(numbers, head):
+    column = np.array(numbers, np.uint64)
+    assert digest_rows(md5_text(head, column[::-1])) == \
+        hashlib_digests(head + b"%d" % number for number in numbers[::-1])
+
+
+# ------------------------ batch UDFs on either side of the kernel crossover
+def at_crossover(crossover, fn, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records_mod, "MD5_KERNEL_MIN_ROWS", crossover)
+        return fn(*args)
+
+
+# 0: every column, however small, goes through the kernel; 2**31: none does
+CROSSOVERS = pytest.mark.parametrize("crossover", [0, 2**31])
+
+
+@CROSSOVERS
+@settings(max_examples=60, deadline=None)
+@given(records=batch_strategy(), job=st.integers(0, 12))
+def test_map_batch_is_map_udf_at_any_crossover(crossover, records, job):
+    assert to_records(*at_crossover(
+        crossover, map_batch, *to_columns(records), job)) == \
+        [map_udf(r, job) for r in records]
+
+
+@CROSSOVERS
+@settings(max_examples=60, deadline=None)
+@given(records=st.one_of(batch_strategy(),
+                         batch_strategy(st.sampled_from([0, 3, 2**64 - 1]))))
+def test_reduce_batch_is_reduce_udf_at_any_crossover(crossover, records):
+    groups = {}
+    for r in records:
+        groups.setdefault(r.key, []).append(r.value)
+    assert to_records(*at_crossover(
+        crossover, reduce_batch, *to_columns(records))) == \
+        [reduce_udf(k, v) for k, v in sorted(groups.items())]
+
+
+@CROSSOVERS
+@pytest.mark.parametrize("value_size", [0, 6, 16, 17, 64])
+def test_generate_batch_is_generate_records_at_any_crossover(crossover,
+                                                             value_size):
+    for n, seed in ((0, 1), (37, 5003), (5, 10**40)):  # last: head > 35 B
+        assert to_records(*at_crossover(
+            crossover, generate_batch, n, seed, value_size)) == \
+            generate_records(n, seed=seed, value_size=value_size)
+
+
+@pytest.mark.parametrize("value_size", [16, 64])
+def test_a_chain_job_above_the_crossover_is_the_per_record_job(
+        monkeypatch, value_size):
+    """Today's strategies draw batches of <= 20 rows, which never reach
+    the kernel at the shipped crossover; this job does, at every digest —
+    and the spies prove it."""
+    calls = []
+    for name in ("md5_rows", "md5_text"):
+        def spy(*args, kernel=getattr(records_mod, name), name=name):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(records_mod, name, spy)
+    n = 2 * MD5_KERNEL_MIN_ROWS + 7
+    records = generate_records(n, seed=77, value_size=value_size)
+    generated = generate_batch(n, seed=77, value_size=value_size)
+    assert to_records(*generated) == records
+    # rows 7.. of the same sequence, as a re-homed mapper regenerates them
+    assert to_records(*generate_batch(
+        n - 7, seed=77, value_size=value_size, start=7)) == records[7:]
+    mapped = [map_udf(r, 1) for r in records]
+    assert to_records(*map_batch(*generated, 1)) == mapped
+    assert to_records(*reduce_batch(*map_batch(*generated, 1))) == \
+        [reduce_udf(r.key, [r.value]) for r in sorted(mapped)]
+    assert calls == ["md5_text"] * 2 + ["md5_text", "md5_rows"] * 2 \
+        + ["md5_rows"]
+
+
+def test_values_over_two_blocks_keep_the_hashlib_loop(monkeypatch):
+    """The kernel's lead shrinks with every block and is gone by the
+    fourth (tools/md5_crossover.py), so 120-byte values never enter it."""
+    monkeypatch.setattr(records_mod, "md5_rows", None)  # a call would raise
+    n = 4 * MD5_KERNEL_MIN_ROWS
+    records = generate_records(n, seed=8, value_size=120)
+    assert to_records(*map_batch(*to_columns(records), 1)) == \
+        [map_udf(r, 1) for r in records]
 
 
 # ------------------------------------------------------------- partitioning

@@ -93,16 +93,20 @@ def test_udf_identity_is_stable():
 
 
 @pytest.mark.parametrize("name", ["generate_batch", "map_batch",
-                                  "reduce_batch", "map_udf"])
+                                  "reduce_batch", "map_udf", "_digests",
+                                  "md5.md5_rows", "md5.md5_text",
+                                  "md5._compress"])
 def test_fingerprints_follow_the_udfs_that_run(monkeypatch, name):
     """The workers execute the batch UDFs, so an edit to one of them —
-    like an edit to its per-record definition — must miss the cache."""
+    like an edit to its per-record definition, or to the digest helper
+    and MD5 kernel they share — must miss the cache."""
     before = chain_fingerprints(CHAIN3, 4)
 
     def edited(*args):
         """Same name, different source text."""
 
-    monkeypatch.setattr(f"repro.localexec.records.{name}", edited)
+    target = name if "." in name else f"records.{name}"
+    monkeypatch.setattr(f"repro.localexec.{target}", edited)
     after = chain_fingerprints(CHAIN3, 4)
     assert all(a != b for a, b in zip(before, after))
 

@@ -349,6 +349,23 @@ def test_kill_between_commit_and_next_job_recovers(tmp_path):
     assert instants(tracer, "node-death")
 
 
+def test_rehomed_recompute_maps_spread_over_the_survivors(tmp_path):
+    """The dead node's job-1 blocks are recomputed on all survivors, not
+    piled on the lowest-numbered one (paper §IV), each re-homed mapper
+    regenerating just its block of the dead node's input."""
+    tracer = RecordingTracer()
+    chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
+                           records_per_block=8, seed=0)
+    report = run_process_chain(
+        tmp_path, chain=chain, tracer=tracer,
+        fault_model=FaultModel.parse("kill@job3+0:node=1"))
+    assert report.checksum == reference_checksum(chain)
+    assert [n for _, n in report.deaths] == [1]
+    recomputed = spans(tracer, "task", prefix="recompute-map-1:")
+    assert len(recomputed) == 6  # node 1's whole input, block by block
+    assert len({e["tid"] for e in recomputed}) >= 2
+
+
 def test_stale_upstream_damage_does_not_hang(tmp_path):
     """End-to-end regression for the recover-nothing spin: leftovers of
     an earlier death (a lost job-1 piece whose consumer job is intact)
@@ -471,6 +488,22 @@ def test_live_fault_plan_delivers_sigkill(tmp_path):
         tmp_path, fault_model=FaultModel.parse("kill@job1+0:node=2"))
     assert report.checksum == reference_checksum(CHAIN)
     assert [n for _, n in report.deaths] == [2]
+
+
+@pytest.mark.slow
+def test_kill_recovery_through_the_md5_kernel(tmp_path):
+    """Blocks large enough that every digest column runs the batch MD5
+    kernel (the other process tests stay below its crossover): a real
+    kill, a split recovery, and still the per-record reference's bytes."""
+    from repro.localexec.records import MD5_KERNEL_MIN_ROWS
+    chain = LocalJobConfig(n_jobs=3, n_partitions=2, records_per_node=4096,
+                           records_per_block=2048, value_size=64, seed=3)
+    assert chain.records_per_block >= 2 * MD5_KERNEL_MIN_ROWS
+    report = run_process_chain(
+        tmp_path, chain=chain,
+        fault_model=FaultModel.parse("kill@job2+0:node=1"))
+    assert report.checksum == reference_checksum(chain)
+    assert [n for _, n in report.deaths] == [1]
 
 
 @pytest.mark.slow
