@@ -98,18 +98,48 @@ def md5_rows(values: np.ndarray) -> np.ndarray:
     return _digest_chunks(values, pad)
 
 
+_E8, _E16 = np.uint64(10 ** 8), np.uint64(10 ** 16)
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _decimal(numbers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the decimal text of a ``uint64`` column left-justified into
+    the zeroed ``uint8[n, 20]`` block ``out``; returns the digit counts.
+    ``astype("S20")`` formats row by row; this peels one digit off the
+    whole column at a time."""
+    n = len(numbers)
+    high = numbers // _E16  # 4 digits, then two 8-digit chunks: all uint32
+    rest = numbers - high * _E16
+    mid = rest // _E8
+    chunks = ((rest - mid * _E8, 8), (mid, 8), (high, 4))
+    right = np.empty((20, n), np.uint8)  # one row per digit, units last
+    quotient, tens = np.empty(n, np.uint32), np.empty(n, np.uint32)
+    row = 20
+    for chunk, width in chunks:
+        chunk = chunk.astype(np.uint32)
+        for _ in range(width):
+            row -= 1
+            np.floor_divide(chunk, 10, out=quotient)
+            np.multiply(quotient, 10, out=tens)
+            np.subtract(chunk, tens, out=right[row], casting="unsafe")
+            chunk, quotient = quotient, chunk
+    right += ord("0")
+    counts = np.searchsorted(_POW10, numbers, side="right") + 1
+    for length in np.flatnonzero(np.bincount(counts, minlength=21)):
+        rows = np.flatnonzero(counts == length)
+        out[rows, :length] = right[20 - length:, rows].T
+    return counts
+
+
 def md5_text(head: bytes, numbers: np.ndarray) -> np.ndarray:
     """MD5 of ``head + b"%d" % number`` for every number of a ``uint64``
     column (``len(head) <= TEXT_HEAD_MAX``: always one block)."""
     at = len(head)
 
     def pad(chunk: np.ndarray) -> np.ndarray:
-        digits = chunk.astype("S20").view(np.uint8).reshape(
-            -1, 20)  # decimal text, NUL-padded
-        end = at + np.count_nonzero(digits, axis=1)
         padded = np.zeros((len(chunk), 64), np.uint8)
         padded[:, :at] = np.frombuffer(head, np.uint8)
-        padded[:, at:at + 20] = digits
+        end = at + _decimal(chunk, padded[:, at:at + 20])
         padded[np.arange(len(chunk)), end] = 0x80
         padded[:, 56] = end * 8 & 0xFF  # bit length: <= 440, two bytes
         padded[:, 57] = end * 8 >> 8

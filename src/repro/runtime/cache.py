@@ -80,7 +80,8 @@ def udf_identity() -> str:
                _records_mod.reduce_udf, _records_mod.partition_of,
                _records_mod.generate_batch, _records_mod.map_batch,
                _records_mod.reduce_batch, _records_mod._digests,
-               _md5_mod.md5_rows, _md5_mod.md5_text, _md5_mod._compress):
+               _md5_mod.md5_rows, _md5_mod.md5_text, _md5_mod._decimal,
+               _md5_mod._compress):
         h.update(inspect.getsource(fn).encode())
     return h.hexdigest()
 

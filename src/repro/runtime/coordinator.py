@@ -392,6 +392,9 @@ class RunReport:
     #: straggler handling: speculative attempts/wins/wasted bytes,
     #: pre-replicated pieces, and the node -> factor throttle map
     speculation: dict = field(default_factory=dict)
+    #: task completions that arrived from a cancelled epoch — work a
+    #: survivor finished and committed after a death had made it moot
+    cancelled_commits: int = 0
 
     @property
     def wall_time(self) -> float:
@@ -436,6 +439,7 @@ class RunReport:
             "chain_id": self.chain_id,
             "wall_time": self.wall_time,
             "speculation": dict(self.speculation),
+            "cancelled_commits": self.cancelled_commits,
         }
 
     def render(self) -> str:
@@ -459,6 +463,8 @@ class RunReport:
                 f"{spec.get('wasted_bytes', 0)}B wasted, "
                 f"{spec.get('pre_replicated', 0)} pre-replicated, "
                 f"throttled: {spec.get('throttled', {})}")
+        if self.cancelled_commits:
+            lines.append(f"cancelled_commits: {self.cancelled_commits}")
         return "\n".join(lines)
 
 
@@ -651,13 +657,17 @@ class WorkerPool:
         writes nor slip a task in front of its epoch's port map."""
         link = self._links[node]
         with link.lock:
-            if link.ports_epoch != self.epoch:
-                self._send_locked(link, {"op": "ports", "epoch": self.epoch,
-                                         "ports": self.ports()})
-                link.ports_epoch = self.epoch
+            self._send_ports(link)
             self._send_locked(link, cmd)
         if cmd.get("op") in TASK_OPS and cmd.get("epoch") == self.epoch:
             self.progress.record_dispatch(node, time.monotonic())
+
+    def _send_ports(self, link: _Link) -> None:
+        """The once-per-epoch peer-port broadcast (under ``link.lock``)."""
+        if link.ports_epoch != self.epoch:
+            self._send_locked(link, {"op": "ports", "epoch": self.epoch,
+                                     "ports": self.ports()})
+            link.ports_epoch = self.epoch
 
     def ports(self) -> dict[int, int]:
         return {n: self._links[n].port for n in self.alive}
@@ -805,6 +815,14 @@ class WorkerPool:
             return False
         self.epoch += 1  # cancel in-flight work: stale results discarded
         self.alive = self.alive - {node}
+        for survivor in self.alive:
+            # put the new epoch on every survivor's wire now: its intake
+            # hears it while the executor is still busy and the queued
+            # commands of the cancelled epoch are skipped, not run —
+            # also on a node recovery has no task for yet
+            link = self._links[survivor]
+            with link.lock:
+                self._send_ports(link)
         self.progress.forget(node)
         self.progress.clear_outstanding()  # epoch bump cancelled the rest
         self._suspected = self._suspected - {node}
@@ -911,6 +929,8 @@ class ChainRun:
         self.spec_wins = 0
         self.spec_wasted_bytes = 0
         self.pre_replications = 0
+        #: ``*-done`` task events of this chain from a cancelled epoch
+        self.cancelled_commits = 0
         #: task key -> losing node of a resolved speculative race; its
         #: late duplicate event is swallowed and its output swept
         self._spec_losers: dict[tuple, int] = {}
@@ -1041,7 +1061,8 @@ class ChainRun:
                              "wasted_bytes": self.spec_wasted_bytes,
                              "pre_replicated": self.pre_replications,
                              "throttled": dict(self.pool.throttled),
-                         })
+                         },
+                         cancelled_commits=self.cancelled_commits)
 
     def _handle_death(self, node: int) -> None:
         self.pool.on_death(node)  # no-op if another chain got there first
@@ -1637,10 +1658,16 @@ class ChainRun:
         it is the losing attempt of a resolved speculative race, account
         its wasted work and sweep its orphan output from the loser's
         disk (the drop paths, stamped with the current epoch); anything
-        else is cancelled work and moot."""
+        else is cancelled work and moot — a task that still *committed*
+        under a cancelled epoch is counted, a ``"cancelled"`` failure
+        (skipped or aborted on the worker) wrote nothing."""
         if evt.chain != self.chain_id:
             return
         key, node = evt.key, evt.node
+        if evt.kind in TASK_DONE and evt.epoch < self.pool.epoch:
+            self.cancelled_commits += 1
+            self.tracer.instant("cascade", "cancelled-commit", node=node,
+                                key=[str(k) for k in key])
         if evt.kind == "piece-dropped":
             _, _, job, partition, split, n_splits = key
             self.tracer.instant("cascade", "speculation-swept", node=node,

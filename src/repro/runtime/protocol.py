@@ -52,7 +52,11 @@ class Event(NamedTuple):
 
     ``kind`` is ``"ready"``, ``"hb"``, a :data:`DONE` value,
     ``"task-failed"`` (a shuffle fetch source is unreachable — retry or
-    await the death declaration) or ``"task-error"`` (a software bug —
+    await the death declaration; or, with result ``"cancelled"``, a
+    :data:`TASK_OPS` command the worker skipped or aborted before its
+    commit because a newer epoch was on its wire — it wrote nothing, and
+    its epoch is by construction not the current one, so it only ever
+    settles a speculative race) or ``"task-error"`` (a software bug —
     the chain aborts with the traceback)."""
 
     kind: str
@@ -70,7 +74,7 @@ class Event(NamedTuple):
     #: ``ready``: shuffle port; ``map-done``: per-partition record
     #: counts; ``reduce-done``: record count; ``piece-dropped`` /
     #: ``job-dropped`` / ``reclaimed``: bytes freed; ``task-failed``:
-    #: the fetch error; ``task-error``: the traceback
+    #: the fetch error or ``"cancelled"``; ``task-error``: the traceback
     result: Any = None
 
 

@@ -418,14 +418,19 @@ class NodeStore:
     # -- writes ---------------------------------------------------------
     @staticmethod
     def _write_atomic(path: Path, *chunks: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         # the tmp name carries pid + thread id: a multi-slot worker may
         # execute a re-dispatched duplicate of a task concurrently with
         # the original attempt, and two writers sharing one tmp path
         # could interleave into a torn rename
-        tmp = path.with_suffix(
-            path.suffix + f".{os.getpid()}-{threading.get_ident()}.tmp")
-        with open(tmp, "wb") as fh:
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            fh = open(tmp, "wb")
+        except FileNotFoundError:
+            # first write into the directory, or a sweep / ``drop_job``
+            # removed it since: "exists" is never cached
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(tmp, "wb")
+        with fh:
             fh.writelines(chunks)
             fh.flush()
             # the disk tier is the durability story recovery depends on:

@@ -1,13 +1,19 @@
 """The worker process: executes tasks against its node-local store.
 
-One worker per simulated node.  The main loop receives commands over the
-command pipe; with ``task_slots == 1`` (the default) it executes them
-serially — exactly one task at a time, the classic single-slot node —
-and with ``task_slots > 1`` it feeds a small pool of slot threads so one
-worker process keeps several tasks in flight (the paper's surviving
-parallelism, exploited *within* a node).  A task keeps its data as
-columns — ``keys: uint64[n]`` plus an ``n x L`` value matrix — from the
-moment a block's or a shuffle response's bytes are decoded
+One worker per simulated node.  A small **command intake** thread does
+nothing but read the command pipe: it notes the newest dispatch epoch it
+has seen on the wire and hands the commands, in arrival order, to the
+main thread through a queue.  The main thread is the executor: with
+``task_slots == 1`` (the default) it runs the commands serially —
+exactly one task at a time, the classic single-slot node — and with
+``task_slots > 1`` it feeds a small pool of slot threads so one worker
+process keeps several tasks in flight (the paper's surviving
+parallelism, exploited *within* a node).  Single-slot execution stays on
+the main thread on purpose: on a slot thread the numpy buffers land in a
+second malloc arena (+1.8 MB peak RSS per worker, measured), while the
+intake allocates nothing but unpickled command dicts.  A task keeps its
+data as columns — ``keys: uint64[n]`` plus an ``n x L`` value matrix —
+from the moment a block's or a shuffle response's bytes are decoded
 (:func:`~repro.runtime.storage.decode_columns`) to the moment the output
 frames are written: map and reduce are the batch UDFs of
 :mod:`repro.localexec.records`, defined as byte-for-byte what the
@@ -26,11 +32,19 @@ one stable sort of the key column.  When a fetch fails because the
 source died, the worker reports ``task-failed`` and returns to its loop;
 the coordinator's heartbeat expiry declares the death and re-plans.
 
-Epoch hygiene: the coordinator bumps the dispatch epoch on every death
-and discards stale results, so the worker skips queued commands from a
-cancelled epoch outright, and — before running the first command of a
-new epoch — drains the slot pool, so recovery work never interleaves
-with a cancelled epoch's stragglers on the same disk.
+Epoch hygiene: the coordinator bumps the dispatch epoch on every death,
+puts the new epoch on every survivor's wire at once and discards stale
+results.  Because the intake hears the bump while the executor is still
+busy, one rule cancels in both slot modes: a command older than the
+newest epoch on the wire is skipped when it is picked up — the whole
+queued share of a cancelled map phase falls through in microseconds —
+and the task *in flight* re-checks once right before its store write and
+does not commit (no fsync'd file, no shm publish, no ``*-done`` event).
+A skipped or aborted task answers ``task-failed`` / ``"cancelled"`` so a
+speculative race waiting on it settles; drops and reclaims of a
+cancelled epoch stay silent.  Before running the first command of a new
+epoch the command loop drains the slot pool, so recovery work never
+interleaves with a cancelled epoch's stragglers on the same disk.
 """
 
 from __future__ import annotations
@@ -89,18 +103,37 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
     evt.send(protocol.ready(node, server.port, os.getpid()))
     worker = _Worker(node, store, evt, seed, records_per_node, value_size,
                      opts, throttle=throttle, server_port=server.port)
+    commands: queue.SimpleQueue = queue.SimpleQueue()
+    threading.Thread(target=_intake, args=(cmd_conn, worker, commands),
+                     name="intake", daemon=True).start()
     try:
         while True:
-            try:
-                cmd = cmd_conn.recv()
-            except transport.CHANNEL_DOWN:
-                break  # coordinator is gone
+            cmd = commands.get()
             if cmd["op"] == "stop":
                 break
             worker.dispatch(cmd)
     finally:
         server.close()
         worker.close()
+
+
+def _intake(cmd_conn, worker: "_Worker", commands) -> None:
+    """The command intake thread: read the pipe, note the newest epoch on
+    the wire, hand every command over in arrival order.  A closed pipe
+    (the coordinator is gone) ends the worker like a ``stop``."""
+    while True:
+        try:
+            cmd = cmd_conn.recv()
+        except transport.CHANNEL_DOWN:
+            cmd = {"op": "stop"}
+        worker.hear(cmd.get("epoch"))
+        commands.put(cmd)
+        if cmd["op"] == "stop":
+            return
+
+
+class _Cancelled(Exception):
+    """A newer epoch is on the wire: the command's result is moot."""
 
 
 class _SlotPool:
@@ -177,7 +210,8 @@ class _Worker:
         slots = max(1, int(opts["task_slots"]))
         self._slots = _SlotPool(slots, self.execute) if slots > 1 else None
         self._ports: dict[int, int] = {}
-        self._latest_epoch = -1
+        self._latest_epoch = -1  # newest epoch the command loop reached
+        self._wire_epoch = -1    # newest epoch the intake saw: >= the above
         #: chain -> this node's memoized chain input columns
         self._inputs: dict = {}
         self._inputs_lock = threading.Lock()
@@ -190,6 +224,20 @@ class _Worker:
             self._shm.close()
 
     # -- command routing -------------------------------------------------
+    def hear(self, epoch: Optional[int]) -> None:
+        """Note an epoch seen on the wire.  The intake thread calls this
+        ahead of the command loop; the value only grows, so the loop's
+        own call in :meth:`dispatch` is a no-op behind it."""
+        if epoch is not None and epoch > self._wire_epoch:
+            self._wire_epoch = epoch
+
+    def _check_epoch(self, cmd: dict) -> None:
+        """The one stale rule: a command older than the newest epoch on
+        the wire is cancelled — when it is picked up, and once more right
+        before its store write."""
+        if cmd.get("epoch", self._wire_epoch) < self._wire_epoch:
+            raise _Cancelled
+
     def dispatch(self, cmd: dict) -> None:
         """Route one command from the pipe (main loop thread only)."""
         epoch = cmd.get("epoch")
@@ -198,6 +246,7 @@ class _Worker:
             # epoch's in-flight tasks before anything newer touches the
             # store (queued stale commands fast-skip on the epoch check)
             self._latest_epoch = epoch
+            self.hear(epoch)
             if self._slots is not None:
                 self._slots.drain()
         if cmd["op"] == "ports":
@@ -255,9 +304,8 @@ class _Worker:
     def execute(self, cmd: dict) -> None:
         op = cmd.get("op")
         chain = cmd.get("chain")
-        if cmd.get("epoch", self._latest_epoch) < self._latest_epoch:
-            return  # cancelled epoch: the coordinator discards the result
         try:
+            self._check_epoch(cmd)
             store = self._store(chain)
             if op == "map":
                 self._map(cmd, chain, store)
@@ -297,6 +345,14 @@ class _Worker:
                                                        piece_jobs))
             else:
                 raise ValueError(f"unknown op {op!r}")
+        except _Cancelled:
+            # skipped in the queue or aborted before its commit: nothing
+            # was written.  A task still answers, so a speculative race
+            # waiting on this attempt settles; drops and reclaims of a
+            # cancelled epoch stay silent
+            if op in protocol.TASK_OPS:
+                self.evt.send(protocol.reply("task-failed", self.node, cmd,
+                                             self.pid, "cancelled"))
         except transport.FetchError as exc:
             self.evt.send(protocol.reply("task-failed", self.node, cmd,
                                          self.pid, str(exc)))
@@ -445,9 +501,10 @@ class _Worker:
         job, task_id = cmd["job"], cmd["task"]
         keys, values, fetched, local = self._block_columns(
             cmd, chain, store, self._ports)
-        counts = store.write_map_slices(
-            job, task_id, cmd["origin"], partition_columns(
-                *map_batch(keys, values, job), cmd["n_partitions"]))
+        slices = partition_columns(*map_batch(keys, values, job),
+                                   cmd["n_partitions"])
+        self._check_epoch(cmd)
+        counts = store.write_map_slices(job, task_id, cmd["origin"], slices)
         if self._shm is not None:
             for partition in counts:
                 self._publish(
@@ -504,6 +561,7 @@ class _Worker:
                 for task_id in by_node[self.node]), split_index, n_splits))
         data = b"".join(landed)
         keys, values = reduce_batch(*decode_columns(data))
+        self._check_epoch(cmd)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 encode_columns(keys, values))
         if self._shm is not None:
@@ -541,6 +599,7 @@ class _Worker:
                 self._ports[source], job, partition, split_index,
                 n_splits, chain=piece_chain)
             fetched = len(data)
+        self._check_epoch(cmd)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 data)
         # the replica copy is itself attachable: after a promotion this

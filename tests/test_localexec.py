@@ -228,6 +228,32 @@ def test_md5_text_is_hashlib_on_decimal_edges(prefix):
                         for number in numbers.tolist())
 
 
+def assert_md5_text_is_hashlib(head, column):
+    assert digest_rows(md5_text(head, column)) == \
+        hashlib_digests(head + b"%d" % number for number in column.tolist())
+
+
+def test_md5_text_is_hashlib_at_the_formatter_chunk_boundaries():
+    """The decimal formatter splits a number at 10^16 and 10^8 into
+    ``uint32`` chunks: both sides of each cut, alone and mixed with every
+    digit count 1..20 in one column (so every left-justify group runs)."""
+    cuts = [10**8 - 1, 10**8, 10**8 + 1, 10**16 - 1, 10**16, 10**16 + 1,
+            2**32, 99_999_999_99_999_999, 2**64 - 1]
+    lengths = [int("18446744073709551615"[:k]) for k in range(1, 21)]
+    assert sorted(len(str(x)) for x in lengths) == list(range(1, 21))
+    for numbers in (cuts, lengths, cuts + lengths):
+        assert_md5_text_is_hashlib(b"7:", np.array(numbers, np.uint64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 1000, _CHUNK + 5])
+@pytest.mark.parametrize("start", [0, 27_000, 10**8 - 3, 10**16 - 3])
+def test_md5_text_is_hashlib_on_arange_input(start, n):
+    """What ``generate_batch`` sends: consecutive row numbers, whose text
+    grows a digit mid-column; ``n = 0`` digests nothing."""
+    assert_md5_text_is_hashlib(
+        b"11003:", np.arange(start, start + n, dtype=np.uint64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(numbers=st.lists(st.one_of(st.integers(0, 2**64 - 1),
                                   st.sampled_from(EDGE_NUMBERS)),

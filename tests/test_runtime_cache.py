@@ -95,7 +95,7 @@ def test_udf_identity_is_stable():
 @pytest.mark.parametrize("name", ["generate_batch", "map_batch",
                                   "reduce_batch", "map_udf", "_digests",
                                   "md5.md5_rows", "md5.md5_text",
-                                  "md5._compress"])
+                                  "md5._decimal", "md5._compress"])
 def test_fingerprints_follow_the_udfs_that_run(monkeypatch, name):
     """The workers execute the batch UDFs, so an edit to one of them —
     like an edit to its per-record definition, or to the digest helper

@@ -801,6 +801,48 @@ def test_four_nodes_beat_one_node_wall_clock(tmp_path):
     assert t4 < t1, f"4-node {t4:.2f}s vs 1-node {t1:.2f}s"
 
 
+#: the benchmark spine's chain shape at 40% of its records: ten map
+#: tasks a node and job, blocks large enough for the batch MD5 kernel
+WIDE = LocalJobConfig(n_jobs=3, n_partitions=8, records_per_node=12_000,
+                      records_per_block=1_200, value_size=64,
+                      split_ratio=None, seed=0)
+
+
+def survivor_tmp_files(root, survivors):
+    """``*.tmp`` files under the surviving nodes' directories (a node
+    SIGKILLed mid-write may rightly leave one in its own).  ``os.walk``
+    rather than ``rglob``: a service's close-time sweep may be deleting
+    directories underneath."""
+    return [name for node in survivors
+            for _, _, names in os.walk(NodeStore(root, node).dir)
+            for name in names if name.endswith(".tmp")]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("task_slots", [1, 2])
+@pytest.mark.parametrize("strategy", ["rcmp", "repl2"])
+def test_death_cancels_the_queued_map_phase(tmp_path, strategy, task_slots):
+    """A death at the start of job 3 finds ~10 of its map tasks queued on
+    every survivor.  The epoch bump reaches a worker's intake while its
+    executor is busy, so the queue is skipped, not run: per slot only the
+    task already past its pre-commit check, a completion already on the
+    wire and whatever finishes in the ~1 ms before the first recovery
+    command is sent commit under the cancelled epoch (one slot used to
+    commit all ~30), an aborted task leaves no tmp file, and the output
+    is the reference's."""
+    tracer = RecordingTracer()
+    report = run_process_chain(
+        tmp_path, chain=WIDE, strategy=strategy, task_slots=task_slots,
+        tracer=tracer, fault_model=FaultModel.parse("kill@job3+0:node=1"))
+    assert report.checksum == reference_checksum(WIDE)
+    assert [node for _, node in report.deaths] == [1]
+    survivors = (0, 2, 3)
+    assert report.cancelled_commits <= 3 * len(survivors) * task_slots
+    assert len(instants(tracer, "cancelled-commit")) == \
+        report.cancelled_commits
+    assert survivor_tmp_files(tmp_path / "cluster", survivors) == []
+
+
 @pytest.mark.slow
 def test_workers_survive_many_sequential_chains(tmp_path):
     """Back-to-back chains in fresh coordinators do not leak processes."""

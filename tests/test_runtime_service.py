@@ -40,6 +40,7 @@ from repro.runtime.service import (
     request,
 )
 from repro.runtime.storage import NodeStore, chain_checksum
+from tests.test_runtime_process import survivor_tmp_files
 
 TINY = LocalJobConfig(n_jobs=1, n_partitions=2, records_per_node=8,
                       records_per_block=8, seed=0)
@@ -406,6 +407,37 @@ def test_kill_cascades_only_chains_with_pieces_on_dead_node(tmp_path):
         assert kinds_b == ["run"] * chain_b.n_jobs  # uninterrupted
         assert job_a.report.checksum == reference_checksum(chain_a)
         assert job_b.report.checksum == reference_checksum(chain_b)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("task_slots", [1, 2])
+def test_one_death_cancels_both_chains_queued_phases(tmp_path, task_slots):
+    """Two wide chains share the workers' queues when a node dies: the
+    one epoch bump cancels both chains' phases, each worker skips what
+    it had queued for *either* chain, and between them the chains see no
+    more cancelled-epoch commits than the slots could have had in flight
+    — with both outputs byte-exact and no tmp file left by an aborted
+    task."""
+    chains = [LocalJobConfig(n_jobs=3, n_partitions=4,
+                             records_per_node=6_000, records_per_block=600,
+                             seed=seed) for seed in (21, 22)]
+    config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=task_slots)
+    with ChainService(config, tmp_path / "svc",
+                      max_concurrent=2) as service:
+        jobs = [service.submit(chain=chain) for chain in chains]
+        _wait_for(lambda: all(job.run is not None
+                              and job.run.completed_jobs >= 1
+                              for job in jobs))
+        service.pool.kill_node(3)
+        for job in jobs:
+            service.wait(job.id, timeout=120)
+            assert job.state == DONE, job.error
+        for job, chain in zip(jobs, chains):
+            assert job.report.checksum == reference_checksum(chain)
+            assert [node for _, node in job.report.deaths] == [3]
+        assert sum(job.report.cancelled_commits for job in jobs) <= \
+            3 * 3 * task_slots
+        assert survivor_tmp_files(tmp_path / "svc", (0, 1, 2)) == []
 
 
 @pytest.mark.slow

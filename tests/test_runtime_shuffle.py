@@ -12,8 +12,12 @@ reproduce the in-process reference byte-for-byte under kills, and
 server-side filtering must actually shrink the recompute shuffle.
 """
 
+import contextlib
 import multiprocessing
+import os
 import socket
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -21,7 +25,8 @@ import pytest
 
 from repro.localexec.records import generate_records, split_of
 from repro.obs import RecordingTracer
-from repro.runtime import protocol
+from repro.runtime import protocol, shm
+from repro.runtime import worker as worker_mod
 from repro.runtime.coordinator import Coordinator, RuntimeConfig, _Link
 from repro.runtime.storage import (
     NodeStore,
@@ -334,6 +339,10 @@ def test_stale_event_is_discarded(tmp_path, kind, reason):
     assert run.registry.replicas == \
         ({(1, 0, 0, 1): {0, 5}} if op == "replicate" else {})
     assert freed == ([128] if op in ("drop-job", "reclaim") else [])
+    # only a *task* completion from an older epoch of this chain is a
+    # commit the cancellation came too late for
+    assert run.cancelled_commits == \
+        (reason == "epoch" and kind in protocol.TASK_DONE)
     sent = _drain_commands(cmd_recv)
     assert [c["op"] for c in sent] == ["ports", op]  # nothing re-sent
     assert (sent[1]["key"], sent[1]["epoch"], sent[1]["chain"]) == \
@@ -375,6 +384,34 @@ def test_speculative_loser_is_swept_exactly_once(tmp_path, path):
                if e["name"] == "speculation-swept"]
     assert swept["args"] == {"node": 0, "job": 1, "partition": 0,
                              "split": 0, "n_splits": 1, "freed": 64}
+
+
+def test_cancelled_loser_settles_without_a_sweep(tmp_path):
+    """The losing attempt of a resolved race was skipped in its worker's
+    queue by an epoch bump: its ``cancelled`` failure settles the race
+    entry (nothing was written, nothing is swept or counted), so the
+    end-of-chain drain returns at once instead of at its deadline."""
+    tracer = RecordingTracer()
+    coord, cmd_recv, evt_send = _fake_linked_coordinator(tmp_path,
+                                                         tracer=tracer)
+    run = coord.chain_run
+    coord.pool.epoch = 1
+    run._spec_losers = {MAP_KEY: 0, REDUCE_KEY: 0}
+    evt_send.send(_event("task-failed", MAP_KEY, result="cancelled"))
+    evt_send.send(_event("reduce-done", REDUCE_KEY, fetched=7, result=5))
+    t0 = time.monotonic()
+    run._drain_spec_losers(deadline=5.0)
+    assert time.monotonic() - t0 < 2.0
+    assert run._spec_losers == {}
+    # the reducer did commit under the cancelled epoch: counted, traced,
+    # accounted as the race's wasted work and swept
+    assert run.cancelled_commits == 1 and run.spec_wasted_bytes == 7
+    [cancelled] = [e for e in tracer.events
+                   if e["name"] == "cancelled-commit"]
+    assert cancelled["args"] == {"node": 0,
+                                 "key": [str(k) for k in REDUCE_KEY]}
+    assert [c["op"] for c in _drain_commands(cmd_recv)] == \
+        ["ports", "drop-piece"]
 
 
 def test_every_event_kind_survives_a_real_pipe():
@@ -526,6 +563,156 @@ def test_worker_ignores_stale_epoch_commands(tmp_path):
         assert [m[0] for m in worker.evt.sent] == ["job-dropped"]
     finally:
         worker.close()
+
+
+def _events_until(evt_recv, n, timeout=10.0):
+    """The next ``n`` non-heartbeat events off a worker's event pipe."""
+    events, t_end = [], time.monotonic() + timeout
+    while len(events) < n:
+        assert evt_recv.poll(max(0.0, t_end - time.monotonic())), events
+        event = evt_recv.recv()
+        if event.kind != "hb":
+            events.append(event)
+    return events
+
+
+@contextlib.contextmanager
+def _piped_worker(tmp_path, **options):
+    """``worker_main`` for node 0 on a thread of this process, wired to
+    real pipes and ready; yields ``(thread, command send end, event
+    receive end)``.  Leaving closes the command pipe, which ends it."""
+    cmd_recv, cmd_send = multiprocessing.Pipe(duplex=False)
+    evt_recv, evt_send = multiprocessing.Pipe(duplex=False)
+    main = threading.Thread(
+        target=worker_mod.worker_main, daemon=True,
+        args=(0, str(tmp_path), cmd_recv, evt_send, 60.0, 0, 64, 16,
+              options))
+    main.start()
+    try:
+        assert _events_until(evt_recv, 1)[0].kind == "ready"
+        yield main, cmd_send, evt_recv
+    finally:
+        cmd_send.close()
+        main.join(10.0)
+    assert not main.is_alive()
+
+
+def _send_epoch(cmd_send, epoch, tasks):
+    """One epoch's traffic: its ``ports``, then a job-1 map per task."""
+    cmd_send.send({"op": "ports", "epoch": epoch, "ports": {}})
+    for task in tasks:
+        cmd_send.send({"op": "map", "job": 1, "task": task, "origin": None,
+                       "n_partitions": 2,
+                       "source": ("input", 0, task * 8, 8),
+                       "key": ("map", 1, task), "epoch": epoch,
+                       "chain": None})
+
+
+@pytest.mark.parametrize("held_in", ["compute", "commit"])
+def test_epoch_bump_cancels_the_queue_through_a_real_pipe(
+        tmp_path, monkeypatch, held_in):
+    """What a death looks like on the wire: N map commands of epoch E sit
+    in the pipe behind a running one, then ``ports`` of E+1 and a command
+    of E+1 arrive.  The intake hears E+1 while the first task still runs,
+    so the queued ones answer ``cancelled`` without running; the one in
+    flight aborts if it has not reached its store write (no file, no tmp,
+    no shm segment, no ``map-done``) and commits if it already has; the
+    E+1 command runs.  (One slot: before the intake, all N ran first.)"""
+    n, epoch, run = 5, 3, f"pipetest{os.getpid()}{held_in}"
+    entered, release, heard = (threading.Event() for _ in range(3))
+
+    def hold_first(real):
+        def held(*args):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0)
+            return real(*args)
+        return held
+
+    if held_in == "compute":
+        monkeypatch.setattr(worker_mod, "map_batch",
+                            hold_first(worker_mod.map_batch))
+    else:
+        monkeypatch.setattr(NodeStore, "write_map_slices",
+                            hold_first(NodeStore.write_map_slices))
+    real_hear = _Worker.hear
+
+    def hear(self, seen):
+        real_hear(self, seen)
+        if seen == epoch + 1:
+            heard.set()
+
+    monkeypatch.setattr(_Worker, "hear", hear)
+
+    def published(task):
+        return [p for p in (0, 1) if shm.attach(shm.segment_name(
+            run, 0, ("map", None, 1, task, p))) is not None]
+
+    committed = [0] if held_in == "commit" else []
+    try:
+        with _piped_worker(tmp_path, shared_memory=True,
+                           shm_run=run) as (_, cmd_send, evt_recv):
+            _send_epoch(cmd_send, epoch, range(n))
+            assert entered.wait(10.0)  # task 0 in flight, 1..n-1 queued
+            _send_epoch(cmd_send, epoch + 1, [n])
+            assert heard.wait(10.0)
+            release.set()
+            events = _events_until(evt_recv, n + 1)
+            if shm.HAVE_SHM:  # checked live: a stopping worker unlinks
+                assert [t for t in range(n + 1) if published(t)] == \
+                    committed + [n]
+    finally:
+        release.set()
+        shm.sweep_prefix(shm.run_prefix(run))
+    assert [(e.key[2], e.epoch) for e in events
+            if e.kind == "map-done"] == \
+        [(t, epoch) for t in committed] + [(n, epoch + 1)]
+    assert [(e.key[2], e.epoch, e.result) for e in events
+            if e.kind == "task-failed"] == \
+        [(t, epoch, "cancelled") for t in range(n) if t not in committed]
+    store = NodeStore(tmp_path, 0)
+    files = sorted(p.name for p in store.root.rglob("*") if p.is_file())
+    assert files == [store.map_path(1, t).name for t in committed + [n]]
+
+
+def test_epoch_stream_answers_every_task_once_and_in_epoch_order(tmp_path):
+    """Stress on the state the intake shares with the slot threads: six
+    epochs of map commands streamed through a real pipe into a 3-slot
+    worker, thread switches forced every 10 us.  Every task is answered
+    exactly once (committed or ``cancelled``), nothing of an older epoch
+    commits after a newer epoch's first completion (the drain), and the
+    last epoch — never superseded — commits in full."""
+    epochs, per_epoch = 6, 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _piped_worker(tmp_path, task_slots=3) as (_, cmd_send,
+                                                       evt_recv):
+            for epoch in range(epochs):
+                _send_epoch(cmd_send, epoch, range(per_epoch))
+            events = _events_until(evt_recv, epochs * per_epoch,
+                                   timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted((e.epoch, e.key[2]) for e in events) == \
+        [(epoch, task) for epoch in range(epochs)
+         for task in range(per_epoch)]
+    assert all(e.kind == "map-done" or (e.kind, e.result) ==
+               ("task-failed", "cancelled") for e in events)
+    done = [e.epoch for e in events if e.kind == "map-done"]
+    assert done == sorted(done)
+    assert done.count(epochs - 1) == per_epoch
+
+
+def test_stop_and_a_closed_command_pipe_both_end_the_worker(tmp_path):
+    """``stop`` ends the loop; the coordinator vanishing reads the same:
+    the intake turns the closed pipe into the command that ends it."""
+    with _piped_worker(tmp_path / "a") as (main, cmd_send, _):
+        cmd_send.send({"op": "stop"})
+        main.join(10.0)
+        assert not main.is_alive()
+    with _piped_worker(tmp_path / "b"):
+        pass  # leaving closes the pipe and asserts the thread ended
 
 
 def test_keyless_command_is_still_answered(tmp_path):

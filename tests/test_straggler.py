@@ -25,7 +25,12 @@ from repro.faults import FaultInjector, FaultModel
 from repro.faults.detector import ProgressRateTracker
 from repro.localexec import LocalJobConfig
 from repro.obs import RecordingTracer
-from repro.runtime.coordinator import Coordinator, RunReport, RuntimeConfig
+from repro.runtime.coordinator import (
+    ChainRun,
+    Coordinator,
+    RunReport,
+    RuntimeConfig,
+)
 from repro.runtime.faults import LiveFaultPlan
 from repro.runtime.recovery import pre_replication_targets
 from repro.runtime.service import DONE, ChainService
@@ -353,6 +358,15 @@ def test_run_report_carries_speculation():
     assert "speculation" not in RunReport(checksum="abc").render()
 
 
+def test_run_report_carries_cancelled_commits():
+    report = RunReport(checksum="abc", cancelled_commits=3)
+    assert report.to_dict()["cancelled_commits"] == 3
+    assert report.render().splitlines()[-1] == "cancelled_commits: 3"
+    clean = RunReport(checksum="abc")
+    assert clean.to_dict()["cancelled_commits"] == 0
+    assert "cancelled_commits" not in clean.render()
+
+
 # --------------------------------------------------------------- e2e
 @pytest.mark.slow
 def test_slow_is_never_dead_under_tight_heartbeats(tmp_path):
@@ -429,6 +443,45 @@ def test_straggler_whose_node_dies_mid_attempt(tmp_path):
         fault_model=FaultModel.parse("slow@1:10; kill@job3+0:node=1"))
     assert report.checksum == reference_checksum(chain, 4)
     assert [node for _, node in report.deaths] == [1]
+
+
+@pytest.mark.slow
+def test_cancelled_loser_originals_do_not_stall_the_chain_end(
+        tmp_path, monkeypatch):
+    """Backups win races against originals still *queued* on the slow
+    node; a death elsewhere then bumps the epoch and the slow node skips
+    those originals.  A skipped task answers ``cancelled``, so the race
+    entry settles — the end-of-chain drain used to sit out its whole 2 s
+    deadline waiting for events that never came."""
+    chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=96,
+                           records_per_block=16, split_ratio=2, seed=0)
+    drains = []
+    real_drain = ChainRun._drain_spec_losers
+
+    def timed_drain(self, deadline=2.0):
+        t0 = time.monotonic()
+        real_drain(self, deadline)
+        drains.append((time.monotonic() - t0, deadline))
+
+    monkeypatch.setattr(ChainRun, "_drain_spec_losers", timed_drain)
+    tracer = RecordingTracer()
+    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
+                           speculation=True, speculation_min_age=0.02)
+    with Coordinator(config, tmp_path / "cluster", tracer=tracer,
+                     fault_model=FaultModel.parse(
+                         "slow@1:20; kill@job2+0:node=2")) as coord:
+        report = coord.run_chain()
+        assert coord.chain_run._spec_losers == {}  # every race settled
+    assert report.checksum == reference_checksum(chain, 4)
+    assert [node for _, node in report.deaths] == [2]
+    slow_losses = [ev for ev in instants(tracer, "speculative-result")
+                   if ev["args"]["loser"] == 1]
+    late_commits = [ev for ev in instants(tracer, "speculation-loser")
+                    if ev["args"]["node"] == 1]
+    # some of the slow node's lost races never committed: they were
+    # cancelled in its queue, and still answered
+    assert len(slow_losses) > len(late_commits)
+    assert all(took < deadline / 2 for took, deadline in drains), drains
 
 
 @pytest.mark.slow
