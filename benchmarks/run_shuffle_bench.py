@@ -12,9 +12,6 @@ the failure-free in-process reference.  ``--suite`` selects one
   with the on-disk slices of the partitions they regenerated.  Each
   split reducer must receive only its share of the partition: about
   ``1/k`` of the ``k x`` partition bytes an unfiltered shuffle ships.
-* **pipeline**: the same failure-free chain with 1 task slot and 1
-  fetch at a time versus 4 slots and 4-way parallel fetch; wall-clock
-  is the metric.
 
 **memplane** (``benchmarks/BENCH_memplane.json``) — the memory-tier
 data plane:
@@ -66,7 +63,7 @@ from repro.runtime import Coordinator, RuntimeConfig
 from repro.runtime.storage import NodeStore
 from repro.workloads import cube_dependencies, shape_dependencies
 
-#: wall-clock slack for the pipelined-vs-serial comparison: on a
+#: wall-clock slack for the memory-tier on-vs-off comparison: on a
 #: single-core host the slot threads only overlap I/O, so the win is
 #: smaller and noisier (same convention as the 4-vs-1-node test)
 WALL_MARGIN = 1.25 if (os.cpu_count() or 1) < 2 else 1.05
@@ -145,33 +142,6 @@ def split_filter(chain: LocalJobConfig, expected: str) -> dict:
         "wall_s": round(wall, 3),
         "bytes_ratio": round(pulled / max(1, k * stored[0]), 4),
     }
-
-
-def pipeline_ab(chain: LocalJobConfig, expected: str, repeat: int,
-                faults: str = "") -> dict:
-    """Serial vs pipelined data plane on the same chain, best-of-N.
-    ``faults`` adds a kill so the comparison covers the recovery hot
-    path (split recomputation) as well as the failure-free chain."""
-    planes = {
-        "serial": dict(task_slots=1, fetch_parallelism=1),
-        "pipelined": dict(task_slots=4, fetch_parallelism=4),
-    }
-    result = {}
-    for label, knobs in planes.items():
-        walls = []
-        for _ in range(repeat):
-            report, _outer = run_chain(chain, expected, faults=faults,
-                                       **knobs)
-            walls.append(report.wall_time)
-        result[label] = {
-            "wall_s": round(min(walls), 3),
-            "walls_s": [round(w, 3) for w in walls],
-            "total_shuffle_bytes": report.total_shuffle_bytes,
-            "knobs": knobs,
-        }
-    result["speedup"] = round(result["serial"]["wall_s"]
-                              / result["pipelined"]["wall_s"], 3)
-    return result
 
 
 #: tier label -> memory budget handed to the runtime; "tiny" is small
@@ -290,7 +260,7 @@ def tier_matrix(records: int, value_size: int, check: bool) -> dict:
 
 
 def shuffle_suite(args, chain: LocalJobConfig, expected: str,
-                  repeat: int, failures: list) -> None:
+                  failures: list) -> None:
     split = split_filter(chain, expected)
     k = split["split_ratio"]
     print(f"split-filter: recompute reduces pulled "
@@ -298,16 +268,6 @@ def shuffle_suite(args, chain: LocalJobConfig, expected: str,
           f"{split['partition_bytes_on_disk']}B on disk "
           f"(ratio {split['bytes_ratio']}, target <= "
           f"{round((1 + SPLIT_EPS) / k, 3)})")
-
-    pipe = pipeline_ab(chain, expected, repeat)
-    print(f"pipeline (clean): serial {pipe['serial']['wall_s']}s vs "
-          f"pipelined {pipe['pipelined']['wall_s']}s "
-          f"(speedup {pipe['speedup']}x, margin {WALL_MARGIN})")
-    pipe_kill = pipeline_ab(chain, expected, repeat,
-                            faults="kill@job2+0:node=1")
-    print(f"pipeline (kill):  serial {pipe_kill['serial']['wall_s']}s vs "
-          f"pipelined {pipe_kill['pipelined']['wall_s']}s "
-          f"(speedup {pipe_kill['speedup']}x)")
 
     payload = {
         "chain": {"jobs": args.jobs, "partitions": args.partitions,
@@ -317,8 +277,6 @@ def shuffle_suite(args, chain: LocalJobConfig, expected: str,
         "check_mode": args.check,
         "cpu_count": os.cpu_count(),
         "split_filter": split,
-        "pipeline": pipe,
-        "pipeline_with_kill": pipe_kill,
     }
     write_payload(payload, "BENCH_shuffle.json", args.out)
 
@@ -326,12 +284,6 @@ def shuffle_suite(args, chain: LocalJobConfig, expected: str,
         failures.append(
             f"split reducers pulled {split['bytes_ratio']} of the "
             f"k x partition bytes (allowed {(1 + SPLIT_EPS) / k:.3f})")
-    best_speedup = max(pipe["speedup"], pipe_kill["speedup"])
-    if args.check and best_speedup * WALL_MARGIN < 1.0:
-        failures.append(
-            f"pipelined plane too slow: best speedup {best_speedup}x "
-            f"(clean {pipe['speedup']}x, kill {pipe_kill['speedup']}x, "
-            f"margin {WALL_MARGIN})")
 
 
 def memplane_suite(args, chain: LocalJobConfig, expected: str,
@@ -429,7 +381,7 @@ def main() -> int:
 
     failures: list[str] = []
     if args.suite in ("shuffle", "all"):
-        shuffle_suite(args, chain, expected, repeat, failures)
+        shuffle_suite(args, chain, expected, failures)
     if args.suite in ("memplane", "all"):
         memplane_suite(args, chain, expected, repeat, failures)
     return finish(failures)

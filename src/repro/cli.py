@@ -201,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                         'N > 1 runs tasks on a slot thread pool, "auto" '
                         "splits the host's cores across the workers "
                         "(process backend)")
-    p.add_argument("--fetch-parallelism", type=int, default=4,
-                   metavar="N",
-                   help="concurrent shuffle fetches per reduce/replicate "
-                        "task — source nodes are fetched in parallel and "
-                        "merged as responses land (process backend)")
     p.add_argument("--memory-budget", type=int, default=64,
                    metavar="MiB",
                    help="hot-tier bytes each worker pins in RAM: "
@@ -213,10 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "served from memory and spill to their on-disk "
                         "files (the durability tier) above the budget; "
                         "0 disables the tier (default 64)")
-    p.add_argument("--shared-memory", action="store_true",
-                   help="publish committed outputs as shared-memory "
-                        "segments so colocated workers attach instead "
-                        "of fetching over loopback TCP (experimental)")
     p.add_argument("--heartbeat-interval", type=float, default=0.05,
                    help="worker heartbeat period, wall-clock seconds "
                         "(process backend)")
@@ -273,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="MiB",
                    help="per-worker hot-tier byte budget in MiB "
                         "(0 disables the memory tier; default 64)")
-    p.add_argument("--shared-memory", action="store_true",
-                   help="shared-memory handoff between the pool's "
-                        "colocated workers (experimental)")
     p.add_argument("--workdir", default=None, metavar="DIR",
                    help="keep the per-node chain namespaces here "
                         "(default: a deleted temporary directory; a "
@@ -433,9 +421,7 @@ def _exec_process(args, chain, model, tracer):
                                heartbeat_expiry=args.heartbeat_expiry,
                                strategy=args.strategy,
                                task_slots=args.task_slots,
-                               fetch_parallelism=args.fetch_parallelism,
                                memory_budget=args.memory_budget * (1 << 20),
-                               shared_memory=args.shared_memory,
                                speculation=args.speculation,
                                speculation_slowdown=args.speculation_slowdown,
                                pre_replicate=args.pre_replicate,
@@ -558,7 +544,6 @@ def _cmd_serve(args) -> int:
             heartbeat_expiry=args.heartbeat_expiry,
             task_slots=args.task_slots,
             memory_budget=args.memory_budget * (1 << 20),
-            shared_memory=args.shared_memory,
             speculation=args.speculation,
             pre_replicate=args.pre_replicate)
         faults = (MTBFKills(args.mtbf, seed=args.fault_seed,

@@ -16,8 +16,6 @@ Modules:
 * :mod:`repro.runtime.storage` — on-disk node layout, the in-memory
   hot tier (:class:`MemoryTier`), record codec, coordinator-side
   registry with the damage inventory.
-* :mod:`repro.runtime.shm` — optional shared-memory segment handoff
-  between colocated workers.
 * :mod:`repro.runtime.protocol` — the control-plane wire shape: dict
   commands stamped with ``key``/``epoch``/``chain``, one typed
   :class:`Event` echoing them back.

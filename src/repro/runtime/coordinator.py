@@ -72,7 +72,6 @@ Every strategy must produce byte-identical final output.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import queue
@@ -91,7 +90,6 @@ from repro.faults.model import FaultModel
 from repro.localexec.engine import LocalJobConfig
 from repro.localexec.records import Record
 from repro.obs import NULL_TRACER, Tracer
-from repro.runtime import shm
 from repro.runtime.faults import LiveFaultPlan
 from repro.runtime.protocol import TASK_DONE, TASK_OPS, Event
 from repro.runtime.recovery import (
@@ -124,10 +122,9 @@ _REPLICATION = {"repl2": 2, "repl3": 3}
 #: workers are forked or by the pool's own detectors, so a chain running
 #: on a shared pool (:mod:`repro.runtime.service`) cannot override them
 POOL_FIELDS = frozenset({
-    "n_nodes", "task_slots", "memory_budget", "shared_memory",
-    "fetch_parallelism", "fetch_timeout", "heartbeat_interval",
-    "heartbeat_expiry", "startup_timeout", "suspect_window",
-    "suspect_ratio", "suspect_min_commits",
+    "n_nodes", "task_slots", "memory_budget", "fetch_timeout",
+    "heartbeat_interval", "heartbeat_expiry", "startup_timeout",
+    "suspect_window", "suspect_ratio", "suspect_min_commits",
 })
 
 #: hook callback: ``fn(event, **info)``; events: job-start, maps-done,
@@ -166,8 +163,6 @@ class RuntimeConfig:
     #: semantics, N > 1 = a slot thread pool, "auto" = cores-aware
     #: (cpu count split across the co-hosted workers)
     task_slots: int | str = 1
-    #: concurrent shuffle fetches per reduce/replicate task
-    fetch_parallelism: int = 4
     #: per-attempt shuffle fetch timeout; must sit well under io_timeout
     #: so a dead source resolves to task-failed before dispatch is
     #: judged stalled
@@ -176,10 +171,6 @@ class RuntimeConfig:
     #: (write-through LRU over the on-disk durability tier); 0 disables
     #: the memory tier — every read goes back to the files
     memory_budget: int = 64 << 20
-    #: publish committed outputs as shared-memory segments so colocated
-    #: workers attach instead of fetching over loopback TCP
-    #: (experimental; POSIX shm only)
-    shared_memory: bool = False
     #: replicate every k-th job's output as a cascade-bounding anchor
     #: (strategy "hybrid" only; paper §IV-C)
     hybrid_interval: int = 2
@@ -245,8 +236,6 @@ class RuntimeConfig:
                 not isinstance(self.task_slots, int)
                 or self.task_slots < 1):
             raise ValueError("task_slots must be a positive int or 'auto'")
-        if self.fetch_parallelism < 1:
-            raise ValueError("fetch_parallelism must be >= 1")
         if self.fetch_timeout <= 0:
             raise ValueError("fetch_timeout must be positive")
         if self.fetch_timeout >= self.io_timeout:
@@ -305,11 +294,9 @@ class RuntimeConfig:
         """The data-plane knobs each forked worker receives."""
         return {
             "task_slots": self.resolved_task_slots,
-            "fetch_parallelism": self.fetch_parallelism,
             "fetch_timeout": self.fetch_timeout,
             "server_timeout": self.io_timeout,
             "memory_budget": self.memory_budget,
-            "shared_memory": self.shared_memory,
         }
 
     @property
@@ -382,10 +369,10 @@ class RunReport:
     #: TCP sockets (``shuffle_bytes_tcp`` is the explicit alias)
     shuffle_bytes: dict[str, int] = field(default_factory=dict)
     #: dispatch phase -> bytes the phase's tasks resolved *without* a
-    #: socket: the node's own store (memory tier or disk) and colocated
-    #: shared-memory attaches.  Local bytes mirror what the TCP path
-    #: would have shipped (split-filtered for a split reducer),
-    #: so tcp + local stays an exact, placement-comparable total.
+    #: socket: the node's own store (memory tier or disk).  Local bytes
+    #: mirror what the TCP path would have shipped (split-filtered for a
+    #: split reducer), so tcp + local stays an exact,
+    #: placement-comparable total.
     shuffle_bytes_local: dict[str, int] = field(default_factory=dict)
     #: service-mode submission id (None for single-chain runs)
     chain_id: Optional[str] = None
@@ -468,11 +455,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-#: distinguishes sequential pools forked from one coordinator process in
-#: the shared-memory segment namespace
-_SHM_SEQ = itertools.count()
-
-
 class WorkerPool:
     """The shared worker processes and everything node-lifecycle.
 
@@ -515,11 +497,6 @@ class WorkerPool:
         self._t0 = 0.0
         self._started = False
         self._shut = False
-        #: run-unique shared-memory namespace: the pool pid keys the
-        #: segment names its workers publish, so death/shutdown sweeps
-        #: can unlink by prefix without ever touching another run's
-        self._shm_run = (f"{os.getpid():x}p{next(_SHM_SEQ)}"
-                         if config.shared_memory else "")
 
     # ------------------------------------------------------------ lifecycle
     def __enter__(self) -> "WorkerPool":
@@ -572,13 +549,12 @@ class WorkerPool:
         chain = self.config.chain
         cmd_recv, cmd_send = self._ctx.Pipe(duplex=False)
         evt_recv, evt_send = self._ctx.Pipe(duplex=False)
-        options = self.config.worker_options()
-        options["shm_run"] = self._shm_run
         proc = self._ctx.Process(
             target=worker_main,
             args=(node, str(self.workdir), cmd_recv, evt_send,
                   self.config.heartbeat_interval, chain.seed,
-                  chain.records_per_node, chain.value_size, options),
+                  chain.records_per_node, chain.value_size,
+                  self.config.worker_options()),
             name=f"rcmp-worker-{node}", daemon=True)
         proc.start()
         cmd_recv.close()
@@ -618,10 +594,6 @@ class WorkerPool:
                     conn.close()
                 except OSError:
                     pass
-        if self._shm_run:
-            # whatever the workers' own cleanup missed (SIGKILLed
-            # workers never ran theirs) goes with the run's prefix
-            shm.sweep_prefix(shm.run_prefix(self._shm_run))
 
     @staticmethod
     def _reap(link: _Link) -> None:
@@ -831,11 +803,6 @@ class WorkerPool:
         link = self._links[node]
         link.closed = True
         link.proc.join(timeout=1.0)
-        if self._shm_run:
-            # a SIGKILLed worker never unlinks its published segments;
-            # sweeping its prefix here forces readers onto the TCP path
-            # (where the dead socket correctly surfaces the death)
-            shm.sweep_prefix(shm.node_prefix(self._shm_run, node))
         self.deaths.append((self.now(), node))
         self.tracer.instant("cascade", "node-death", node=node,
                             pid=link.pid)
@@ -1072,10 +1039,6 @@ class ChainRun:
         self.registry.record_death(node, self.done_jobs)
         self.hooks("death", node=node)
 
-    def _run_job(self, job: int, kind: str = "run") -> None:
-        """Run one job, reusing whatever committed outputs survive."""
-        self._run_wave([job], kind=kind)
-
     def _run_wave(self, jobs: list[int], kind: str = "run") -> None:
         """Run a wave of dependency-ready jobs, reusing whatever
         committed outputs survive.  The wave's map tasks dispatch as one
@@ -1161,14 +1124,8 @@ class ChainRun:
                     break
                 node = candidates.pop(rr % len(candidates))
                 rr += 1
-                cmds[("replicate", *entry.key, node)] = (node, {
-                    "op": "replicate", "job": entry.job,
-                    "partition": entry.partition,
-                    "split": entry.split_index,
-                    "n_splits": entry.n_splits,
-                    "source": entry.node, "target": node,
-                    "source_chain": entry.chain,
-                })
+                cmds[("replicate", *entry.key, node)] = (
+                    node, self._replicate_command(entry, node))
         return cmds
 
     def _replicate_job_output(self, job: int) -> None:
@@ -1440,6 +1397,14 @@ class ChainRun:
                 "split": split_index, "n_splits": n_splits,
                 "sources": sources}
 
+    @staticmethod
+    def _replicate_command(entry: PieceEntry, target: int) -> dict:
+        """``target`` copies ``entry``'s piece from its primary holder."""
+        return {"op": "replicate", "job": entry.job,
+                "partition": entry.partition, "split": entry.split_index,
+                "n_splits": entry.n_splits, "source": entry.node,
+                "target": target, "source_chain": entry.chain}
+
     def _sources(self, job: int) -> list[tuple[int, int]]:
         return [(t, self.registry.map_outputs[(job, t)].node)
                 for t in self.registry.map_tasks_of(job)]
@@ -1569,7 +1534,7 @@ class ChainRun:
                        local: int = 0) -> None:
         """Credit one committed task's shuffle traffic to its phase:
         ``fetched`` crossed a loopback socket, ``local`` was resolved
-        in-process (own store / memory tier / shared-memory attach)."""
+        in-process (the node's own store, memory tier first)."""
         if fetched:
             self.shuffle_bytes[phase] = (
                 self.shuffle_bytes.get(phase, 0) + fetched)
@@ -1743,13 +1708,8 @@ class ChainRun:
             target = targets.get(entry.key)
             if target is None:
                 continue
-            cmds[("replicate", *entry.key, target)] = (target, {
-                "op": "replicate", "job": entry.job,
-                "partition": entry.partition,
-                "split": entry.split_index,
-                "n_splits": entry.n_splits,
-                "source": entry.node, "target": target,
-                "source_chain": entry.chain})
+            cmds[("replicate", *entry.key, target)] = (
+                target, self._replicate_command(entry, target))
         if not cmds:
             return
         self.tracer.instant("cascade", "pre-replicate",

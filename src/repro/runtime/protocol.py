@@ -69,7 +69,7 @@ class Event(NamedTuple):
     pid: int = 0
     #: bytes the task pulled over loopback TCP sockets
     fetched: int = 0
-    #: bytes the task resolved without a socket (own store / shm attach)
+    #: bytes the task resolved without a socket (the node's own store)
     local: int = 0
     #: ``ready``: shuffle port; ``map-done``: per-partition record
     #: counts; ``reduce-done``: record count; ``piece-dropped`` /

@@ -187,10 +187,10 @@ def serve_request_spans(store: "NodeStore", request: dict) -> list:
 
 def serve_request(store: "NodeStore", request: dict) -> bytes:
     """Resolve one shuffle request into one contiguous payload (the
-    span list of :func:`serve_request_spans`, joined).  The local
-    same-worker handoff path uses this directly — the single-span case
-    (a piece fetch hitting the memory tier) returns the resident buffer
-    without any copy at all."""
+    span list of :func:`serve_request_spans`, joined) — what a fetching
+    peer receives, without the socket.  The single-span case (a piece
+    fetch hitting the memory tier) returns the resident buffer without
+    any copy at all."""
     spans = serve_request_spans(store, request)
     if not spans:
         return b""
@@ -352,23 +352,13 @@ class PeerPool:
     connection that breaks (peer died, or the server dropped an idle
     connection) is discarded and rebuilt on the next attempt; after
     ``retries`` failed attempts the peer is declared unreachable via
-    :class:`FetchError`.
-
-    ``local_port``/``local_store`` arm the same-worker handoff: a fetch
-    addressed to the worker's *own* shuffle port resolves straight from
-    the local store (memory tier first) instead of opening a loopback
-    socket to itself — the data never leaves the process."""
+    :class:`FetchError`."""
 
     def __init__(self, timeout: float = 5.0, retries: int = 3,
-                 backoff: float = 0.05,
-                 local_port: Optional[int] = None,
-                 local_store: Optional["NodeStore"] = None):
+                 backoff: float = 0.05):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.local_port = local_port
-        self.local_store = local_store
-        self.local_bytes = 0  # informational; exact counts live per-task
         self._lock = threading.Lock()
         self._peers: dict[int, _Peer] = {}
 
@@ -396,10 +386,6 @@ class PeerPool:
         request/response exchange — never across a backoff sleep, so
         concurrent tasks retrying against a dead peer back off in
         parallel instead of queueing each other's full retry budgets."""
-        if port == self.local_port and self.local_store is not None:
-            data = serve_request(self.local_store, request)
-            self.local_bytes += len(data)
-            return data
         payload = pickle.dumps(request)
         peer = self._peer(port)
         last: Optional[Exception] = None

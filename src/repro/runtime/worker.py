@@ -24,11 +24,12 @@ UDFs, and shares no code with this path — computes for the same task.
 A worker never talks to another worker except through the shuffle:
 reduce tasks fetch map-output slices from the mapper nodes' shuffle
 servers (local slices are read straight from disk), and a re-homed
-mapper fetches its input piece range the same way.  Fetches from
-distinct source nodes run **concurrently** through a bounded fetcher
-pool over :class:`~repro.runtime.transport.PeerPool`'s persistent
-connections; the responses are collected as they land and grouped by
-one stable sort of the key column.  When a fetch fails because the
+mapper fetches its input piece range the same way.  A task fetches one
+source node after another over
+:class:`~repro.runtime.transport.PeerPool`'s persistent connections and
+groups everything that landed by one stable sort of the key column (a
+fetcher thread pool was judged against this loop and tied: EXPERIMENTS.md
+"Data-plane options, judged").  When a fetch fails because the
 source died, the worker reports ``task-failed`` and returns to its loop;
 the coordinator's heartbeat expiry declares the death and re-plans.
 
@@ -39,7 +40,7 @@ busy, one rule cancels in both slot modes: a command older than the
 newest epoch on the wire is skipped when it is picked up — the whole
 queued share of a cancelled map phase falls through in microseconds —
 and the task *in flight* re-checks once right before its store write and
-does not commit (no fsync'd file, no shm publish, no ``*-done`` event).
+does not commit (no fsync'd file, no ``*-done`` event).
 A skipped or aborted task answers ``task-failed`` / ``"cancelled"`` so a
 speculative race waiting on it settles; drops and reclaims of a
 cancelled epoch stay silent.  Before running the first command of a new
@@ -54,11 +55,10 @@ import queue
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Callable, Optional
 
 from repro.localexec.records import generate_batch, map_batch, reduce_batch
-from repro.runtime import protocol, shm, transport
+from repro.runtime import protocol, transport
 from repro.runtime.storage import (
     FRAME_HEADER,
     MemoryTier,
@@ -75,12 +75,9 @@ from repro.runtime.storage import (
 #: data-plane defaults, overridden per run by ``RuntimeConfig``
 DEFAULT_OPTIONS = {
     "task_slots": 1,
-    "fetch_parallelism": 4,
     "fetch_timeout": 5.0,
     "server_timeout": 30.0,
     "memory_budget": 64 << 20,  # hot-tier bytes per worker; 0 disables
-    "shared_memory": False,
-    "shm_run": "",  # run-unique segment namespace, set by WorkerPool
 }
 
 
@@ -102,7 +99,7 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
     transport.start_heartbeat(evt, node, heartbeat_interval)
     evt.send(protocol.ready(node, server.port, os.getpid()))
     worker = _Worker(node, store, evt, seed, records_per_node, value_size,
-                     opts, throttle=throttle, server_port=server.port)
+                     opts, throttle=throttle)
     commands: queue.SimpleQueue = queue.SimpleQueue()
     threading.Thread(target=_intake, args=(cmd_conn, worker, commands),
                      name="intake", daemon=True).start()
@@ -169,8 +166,7 @@ class _Worker:
                  evt: transport.LockedConnection, seed: int,
                  records_per_node: int, value_size: int,
                  options: Optional[dict] = None,
-                 throttle: Optional[transport.Throttle] = None,
-                 server_port: Optional[int] = None):
+                 throttle: Optional[transport.Throttle] = None):
         opts = dict(DEFAULT_OPTIONS)
         opts.update(options or {})
         self.node = node
@@ -188,25 +184,7 @@ class _Worker:
         self._chains: dict = {
             None: (seed, records_per_node, value_size)}
         self._stores: dict = {None: store, store.chain: store}
-        self.fetch_parallelism = max(1, int(opts["fetch_parallelism"]))
-        self.server_port = server_port
-        # a fetch addressed to our own shuffle port short-circuits to the
-        # local store (belt-and-braces: task paths also check explicitly
-        # so the bytes are attributed to the local counter per task)
-        self.pool = transport.PeerPool(
-            timeout=opts["fetch_timeout"],
-            local_port=server_port, local_store=store)
-        self.shm_run = str(opts["shm_run"])
-        self._shm: Optional[shm.SegmentPublisher] = None
-        if opts["shared_memory"] and shm.HAVE_SHM and self.shm_run:
-            budget = int(opts["memory_budget"]) or (64 << 20)
-            self._shm = shm.SegmentPublisher(self.shm_run, node, budget)
-        # one long-lived fetcher pool shared by every task slot — a
-        # per-call thread spawn would cost more than the overlap buys
-        self._fetchers = (ThreadPoolExecutor(
-            max_workers=self.fetch_parallelism,
-            thread_name_prefix=f"fetch-node{node}")
-            if self.fetch_parallelism > 1 else None)
+        self.pool = transport.PeerPool(timeout=opts["fetch_timeout"])
         slots = max(1, int(opts["task_slots"]))
         self._slots = _SlotPool(slots, self.execute) if slots > 1 else None
         self._ports: dict[int, int] = {}
@@ -217,11 +195,7 @@ class _Worker:
         self._inputs_lock = threading.Lock()
 
     def close(self) -> None:
-        if self._fetchers is not None:
-            self._fetchers.shutdown(wait=False)
         self.pool.close()
-        if self._shm is not None:
-            self._shm.close()
 
     # -- command routing -------------------------------------------------
     def hear(self, epoch: Optional[int]) -> None:
@@ -284,10 +258,6 @@ class _Worker:
             # so there is no event stream left to report on, and a
             # filesystem race must not take down the command loop.
             swept_chain, keep = cmd["chain"], set(cmd.get("keep", ()))
-            if self._shm is not None:
-                self._shm.unpublish_where(
-                    lambda i: i[1] == swept_chain
-                    and not (i[0] == "piece" and i[2] in keep))
             try:
                 self.store.for_chain(swept_chain).sweep_chain(keep)
             except OSError:
@@ -314,33 +284,20 @@ class _Worker:
             elif op == "replicate":
                 self._replicate(cmd, chain, store)
             elif op == "drop":
-                self._unpublish(lambda i: i[0] == "map" and i[1] == chain
-                                and i[2] == cmd["job"]
-                                and i[3] == cmd["task"])
                 store.drop_map_output(cmd["job"], cmd["task"])
                 self._done(cmd)
             elif op == "drop-piece":
                 # sweep one losing speculative attempt's reduce output
-                if self._shm is not None:
-                    self._shm.unpublish(("piece", chain, cmd["job"],
-                                         cmd["partition"], cmd["split"],
-                                         cmd["n_splits"]))
                 self._done(cmd, store.drop_piece(
                     cmd["job"], cmd["partition"], cmd["split"],
                     cmd["n_splits"]))
             elif op == "drop-job":
-                self._unpublish(lambda i: i[1] == chain
-                                and i[2] == cmd["job"])
                 self._done(cmd, store.drop_job(cmd["job"]))
             elif op == "reclaim":
                 # the shielded DAG cut behind the anchor frontier (need
                 # not be an index prefix)
                 map_jobs = set(cmd["map_jobs"])
                 piece_jobs = set(cmd["piece_jobs"])
-                self._unpublish(
-                    lambda i: i[1] == chain
-                    and ((i[0] == "map" and i[2] in map_jobs)
-                         or (i[0] == "piece" and i[2] in piece_jobs)))
                 self._done(cmd, store.reclaim_job_sets(map_jobs,
                                                        piece_jobs))
             else:
@@ -378,22 +335,6 @@ class _Worker:
             store = self._stores[chain] = self.store.for_chain(chain)
         return store
 
-    # -- shared-memory handoff -------------------------------------------
-    def _unpublish(self, predicate) -> None:
-        if self._shm is not None:
-            self._shm.unpublish_where(predicate)
-
-    def _publish(self, identity: tuple, data: bytes) -> None:
-        if self._shm is not None:
-            self._shm.publish(identity, data)
-
-    def _attach(self, node: int, identity: tuple) -> Optional[bytes]:
-        """Try the colocated peer's published segment before its socket
-        (``None`` = not published; fall back to TCP)."""
-        if self._shm is None:
-            return None
-        return shm.attach(shm.segment_name(self.shm_run, node, identity))
-
     # -- input ----------------------------------------------------------
     def _input_block(self, chain, node: int, start: int,
                      count: int) -> tuple:
@@ -423,8 +364,7 @@ class _Worker:
                        ports: dict[int, int]) -> tuple:
         """Resolve one map-input block; returns ``(keys, values, bytes
         fetched over TCP, bytes resolved locally)`` — local meaning the
-        node's own store (memory tier first) or a colocated peer's
-        published shared-memory segment, never a socket."""
+        node's own store (memory tier first), never a socket."""
         source = cmd["source"]
         if source[0] == "input":
             return *self._input_block(chain, *source[1:]), 0, 0
@@ -441,15 +381,10 @@ class _Worker:
             data = read_store.read_piece(job, partition, split_index,
                                          n_splits)
         else:
-            data = self._attach(node, ("piece", piece_chain, job,
-                                       partition, split_index, n_splits))
-            if data is not None:
-                local = len(data)
-            else:
-                data = self.pool.fetch_piece(
-                    ports[node], job, partition, split_index, n_splits,
-                    chain=piece_chain)
-                fetched = len(data)
+            data = self.pool.fetch_piece(
+                ports[node], job, partition, split_index, n_splits,
+                chain=piece_chain)
+            fetched = len(data)
         keys, values = decode_columns(data, start, count)
         if node == self.node:
             # the resident piece is shared, not copied: the block only
@@ -458,41 +393,20 @@ class _Worker:
                 values.size if values.ndim == 2 else sum(map(len, values)))
         return keys, values, fetched, local
 
-    # -- parallel fetch --------------------------------------------------
+    # -- shuffle fetch ---------------------------------------------------
     def _fetch_merge(self, requests: list[tuple[int, dict]],
                      ports: dict[int, int],
                      merge: Callable[[int, bytes], None]) -> int:
-        """Fetch from every source node concurrently (bounded fetcher
-        pool over persistent connections) and merge each response *as it
-        lands* on the calling task thread.  Returns total bytes fetched;
-        raises the first :class:`transport.FetchError` after all fetchers
-        settle (no fetcher thread is left dangling mid-kill — a dead
-        source resolves through the pool's bounded retries)."""
-        if not requests:
-            return 0
-        if self._fetchers is None or len(requests) <= 1:
-            total = 0
-            for node, request in requests:
-                data = self.pool.fetch(ports[node], request)
-                total += len(data)
-                merge(node, data)
-            return total
-        futures = {self._fetchers.submit(self.pool.fetch, ports[node],
-                                         request): node
-                   for node, request in requests}
+        """Fetch from one source node after another over the persistent
+        connections and merge each response as it lands.  Returns total
+        bytes fetched; a dead source raises
+        :class:`transport.FetchError` out of the pool's bounded retries,
+        so the task fails instead of hanging."""
         total = 0
-        error: Optional[Exception] = None
-        for future in as_completed(futures):
-            node = futures[future]
-            try:
-                data = future.result()
-            except Exception as exc:  # noqa: BLE001 — relayed below
-                error = error or exc
-                continue
+        for node, request in requests:
+            data = self.pool.fetch(ports[node], request)
             total += len(data)
             merge(node, data)
-        if error is not None:
-            raise error
         return total
 
     # -- tasks -----------------------------------------------------------
@@ -505,11 +419,6 @@ class _Worker:
                                    cmd["n_partitions"])
         self._check_epoch(cmd)
         counts = store.write_map_slices(job, task_id, cmd["origin"], slices)
-        if self._shm is not None:
-            for partition in counts:
-                self._publish(
-                    ("map", chain, job, task_id, partition),
-                    store.read_map_slice(job, task_id, partition))
         # the throttle stretches the task *before* its commit event, so
         # a slow node's commits land at 1/factor speed, not just its slot
         self.throttle.pace(time.perf_counter() - started)
@@ -525,7 +434,7 @@ class _Worker:
         landed: list[bytes] = []
 
         # a split reducer only ever sees its 1/k of a slice: peers filter
-        # server-side, own-store and shm slices are filtered here, so
+        # server-side, own-store slices are filtered here, so
         # local bytes (whatever landed without a socket) mirror what the
         # TCP path would have shipped and tcp + local is comparable
         # across slot/node placements
@@ -533,19 +442,7 @@ class _Worker:
         for node, tasks in sorted(by_node.items()):
             if node == self.node:
                 continue
-            remaining = tasks
-            if self._shm is not None:  # colocated segments beat sockets
-                remaining = []
-                for task_id in tasks:
-                    data = self._attach(
-                        node, ("map", chain, job, task_id, partition))
-                    if data is None:
-                        remaining.append(task_id)
-                        continue
-                    landed.append(filter_split(data, split_index, n_splits))
-                if not remaining:
-                    continue
-            request = {"kind": "maps", "job": job, "tasks": remaining,
+            request = {"kind": "maps", "job": job, "tasks": tasks,
                        "partition": partition}
             if chain is not None:
                 request["chain"] = chain
@@ -564,11 +461,6 @@ class _Worker:
         self._check_epoch(cmd)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 encode_columns(keys, values))
-        if self._shm is not None:
-            self._publish(("piece", chain, job, partition, split_index,
-                           n_splits),
-                          store.read_piece(job, partition, split_index,
-                                           n_splits))
         self.throttle.pace(time.perf_counter() - started)
         self._done(cmd, len(keys), fetched, len(data) - fetched)
 
@@ -589,23 +481,12 @@ class _Worker:
         # the copy is always committed into this chain's own
         src_chain = cmd.get("source_chain")
         piece_chain = src_chain if src_chain is not None else chain
-        fetched = local = 0
-        data = self._attach(source, ("piece", piece_chain, job, partition,
-                                     split_index, n_splits))
-        if data is not None:
-            local = len(data)
-        else:
-            data = self.pool.fetch_piece(
-                self._ports[source], job, partition, split_index,
-                n_splits, chain=piece_chain)
-            fetched = len(data)
+        data = self.pool.fetch_piece(
+            self._ports[source], job, partition, split_index, n_splits,
+            chain=piece_chain)
         self._check_epoch(cmd)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 data)
-        # the replica copy is itself attachable: after a promotion this
-        # node serves the piece, so publish under our own name
-        self._publish(("piece", chain, job, partition, split_index,
-                       n_splits), data)
         self.throttle.pace(time.perf_counter() - started)
-        self._done(cmd, None, fetched, local)
+        self._done(cmd, None, len(data))
 

@@ -155,6 +155,18 @@ def test_parser_exec_rejects_unknown_backend():
         build_parser().parse_args(["exec", "--backend", "threads"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["exec", "--shared-memory"], ["exec", "--fetch-parallelism", "4"],
+    ["serve", "--shared-memory"]])
+def test_deleted_data_plane_flags_are_refused(argv):
+    """The shared-memory handoff and the fetcher pool are gone with
+    their flags (EXPERIMENTS.md "Data-plane options, judged"): argparse
+    refuses them instead of a run silently ignoring them."""
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args(argv)
+    assert refused.value.code == 2
+
+
 def test_exec_inproc_recovers_and_prints_checksum(capsys):
     assert main(["exec", "--backend", "inproc", "--nodes", "4",
                  "--jobs", "3", "--records", "32", "--block", "8",

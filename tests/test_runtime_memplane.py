@@ -1,5 +1,5 @@
 """Tests for the in-memory tiered data plane (`MemoryTier`, zero-copy
-serving, same-worker handoff, shared-memory segments).
+serving, own-store reads).
 
 The unit tests pin the tier's cache discipline (write-through, LRU
 spill, prefix invalidation) and the byte-identity of every serve path
@@ -17,7 +17,6 @@ import pytest
 
 from repro.localexec import LocalJobConfig
 from repro.localexec.records import Record, generate_records
-from repro.runtime import shm
 from repro.runtime.coordinator import RunReport, RuntimeConfig
 from repro.runtime.storage import (
     MemoryTier,
@@ -230,22 +229,6 @@ def test_shuffle_server_sendmsg_path_roundtrip(tmp_path):
         server.close()
 
 
-def test_peer_pool_local_short_circuit_skips_socket(tmp_path):
-    """A fetch addressed to the pool's own port resolves from the local
-    store: the port below has no listener, so any socket attempt would
-    raise FetchError."""
-    store = NodeStore(tmp_path, 0, memory=MemoryTier(1 << 20))
-    store.write_piece(1, 0, 0, 1, [Record(3, b"local")])
-    pool = PeerPool(timeout=0.2, retries=1, local_port=1,
-                    local_store=store)
-    try:
-        data = pool.fetch_piece(1, 1, 0, 0, 1)
-        assert decode_records(data) == [Record(3, b"local")]
-        assert pool.local_bytes == len(data)
-    finally:
-        pool.close()
-
-
 def test_write_atomic_leaves_no_tmp_litter(tmp_path):
     store = NodeStore(tmp_path, 0)
     store.write_piece(1, 0, 0, 1, [Record(1, b"v")])
@@ -274,61 +257,8 @@ def test_config_validates_memory_budget():
         RuntimeConfig(memory_budget=1.5)
     assert RuntimeConfig(memory_budget=0).worker_options()[
         "memory_budget"] == 0
-    opts = RuntimeConfig(memory_budget=1 << 20,
-                         shared_memory=True).worker_options()
-    assert opts["memory_budget"] == 1 << 20
-    assert opts["shared_memory"] is True
-
-
-# -------------------------------------------------------- shared memory
-pytestmark_shm = pytest.mark.skipif(
-    not (shm.HAVE_SHM and shm.SHM_DIR.is_dir()),
-    reason="POSIX shared memory unavailable")
-
-
-@pytestmark_shm
-def test_shm_publish_attach_unpublish_roundtrip():
-    pub = shm.SegmentPublisher("t1", 0, budget=1 << 16)
-    identity = ("piece", None, 1, 0, 0, 1)
-    data = b"shared-bytes" * 100
-    assert pub.publish(identity, data)
-    name = shm.segment_name("t1", 0, identity)
-    try:
-        assert shm.attach(name) == data
-        pub.unpublish(identity)
-        assert shm.attach(name) is None
-    finally:
-        pub.close()
-        shm.sweep_prefix(shm.run_prefix("t1"))
-
-
-@pytestmark_shm
-def test_shm_budget_caps_publication():
-    pub = shm.SegmentPublisher("t2", 0, budget=100)
-    try:
-        assert pub.publish(("piece", None, 1, 0, 0, 1), b"a" * 80)
-        assert not pub.publish(("piece", None, 1, 1, 0, 1), b"b" * 80)
-        assert pub.skipped == 1
-    finally:
-        pub.close()
-        shm.sweep_prefix(shm.run_prefix("t2"))
-
-
-@pytestmark_shm
-def test_shm_sweep_prefix_scopes_to_node():
-    pub0 = shm.SegmentPublisher("t3", 0, budget=1 << 16)
-    pub1 = shm.SegmentPublisher("t3", 1, budget=1 << 16)
-    identity = ("map", None, 1, 0, 0)
-    try:
-        pub0.publish(identity, b"node0")
-        pub1.publish(identity, b"node1")
-        assert shm.sweep_prefix(shm.node_prefix("t3", 0)) == 1
-        assert shm.attach(shm.segment_name("t3", 0, identity)) is None
-        assert shm.attach(shm.segment_name("t3", 1, identity)) == b"node1"
-    finally:
-        pub0.close()
-        pub1.close()
-        shm.sweep_prefix(shm.run_prefix("t3"))
+    assert RuntimeConfig(memory_budget=1 << 20).worker_options()[
+        "memory_budget"] == 1 << 20
 
 
 # ------------------------------------------------------------ slow e2e
@@ -377,31 +307,6 @@ def test_colocated_slots_shift_bytes_off_tcp(tmp_path):
     assert packed.total_shuffle_bytes_tcp < spread.total_shuffle_bytes_tcp
     assert packed.total_shuffle_bytes_local > \
         spread.total_shuffle_bytes_local
-
-
-@pytest.mark.slow
-@pytestmark_shm
-def test_shared_memory_run_recovers_and_goes_local(tmp_path):
-    """With segment handoff on, a repl2 chain's replication copies
-    attach instead of fetching; a kill still recovers byte-identically
-    and no segment outlives the run."""
-    hook = KillAt("job-start", 3, victims=[1])
-    report = run_process_chain(tmp_path, hooks=hook, strategy="repl2",
-                               shared_memory=True)
-    assert report.checksum == reference_checksum(CHAIN)
-    assert report.total_shuffle_bytes_local > 0
-    assert list(shm.SHM_DIR.glob("rcmp*")) == []
-
-
-@pytest.mark.slow
-@pytestmark_shm
-def test_shared_memory_cuts_tcp_bytes(tmp_path):
-    baseline = run_process_chain(tmp_path / "tcp", strategy="repl2")
-    shmrun = run_process_chain(tmp_path / "shm", strategy="repl2",
-                               shared_memory=True)
-    assert shmrun.checksum == baseline.checksum == reference_checksum(CHAIN)
-    assert shmrun.total_shuffle_bytes_tcp < \
-        baseline.total_shuffle_bytes_tcp
 
 
 @pytest.mark.slow

@@ -88,13 +88,12 @@ def run_process_chain(tmp_path, chain=CHAIN, n_nodes=4, hooks=None,
     config_kwargs = {k: kwargs.pop(k) for k in
                      ("strategy", "heartbeat_interval", "heartbeat_expiry",
                       "fig5_guard", "hybrid_interval", "hybrid_replication",
-                      "hybrid_reclaim", "task_slots", "fetch_parallelism",
+                      "hybrid_reclaim", "task_slots",
                       "fetch_timeout", "io_timeout",
                       "startup_timeout", "speculation",
                       "speculation_slowdown", "speculation_min_age",
                       "pre_replicate", "suspect_window", "suspect_ratio",
-                      "suspect_min_commits", "memory_budget",
-                      "shared_memory")
+                      "suspect_min_commits", "memory_budget")
                      if k in kwargs}
     config = RuntimeConfig(n_nodes=n_nodes, chain=chain, **config_kwargs)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,

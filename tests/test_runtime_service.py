@@ -14,6 +14,7 @@ multiplexing chains over shared workers must never change a single
 byte of any chain's output, kills or not.
 """
 
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -26,6 +27,7 @@ import pytest
 
 from repro.localexec import LocalCluster, LocalJobConfig
 from repro.runtime.coordinator import (
+    POOL_FIELDS,
     Coordinator,
     RuntimeConfig,
     WorkerPool,
@@ -240,7 +242,6 @@ def test_submit_validates_at_submission_time(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("n_nodes", 8), ("task_slots", 4), ("memory_budget", 0),
-    ("shared_memory", True), ("fetch_parallelism", 8),
     ("fetch_timeout", 1.0), ("heartbeat_interval", 0.5),
     ("heartbeat_expiry", 1.0), ("startup_timeout", 5.0),
     ("suspect_window", 2.0), ("suspect_ratio", 9.0),
@@ -268,6 +269,13 @@ def test_submit_refuses_pool_shape_overrides(tmp_path, field, value):
     finally:
         service._stop.set()
         service._server.close()
+
+
+def test_pool_fields_name_real_config_fields():
+    """A field deleted from ``RuntimeConfig`` may not linger in the
+    refusal list (it would refuse an override nobody can spell)."""
+    assert POOL_FIELDS <= {f.name for f in
+                           dataclasses.fields(RuntimeConfig)}
 
 
 def test_router_delivers_by_chain_and_drops_pool_events(tmp_path):
@@ -553,17 +561,22 @@ def test_service_mtbf_faults_fire_and_chains_survive(tmp_path):
                            records_per_node=32, records_per_block=8,
                            seed=3)
     config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=2)
-    # seed 1 @ mtbf 0.8: first arrival ~0.12 s in — guaranteed to land
-    # while the chains are still running, however fast the host
+    # seed 1 @ mtbf 0.8: first arrival ~0.12 s in — a fast host finishes
+    # two chains sooner, so keep the service loaded until a kill landed
     kills = MTBFKills(mtbf=0.8, seed=1, min_alive=2)
     with ChainService(config, tmp_path / "svc", faults=kills,
                       max_concurrent=2) as service:
-        jobs = [service.submit(chain=chain) for _ in range(2)]
+        jobs = []
+        deadline = time.monotonic() + 60.0
+        while not service.pool.deaths and time.monotonic() < deadline:
+            pair = [service.submit(chain=chain) for _ in range(2)]
+            jobs += pair
+            for job in pair:
+                service.wait(job.id, timeout=180)
+        assert service.pool.deaths  # the arrivals really fired
         for job in jobs:
-            service.wait(job.id, timeout=180)
             assert job.state == DONE, job.error
             assert job.report.checksum == reference_checksum(chain)
-        assert len(service.pool.deaths) >= 1  # the arrivals really fired
         assert len(service.pool.alive) >= 2
 
 

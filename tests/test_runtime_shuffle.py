@@ -3,18 +3,17 @@
 Fast tests cover the pieces in isolation: server-side split filtering
 (property-checked against the client-side filter), persistent
 ``PeerPool`` connections (reuse, reconnect after a peer restart, dead
-peers resolving to :class:`FetchError`), the worker's parallel fetch
-merge, the once-per-epoch ports broadcast, and the control-plane
-protocol (every event kind through a real pipe, the one stale-event
-guard, the speculative-loser sweep).  The ``slow`` tests re-prove checksum
-neutrality end to end: multi-slot workers and parallel fetches must
+peers resolving to :class:`FetchError`), the worker's fetch loop
+failing cleanly on a dead source, the once-per-epoch ports broadcast,
+and the control-plane protocol (every event kind through a real pipe,
+the one stale-event guard, the speculative-loser sweep).  The ``slow``
+tests re-prove checksum neutrality end to end: multi-slot workers must
 reproduce the in-process reference byte-for-byte under kills, and
 server-side filtering must actually shrink the recompute shuffle.
 """
 
 import contextlib
 import multiprocessing
-import os
 import socket
 import sys
 import threading
@@ -25,7 +24,7 @@ import pytest
 
 from repro.localexec.records import generate_records, split_of
 from repro.obs import RecordingTracer
-from repro.runtime import protocol, shm
+from repro.runtime import protocol
 from repro.runtime import worker as worker_mod
 from repro.runtime.coordinator import Coordinator, RuntimeConfig, _Link
 from repro.runtime.storage import (
@@ -176,7 +175,7 @@ def test_fetch_from_dead_peer_raises_fetch_error():
         pool.close()
 
 
-# ----------------------------------------------------- parallel fetching
+# --------------------------------------------------------- shuffle fetch
 class _EventSink:
     def __init__(self):
         self.sent = []
@@ -185,42 +184,16 @@ class _EventSink:
         self.sent.append(msg)
 
 
-def _make_worker(tmp_path, node=99, **options):
+def _make_worker(tmp_path, node=99):
     store = NodeStore(tmp_path, node)
-    opts = {"fetch_timeout": 0.3, **options}
     return _Worker(node, store, _EventSink(), seed=0, records_per_node=8,
-                   value_size=8, options=opts)
-
-
-def test_fetch_merge_lands_all_sources(tmp_path):
-    """Concurrent fetches from several source nodes merge to the same
-    bytes a serial loop would collect."""
-    servers, expected = [], {}
-    for node in (0, 1, 2):
-        store = NodeStore(tmp_path, node)
-        records = generate_records(30, seed=node)
-        store.write_map_output(1, node, None, {0: records})
-        servers.append(ShuffleServer(store, timeout=5.0))
-        expected[node] = encode_records(records)
-    ports = {n: s.port for n, s in zip((0, 1, 2), servers)}
-    worker = _make_worker(tmp_path, fetch_parallelism=3)
-    landed = {}
-    try:
-        requests = [(n, {"kind": "maps", "job": 1, "tasks": [n],
-                         "partition": 0}) for n in (0, 1, 2)]
-        total = worker._fetch_merge(requests, ports, landed.__setitem__)
-        assert landed == expected
-        assert total == sum(len(v) for v in expected.values())
-    finally:
-        worker.close()
-        for server in servers:
-            server.close()
+                   value_size=8, options={"fetch_timeout": 0.3})
 
 
 def test_fetch_merge_dead_source_raises_without_hanging(tmp_path):
-    """One dead source among live ones: the live responses land, the
-    dead one surfaces as FetchError once every fetcher settles — the
-    task fails cleanly instead of deadlocking mid-parallel-fetch."""
+    """One dead source after a live one: the live response lands, the
+    dead one surfaces as FetchError out of the pool's bounded retries —
+    the task fails cleanly instead of hanging."""
     live_store = NodeStore(tmp_path, 0)
     live_store.write_map_output(1, 0, None,
                                 {0: generate_records(10, seed=0)})
@@ -230,7 +203,7 @@ def test_fetch_merge_dead_source_raises_without_hanging(tmp_path):
     dead_port = dead.getsockname()[1]
     dead.close()
     ports = {0: live.port, 1: dead_port}
-    worker = _make_worker(tmp_path, fetch_parallelism=2)
+    worker = _make_worker(tmp_path)
     landed = {}
     try:
         requests = [(n, {"kind": "maps", "job": 1, "tasks": [0],
@@ -466,8 +439,6 @@ def test_config_validates_data_plane_knobs():
     with pytest.raises(ValueError):
         RuntimeConfig(task_slots="many")
     with pytest.raises(ValueError):
-        RuntimeConfig(fetch_parallelism=0)
-    with pytest.raises(ValueError):
         RuntimeConfig(fetch_timeout=0.0)
     with pytest.raises(ValueError):  # a fetch may not eat the io budget
         RuntimeConfig(fetch_timeout=30.0, io_timeout=30.0)
@@ -481,14 +452,13 @@ def test_config_validates_data_plane_knobs():
 
 # --------------------------------------------------- end-to-end neutrality
 @pytest.mark.slow
-def test_kill_mid_parallel_fetch_recovers(tmp_path):
-    """SIGKILL one source while multi-slot reducers are parallel-fetching
-    its map outputs: the fetch failures surface as task-failed, the death
+def test_kill_mid_fetch_recovers(tmp_path):
+    """SIGKILL one source while multi-slot reducers are fetching its map
+    outputs: the fetch failures surface as task-failed, the death
     is declared, and recovery reproduces the reference checksum — never a
     hang."""
     hooks = KillAt("reduce-dispatch", job=2, victims=[0])
-    report = run_process_chain(tmp_path, hooks=hooks, task_slots=2,
-                               fetch_parallelism=4)
+    report = run_process_chain(tmp_path, hooks=hooks, task_slots=2)
     assert report.checksum == reference_checksum(CHAIN)
     assert [n for _, n in report.deaths] == [0]
 
@@ -506,7 +476,7 @@ def test_multi_slot_matrix_parity(tmp_path, strategy, scenario):
                            ("job-commit", 2, 2)]}[scenario]
     hooks = KillPlan(*triggers) if triggers else None
     report = run_process_chain(tmp_path, hooks=hooks, strategy=strategy,
-                               task_slots=4, fetch_parallelism=4)
+                               task_slots=4)
     assert report.checksum == reference_checksum(CHAIN)
     assert sorted(n for _, n in report.deaths) == \
         sorted(v for _, _, v in triggers)
@@ -616,9 +586,9 @@ def test_epoch_bump_cancels_the_queue_through_a_real_pipe(
     of E+1 arrive.  The intake hears E+1 while the first task still runs,
     so the queued ones answer ``cancelled`` without running; the one in
     flight aborts if it has not reached its store write (no file, no tmp,
-    no shm segment, no ``map-done``) and commits if it already has; the
+    no ``map-done``) and commits if it already has; the
     E+1 command runs.  (One slot: before the intake, all N ran first.)"""
-    n, epoch, run = 5, 3, f"pipetest{os.getpid()}{held_in}"
+    n, epoch = 5, 3
     entered, release, heard = (threading.Event() for _ in range(3))
 
     def hold_first(real):
@@ -644,26 +614,17 @@ def test_epoch_bump_cancels_the_queue_through_a_real_pipe(
 
     monkeypatch.setattr(_Worker, "hear", hear)
 
-    def published(task):
-        return [p for p in (0, 1) if shm.attach(shm.segment_name(
-            run, 0, ("map", None, 1, task, p))) is not None]
-
     committed = [0] if held_in == "commit" else []
     try:
-        with _piped_worker(tmp_path, shared_memory=True,
-                           shm_run=run) as (_, cmd_send, evt_recv):
+        with _piped_worker(tmp_path) as (_, cmd_send, evt_recv):
             _send_epoch(cmd_send, epoch, range(n))
             assert entered.wait(10.0)  # task 0 in flight, 1..n-1 queued
             _send_epoch(cmd_send, epoch + 1, [n])
             assert heard.wait(10.0)
             release.set()
             events = _events_until(evt_recv, n + 1)
-            if shm.HAVE_SHM:  # checked live: a stopping worker unlinks
-                assert [t for t in range(n + 1) if published(t)] == \
-                    committed + [n]
     finally:
         release.set()
-        shm.sweep_prefix(shm.run_prefix(run))
     assert [(e.key[2], e.epoch) for e in events
             if e.kind == "map-done"] == \
         [(t, epoch) for t in committed] + [(n, epoch + 1)]
