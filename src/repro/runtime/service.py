@@ -262,6 +262,10 @@ class ChainService:
                            use_cache=not no_cache)
             self._jobs[job.id] = job
             self._queue.append(job)
+        if self._loop_thread is not None:
+            # admit now, not at the loop's next pump timeout: on an idle
+            # service nothing else would wake it
+            self._admit_next()
         return job
 
     def _admit_next(self) -> None:
@@ -417,6 +421,7 @@ class ChainService:
             with self._lock:
                 self._running.pop(job.id, None)
             job.done.set()
+            self._admit_next()  # the freed slot goes to the queue's head
 
     # -------------------------------------------------------------- queries
     def wait(self, job_id: str, timeout: Optional[float] = None) \

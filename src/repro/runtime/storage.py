@@ -4,15 +4,23 @@ On-disk layout (``repro.dfs``-compatible: one directory per node, one
 single-replica file per stored object, exactly what a collocated
 compute/storage node loses when it dies)::
 
-    <root>/node03/map/job2/task1000007.bin        one map task's output
+    <root>/node03/map/job2.seg                    one job's map outputs
     <root>/node03/reduce/job1/part2/s1of3.bin     one stored piece
 
-A map output is Hadoop's shape, one file with a partition index in front
-(one fsync and one rename commit all of a task's slices or none)::
+A node's map outputs of one job are one append-only segment: a task
+commits by appending one section to a kept-open handle (no file created,
+renamed or unlinked per task).  A section is a header, then Hadoop's
+shape, a partition index in front of the slices (one fsync commits all
+of a task's slices or none)::
 
-    u32 bytes of slots | i64 task id, origin job, origin partition (-1
-    = none) | per slice: u32 partition, u64 offset past the index, u64
-    length, u32 record count | the encoded slices, concatenated
+    u64 bytes of body | i64 task id | body: u32 bytes of slots | i64
+    task id, origin job, origin partition (-1 = none) | per slice: u32
+    partition, u64 offset past the index, u64 length, u32 record count |
+    the encoded slices, concatenated
+
+A task's later section wins; a bodiless one is a dropped output's
+tombstone.  The disk is the truth and an open segment's index a cache of
+it: :func:`scan_map_segment` rebuilds it from the headers alone.
 
 Records are framed binary — 8-byte big-endian key, 4-byte length, value —
 so a partition's bytes are a pure function of its record multiset and the
@@ -28,10 +36,13 @@ uint64[n]`` plus the ``n x L`` value matrix without copying a value,
 that are no such matrix (ragged values, a torn frame) take the frame
 walk, with the same truncation errors.
 
-Writes go through a temp file + ``os.replace`` so a ``SIGKILL`` mid-write
-can never surface a torn file as a committed output: the coordinator only
+A piece is written through a temp file + ``os.replace`` (other processes
+read pieces by name), a section by append + ``fsync`` and only then
+published in the index, so a ``SIGKILL`` mid-write can never surface torn
+bytes as a committed output — half a section is a torn tail every scan
+ignores and the segment's next writer truncates — and the coordinator only
 learns about an output from the worker's commit message, which is sent
-after the rename.
+after the data is durable.
 
 :class:`ClusterRegistry` is the coordinator-side metadata: which node
 persists which map output and which reducer piece — the same shape as
@@ -58,9 +69,10 @@ from repro.runtime.recovery import PARENT_STRIDE, STRIDE, PieceSignature
 
 _KEY = struct.Struct(">QI")
 FRAME_HEADER = _KEY.size  # a frame's value starts this far past its start
-#: map-output index: head (slot bytes that follow, task id, origin job,
-#: origin partition), then one slot (partition, offset, length, record
-#: count) per slice
+#: map-segment section: header (body bytes that follow, task id), index
+#: head (slot bytes that follow, task id, origin job, origin partition),
+#: then one slot (partition, offset, length, record count) per slice
+_SECTION = struct.Struct(">Qq")
 _INDEX_HEAD = struct.Struct(">Iqqq")
 _INDEX_SLOT = struct.Struct(">IQQI")
 
@@ -356,23 +368,80 @@ class MemoryTier:
 
 
 # ----------------------------------------------------------------- node store
-def read_map_index(fh) -> tuple[int, Optional[tuple[int, int]], dict]:
-    """Parse the index in front of an open map-output file: ``(task id,
-    origin, {partition: (file offset, length, record count)})``.  A
-    truncated or inconsistent file raises — never a short slice."""
-    try:
-        n, task_id, *origin = _INDEX_HEAD.unpack(fh.read(_INDEX_HEAD.size))
-        raw = fh.read(n)
-        slots = {partition: (_INDEX_HEAD.size + n + offset, length, count)
-                 for partition, offset, length, count
-                 in _INDEX_SLOT.iter_unpack(raw)}
-    except struct.error as exc:
-        raise ValueError(f"corrupt map output index: {fh.name}") from exc
+def _scan_segment(fh) -> tuple[dict, int]:
+    """Walk an open segment's section headers: ``({task id: (origin,
+    {partition: (file offset, length, record count)})}, end of the last
+    complete section)``.  A torn tail — what a ``SIGKILL`` cut short — is
+    ignored; a *complete* section whose index is inconsistent raises."""
     size = os.fstat(fh.fileno()).st_size
-    if len(raw) != n or any(offset + length > size
-                            for offset, length, _ in slots.values()):
+    index, pos = {}, 0
+    while pos + _SECTION.size <= size:
+        fh.seek(pos)
+        body, task_id = _SECTION.unpack(fh.read(_SECTION.size))
+        end = pos + _SECTION.size + body
+        if end > size:
+            break
+        if body == 0:
+            index.pop(task_id, None)
+        else:
+            try:
+                n, head_task, *origin = _INDEX_HEAD.unpack(
+                    fh.read(_INDEX_HEAD.size))
+                base = pos + _SECTION.size + _INDEX_HEAD.size + n
+                slots = {partition: (base + offset, length, count)
+                         for partition, offset, length, count
+                         in _INDEX_SLOT.iter_unpack(fh.read(n))}
+            except struct.error as exc:
+                raise ValueError(
+                    f"corrupt map output index: {fh.name}") from exc
+            if head_task != task_id or base > end or any(
+                    offset + length > end
+                    for offset, length, _ in slots.values()):
+                raise ValueError(f"truncated map output: {fh.name}")
+            index[task_id] = (tuple(origin) if origin[0] >= 0 else None,
+                              slots)
+        pos = end
+    return index, pos
+
+
+def scan_map_segment(path: str | Path) -> dict:
+    """The live outputs of a map segment file, from its headers alone:
+    ``{task id: (origin, {partition: (file offset, length, count)})}``."""
+    with open(path, "rb") as fh:
+        return _scan_segment(fh)[0]
+
+
+def _read_slot(fh, index: dict, task_id: int, partition: int) -> bytes:
+    """One slice of a segment: ``KeyError`` when the task has no live
+    section, never a short read."""
+    offset, length, _ = index[task_id][1].get(partition, (0, 0, 0))
+    data = os.pread(fh.fileno(), length, offset)
+    if len(data) != length:
         raise ValueError(f"truncated map output: {fh.name}")
-    return task_id, (tuple(origin) if origin[0] >= 0 else None), slots
+    return data
+
+
+def _unlink(path: Path) -> int:
+    """Unlink a file; the bytes freed (0 when it was already gone)."""
+    try:
+        freed = path.stat().st_size
+        path.unlink()
+        return freed
+    except FileNotFoundError:
+        return 0
+
+
+class _Segment:
+    """An open segment: the ``a+b`` handle (appends land at the end,
+    ``pread`` anywhere) and the index.  ``lock`` frames appends, preads
+    and the close — never an fsync, so readers do not wait for the disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.lock = threading.Lock()
+        self.index, self.size = _scan_segment(fh)
+        if fh.seek(0, os.SEEK_END) > self.size:
+            fh.truncate(self.size)  # a dead incarnation's torn tail
 
 
 class NodeStore:
@@ -383,7 +452,11 @@ class NodeStore:
     (``<root>/nodeNNN/...``) byte-for-byte, while a chain id moves every
     file under ``<root>/nodeNNN/chains/<chain>/...`` so concurrent
     chains sharing one worker pool can never collide on a
-    ``(job, task)`` or ``(job, partition, split)`` path."""
+    ``(job, task)`` or ``(job, partition, split)`` path.
+
+    A store is the one writer of its node's map segments; the ones it has
+    open are shared with its :meth:`for_chain` views, keyed by path like
+    the memory tier, and closed by :meth:`close` or with their file."""
 
     def __init__(self, root: str | Path, node: int,
                  chain: Optional[str] = None,
@@ -395,25 +468,63 @@ class NodeStore:
         self.dir = self.root / f"node{node:03d}"
         if chain is not None:
             self.dir = self.dir / "chains" / str(chain)
+        self._segments: dict[str, _Segment] = {}
+        self._segments_lock = threading.Lock()
 
     def for_chain(self, chain: Optional[str]) -> "NodeStore":
         """The same node's store under ``chain``'s namespace (``self``
         when the chain id already matches — the common single-chain
-        case pays nothing).  The memory tier is shared across namespace
-        views: keys are absolute paths, so entries can never collide."""
+        case pays nothing).  The memory tier and open segments are shared
+        across namespace views: keys are absolute paths, never colliding."""
         if chain == self.chain:
             return self
-        return NodeStore(self.root, self.node, chain=chain,
+        view = NodeStore(self.root, self.node, chain=chain,
                          memory=self.memory)
+        view._segments = self._segments
+        view._segments_lock = self._segments_lock
+        return view
+
+    def close(self) -> None:
+        """Close this namespace's (the root store: every chain's) open
+        segment handles; the files stay."""
+        self._close_segments(f"{self.dir}{os.sep}")
 
     # -- paths ----------------------------------------------------------
-    def map_path(self, job: int, task_id: int) -> Path:
-        return self.dir / "map" / f"job{job}" / f"task{task_id}.bin"
+    def map_segment_path(self, job: int) -> Path:
+        return self.dir / "map" / f"job{job}.seg"
 
     def piece_path(self, job: int, partition: int, split_index: int,
                    n_splits: int) -> Path:
         return (self.dir / "reduce" / f"job{job}" / f"part{partition}"
                 / f"s{split_index}of{n_splits}.bin")
+
+    # -- map segments ---------------------------------------------------
+    def _segment(self, path: Path, create: bool = False
+                 ) -> Optional[_Segment]:
+        """The segment at ``path``, opened on first use (``None`` when
+        there is no such file and ``create`` is not set)."""
+        with self._segments_lock:
+            seg = self._segments.get(str(path))
+            if seg is None and (create or path.exists()):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                seg = self._segments[str(path)] = _Segment(open(path, "a+b"))
+            return seg
+
+    def _close_segments(self, prefix: str) -> None:
+        with self._segments_lock:
+            doomed = [self._segments.pop(key) for key in list(self._segments)
+                      if key.startswith(prefix)]
+        for seg in doomed:
+            with seg.lock:
+                seg.fh.close()
+
+    def _drop_segment(self, job: int) -> int:
+        """Evict, close and unlink one job's segment; the bytes freed."""
+        path = self.map_segment_path(job)
+        if self.memory is not None:
+            self.memory.invalidate_prefix(f"{path}#")
+        self._close_segments(str(path))
+        return _unlink(path)
 
     # -- writes ---------------------------------------------------------
     @staticmethod
@@ -458,23 +569,35 @@ class NodeStore:
                          slices: dict[int, tuple[int, bytes]]
                          ) -> dict[int, int]:
         """Persist one mapper's encoded per-partition shuffle slices
-        (partition -> ``(record count, bytes)``) as one indexed file —
-        one fsync, one rename, all slices or none — and pin each slice
-        hot under ``<path>#<partition>``; returns the per-partition
+        (partition -> ``(record count, bytes)``) as one section appended
+        to the job's segment — one fsync, all slices or none, published
+        in the index only then — and pin each slice hot under
+        ``<segment>#<task>#<partition>``; returns the per-partition
         record counts (the commit message payload)."""
-        path = self.map_path(job, task_id)
-        slots, offset = [], 0
+        path = self.map_segment_path(job)
+        slots, offset = {}, 0
         for partition, (count, data) in slices.items():
-            slots.append(_INDEX_SLOT.pack(partition, offset, len(data),
-                                          count))
+            slots[partition] = (offset, len(data), count)
             offset += len(data)
-        head = _INDEX_HEAD.pack(len(slots) * _INDEX_SLOT.size, task_id,
-                                *(origin or (-1, -1)))
-        self._write_atomic(path, head, *slots,
-                           *(data for _, data in slices.values()))
+        index = b"".join(_INDEX_SLOT.pack(p, *slot)
+                         for p, slot in slots.items())
+        head = (_SECTION.pack(_INDEX_HEAD.size + len(index) + offset, task_id)
+                + _INDEX_HEAD.pack(len(index), task_id, *(origin or (-1, -1)))
+                + index)
+        seg = self._segment(path, create=True)
+        with seg.lock:
+            base = seg.size + len(head)
+            seg.fh.writelines((head, *(data for _, data in slices.values())))
+            seg.fh.flush()
+            seg.size = base + offset
+        # the disk tier is the durability story recovery depends on: the
+        # section is published, and ``map-done`` sent, only once durable
+        os.fsync(seg.fh.fileno())
+        seg.index[task_id] = (origin, {p: (base + at, length, count) for
+                                       p, (at, length, count) in slots.items()})
         if self.memory is not None:
             for partition, (_, data) in slices.items():
-                self.memory.put(f"{path}#{partition}", data)
+                self.memory.put(f"{path}#{task_id}#{partition}", data)
         return {p: count for p, (count, _) in slices.items()}
 
     def write_map_output(self, job: int, task_id: int,
@@ -513,19 +636,25 @@ class NodeStore:
 
     def read_map_slice(self, job: int, task_id: int, partition: int) -> bytes:
         """A mapper's slice for one partition (empty when the mapper
-        produced no record for it)."""
-        path = self.map_path(job, task_id)
+        produced no record for it, or has no live output here)."""
+        path = self.map_segment_path(job)
 
         def load() -> bytes:
-            with open(path, "rb") as fh:
-                offset, length, _ = read_map_index(fh)[2].get(
-                    partition, (0, 0, 0))
-                fh.seek(offset)
-                return fh.read(length)
+            seg = self._segments.get(str(path))
+            if seg is None:
+                # not open here (another store's, a dead incarnation's):
+                # the disk is the truth
+                with open(path, "rb") as fh:
+                    return _read_slot(fh, _scan_segment(fh)[0], task_id,
+                                      partition)
+            with seg.lock:
+                if seg.fh.closed:
+                    raise KeyError(task_id)
+                return _read_slot(seg.fh, seg.index, task_id, partition)
 
         try:
-            return self._read_through(f"{path}#{partition}", load)
-        except FileNotFoundError:
+            return self._read_through(f"{path}#{task_id}#{partition}", load)
+        except (FileNotFoundError, KeyError):
             return b""
 
     def read_piece(self, job: int, partition: int, split_index: int,
@@ -535,11 +664,17 @@ class NodeStore:
 
     # -- invalidation ---------------------------------------------------
     def drop_map_output(self, job: int, task_id: int) -> None:
-        """Delete one persisted map output (the Fig. 5 guard)."""
-        path = self.map_path(job, task_id)
+        """Delete one persisted map output (the Fig. 5 guard): append
+        its tombstone, which hides every earlier section of the task."""
+        path = self.map_segment_path(job)
         if self.memory is not None:
-            self.memory.invalidate_prefix(f"{path}#")
-        path.unlink(missing_ok=True)
+            self.memory.invalidate_prefix(f"{path}#{task_id}#")
+        seg = self._segment(path)
+        if seg is not None and seg.index.pop(task_id, None):
+            with seg.lock:
+                seg.fh.write(_SECTION.pack(0, task_id))
+                seg.fh.flush()
+                seg.size += _SECTION.size
 
     def drop_piece(self, job: int, partition: int, split_index: int,
                    n_splits: int) -> int:
@@ -550,42 +685,35 @@ class NodeStore:
         path = self.piece_path(job, partition, split_index, n_splits)
         if self.memory is not None:
             self.memory.invalidate(str(path))
-        try:
-            freed = path.stat().st_size
-        except OSError:
-            return 0
-        path.unlink(missing_ok=True)
-        return freed
+        return _unlink(path)
 
     def _rm_tree(self, directory: Path) -> int:
-        """Delete a job subtree bottom-up with real ``os.unlink``s;
-        returns the bytes freed.  The memory tier drops the subtree's
-        entries first so a concurrent reader can never be served bytes
-        whose backing files are gone."""
+        """Delete a subtree bottom-up with real ``os.unlink``s; returns
+        the bytes freed.  The memory tier drops the subtree's entries
+        and its open segments close first, so a concurrent reader can
+        never be served bytes whose backing files are gone."""
+        prefix = f"{directory}{os.sep}"  # "job1/" is no prefix of "job10/"
         if self.memory is not None:
-            self.memory.invalidate_prefix(str(directory))
+            self.memory.invalidate_prefix(prefix)
+        self._close_segments(prefix)
         freed = 0
-        if not directory.is_dir():
-            return 0
-        for path in sorted(directory.rglob("*"), reverse=True):
-            if path.is_dir():
-                path.rmdir()
-            else:
-                freed += path.stat().st_size
-                path.unlink(missing_ok=True)
-        directory.rmdir()
+        for parent, _, files in os.walk(directory, topdown=False):
+            for path in (os.path.join(parent, name) for name in files):
+                freed += os.lstat(path).st_size
+                os.unlink(path)
+            os.rmdir(parent)
         return freed
 
     def drop_job(self, job: int) -> int:
-        """Delete every file of one job — map outputs and reducer
+        """Delete every file of one job — its map segment and reducer
         pieces (orphan sweep before an OPTIMISTIC rerun).  Returns the
         bytes freed."""
-        return (self._rm_tree(self.dir / "map" / f"job{job}")
+        return (self._drop_segment(job)
                 + self._rm_tree(self.dir / "reduce" / f"job{job}"))
 
     def sweep_chain(self, keep_reduce_jobs: Iterable[int]) -> int:
         """Close-time hygiene for a finished chain's namespace: delete
-        every map output and every reduce job **not** in
+        every map segment and every reduce job **not** in
         ``keep_reduce_jobs`` (the jobs the cross-run cache registered),
         then remove the namespace dir if nothing is left.  Returns the
         bytes freed."""
@@ -594,8 +722,9 @@ class NodeStore:
                              "namespaces")
         keep = set(keep_reduce_jobs)
         freed = self._rm_tree(self.dir / "map")
-        for job, directory in self._job_dirs("reduce"):
-            if job not in keep:
+        for directory in sorted((self.dir / "reduce").glob("job*")):
+            if directory.name[3:].isdigit() \
+                    and int(directory.name[3:]) not in keep:
                 freed += self._rm_tree(directory)
         for directory in (self.dir / "reduce", self.dir):
             try:
@@ -603,15 +732,6 @@ class NodeStore:
             except OSError:
                 pass  # cached jobs keep it alive, or it never existed
         return freed
-
-    def _job_dirs(self, kind: str) -> list[tuple[int, Path]]:
-        """The ``(job, directory)`` pairs under ``map/`` or ``reduce/``."""
-        root = self.dir / kind
-        found = []
-        for directory in sorted(root.iterdir()) if root.is_dir() else ():
-            if directory.name[:3] == "job" and directory.name[3:].isdigit():
-                found.append((int(directory.name[3:]), directory))
-        return found
 
     def reclaim_job_sets(self, map_jobs: Iterable[int],
                          piece_jobs: Iterable[int]) -> int:
@@ -621,11 +741,9 @@ class NodeStore:
         need not be a contiguous index range (the data behind an anchor
         sits safely in its replicated output).  Returns the bytes
         freed."""
-        return sum(self._rm_tree(directory)
-                   for kind, jobs in (("map", set(map_jobs)),
-                                      ("reduce", set(piece_jobs)))
-                   for job, directory in self._job_dirs(kind)
-                   if job in jobs)
+        return (sum(self._drop_segment(job) for job in set(map_jobs))
+                + sum(self._rm_tree(self.dir / "reduce" / f"job{job}")
+                      for job in set(piece_jobs)))
 
 
 # ------------------------------------------------------------------- registry

@@ -40,7 +40,7 @@ busy, one rule cancels in both slot modes: a command older than the
 newest epoch on the wire is skipped when it is picked up — the whole
 queued share of a cancelled map phase falls through in microseconds —
 and the task *in flight* re-checks once right before its store write and
-does not commit (no fsync'd file, no ``*-done`` event).
+does not commit (no fsync'd bytes, no ``*-done`` event).
 A skipped or aborted task answers ``task-failed`` / ``"cancelled"`` so a
 speculative race waiting on it settles; drops and reclaims of a
 cancelled epoch stay silent.  Before running the first command of a new
@@ -196,6 +196,7 @@ class _Worker:
 
     def close(self) -> None:
         self.pool.close()
+        self.store.close()
 
     # -- command routing -------------------------------------------------
     def hear(self, epoch: Optional[int]) -> None:
@@ -243,11 +244,13 @@ class _Worker:
             return
         if cmd["op"] == "chain-close":
             # drop the finished chain's in-memory state (its params,
-            # store handle, and memoized input); files stay on disk —
-            # the coordinator side has already read the final output
+            # store view and open map segments, and memoized input);
+            # files stay on disk — the coordinator side has already read
+            # the final output
             chain = cmd["chain"]
             self._chains.pop(chain, None)
             self._stores.pop(chain, None)
+            self.store.for_chain(chain).close()
             with self._inputs_lock:
                 self._inputs.pop(chain, None)
             return

@@ -25,6 +25,7 @@ from repro.runtime.storage import (
     encode_records,
     filter_split,
     filter_split_spans,
+    scan_map_segment,
 )
 from repro.runtime.transport import (
     PeerPool,
@@ -94,9 +95,10 @@ def test_drops_and_sweeps_evict_memory_entries(tmp_path):
     store.write_map_output(1, 0, None, {0: [Record(5, b"v")]})
     store.write_piece(1, 0, 0, 1, [Record(5, b"w")])
     store.drop_map_output(1, 0)
-    assert tier.get(f"{store.map_path(1, 0)}#0") is None
-    assert not store.map_path(1, 0).exists()
+    assert tier.get(f"{store.map_segment_path(1)}#0#0") is None
+    assert scan_map_segment(store.map_segment_path(1)) == {}
     store.drop_job(1)
+    assert not store.map_segment_path(1).exists()
     assert tier.get(str(store.piece_path(1, 0, 0, 1))) is None
     assert tier.bytes == 0
 
@@ -115,14 +117,14 @@ def test_memory_tier_shared_across_chain_namespaces(tmp_path):
         [Record(1, b"other")]
 
 
-def test_spill_reload_serve_property(tmp_path):
+def test_spill_reload_serve_property(stores, tmp_path):
     """Property: under a tiny budget forcing constant spill, every read
     path returns bytes identical to a never-spilled (unbounded) store
     and to a tier-less store."""
     rng = random.Random(42)
-    tiny = NodeStore(tmp_path / "tiny", 0, memory=MemoryTier(256))
-    big = NodeStore(tmp_path / "big", 0, memory=MemoryTier(1 << 24))
-    bare = NodeStore(tmp_path / "bare", 0)
+    tiny = stores(tmp_path / "tiny", 0, memory=MemoryTier(256))
+    big = stores(tmp_path / "big", 0, memory=MemoryTier(1 << 24))
+    bare = stores(tmp_path / "bare", 0)
     writes = []
     for i in range(40):
         records = [Record(rng.getrandbits(48), bytes([rng.getrandbits(8)])
@@ -190,8 +192,8 @@ def test_filter_split_accepts_memoryview():
     assert filter_split(memoryview(data), 1, 2) == filter_split(data, 1, 2)
 
 
-def test_serve_request_spans_join_equals_serve_request(tmp_path):
-    store = NodeStore(tmp_path, 0, memory=MemoryTier(1 << 20))
+def test_serve_request_spans_join_equals_serve_request(stores, tmp_path):
+    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
     for task in range(3):
         store.write_map_output(
             1, task, None, {0: [Record(task * 10 + i, b"m" * i)
@@ -205,10 +207,10 @@ def test_serve_request_spans_join_equals_serve_request(tmp_path):
         assert b"".join(spans) == serve_request(store, request)
 
 
-def test_shuffle_server_sendmsg_path_roundtrip(tmp_path):
+def test_shuffle_server_sendmsg_path_roundtrip(stores, tmp_path):
     """The scatter-gather serve path must put byte-identical payloads on
     the wire, including many-span split responses."""
-    store = NodeStore(tmp_path, 0, memory=MemoryTier(1 << 20))
+    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
     for task in range(4):
         store.write_map_output(
             2, task, None,

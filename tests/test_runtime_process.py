@@ -31,6 +31,7 @@ from repro.runtime.storage import (
     chain_checksum,
     decode_records,
     encode_records,
+    scan_map_segment,
 )
 from repro.localexec.records import generate_records
 
@@ -115,20 +116,22 @@ def instants(tracer, name):
 
 
 def on_disk_orphans(coord, jobs):
-    """Files of ``jobs`` on *surviving* nodes' disks that the registry
-    does not account for (every committed file must be some entry's
-    primary copy or a registered replica)."""
+    """Outputs of ``jobs`` on *surviving* nodes' disks that the registry
+    does not account for (every live map section must be its task's
+    registered output, every piece file some entry's primary copy or a
+    registered replica)."""
     orphans = []
     reg = coord.chain_run.registry
     workdir = coord.pool.workdir
     for node in sorted(coord.pool.alive):
         store = NodeStore(workdir, node)
-        for task_file in sorted(store.dir.glob("map/job*/task*.bin")):
-            job = int(task_file.parent.name[3:])
-            task = int(task_file.stem[4:])
-            entry = reg.map_outputs.get((job, task))
-            if job in jobs and (entry is None or entry.node != node):
-                orphans.append(str(task_file.relative_to(workdir)))
+        for segment in sorted(store.dir.glob("map/job*.seg")):
+            job = int(segment.stem[3:])
+            for task in sorted(scan_map_segment(segment)):
+                entry = reg.map_outputs.get((job, task))
+                if job in jobs and (entry is None or entry.node != node):
+                    orphans.append(
+                        f"{segment.relative_to(workdir)}#{task}")
         for path in sorted(store.dir.glob("reduce/job*/part*/*.bin")):
             job = int(path.parent.parent.name[3:])
             partition = int(path.parent.name[4:])
@@ -277,9 +280,9 @@ def test_node_store_drop_job_and_reclaim(tmp_path):
     freed = store.reclaim_job_sets(map_jobs={1, 2}, piece_jobs={1})
     assert freed > 0
     # in the reclaimed sets: gone; outside them: untouched
-    assert not (store.dir / "map" / "job1").exists()
-    assert not (store.dir / "map" / "job2").exists()
-    assert (store.dir / "map" / "job3").is_dir()
+    assert not store.map_segment_path(1).exists()
+    assert not store.map_segment_path(2).exists()
+    assert sorted(scan_map_segment(store.map_segment_path(3))) == [0]
     assert not (store.dir / "reduce" / "job1").exists()
     assert store.read_piece(2, 0, 0, 1) == encode_records(records)
     assert store.drop_job(2) > 0
@@ -685,11 +688,11 @@ def test_hybrid_reclaim_frees_files_behind_the_anchor(tmp_path):
         # behind the last anchor: gone from every surviving disk
         for store in stores:
             for job in (1, 2, 3):
-                assert not (store.dir / "map" / f"job{job}").exists()
+                assert not store.map_segment_path(job).exists()
             for job in (1, 2):
                 assert not (store.dir / "reduce" / f"job{job}").exists()
         # at/after the last intact anchor: never touched
-        assert any((s.dir / "map" / "job4").is_dir() for s in stores)
+        assert any(s.map_segment_path(4).exists() for s in stores)
         assert any((s.dir / "reduce" / "job4").is_dir() for s in stores)
         assert any((s.dir / "reduce" / "job5").is_dir() for s in stores)
 
@@ -708,6 +711,14 @@ def test_optimistic_rerun_leaves_no_orphan_files(tmp_path):
         assert [(j, k) for j, k, _ in report.job_times] == \
             [(1, "run"), (2, "run"), (1, "rerun"), (2, "rerun"), (3, "run")]
         assert on_disk_orphans(coord, jobs={1, 2}) == []
+        # the check is not blind: a live section no registry entry names
+        # is an orphan (planted beside the worker's own sections)
+        node = min(coord.pool.alive)
+        planted = NodeStore(coord.pool.workdir, node)
+        planted.write_map_output(1, 987654, None, {0: []})
+        planted.close()
+        assert on_disk_orphans(coord, jobs={1, 2}) == \
+            [f"node{node:03d}/map/job1.seg#987654"]
 
 
 @pytest.mark.slow

@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import queue
 import socket
+import struct
 import threading
 import time
 
@@ -335,6 +336,39 @@ def test_fair_share_admits_least_loaded_tenant_first(tmp_path):
         assert [j.id for j in order] == [a1.id, b1.id, a2.id, a3.id]
 
 
+def test_a_lone_submit_is_admitted_at_once(tmp_path):
+    """Regression: ``submit`` queued the chain and left admission to the
+    service loop, which only looks between ``pump(timeout=0.02)`` calls
+    — on an idle service (one closed-loop client, nothing in flight to
+    wake the pump) every chain waited out the tick, a median 18 ms."""
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
+    waits = []
+    with ChainService(config, tmp_path / "svc") as service:
+        for _ in range(10):
+            job = service.submit(chain=TINY)
+            assert job.started is not None  # admitted by submit itself
+            waits.append(job.started - job.submitted)
+            assert service.wait(job.id, timeout=60).state == DONE
+    assert sorted(waits)[len(waits) // 2] < 0.005
+
+
+def test_a_finishing_chain_hands_its_slot_to_the_queue(tmp_path):
+    """... and the chain behind a full house starts when a slot frees,
+    not a pump tick later: the finishing chain's thread admits it."""
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
+    with ChainService(config, tmp_path / "svc",
+                      max_concurrent=1) as service:
+        waits = []
+        for _ in range(5):
+            first = service.submit(chain=TINY)
+            queued = service.submit(chain=TINY)
+            for job in (first, queued):
+                assert service.wait(job.id, timeout=60).state == DONE
+            waits.append(queued.started - first.finished)
+    assert min(waits) >= 0  # one at a time
+    assert sorted(waits)[len(waits) // 2] < 0.005
+
+
 # ------------------------------------------------- end-to-end scenarios
 def test_service_runs_one_chain_end_to_end(tmp_path):
     chain = LocalJobConfig(n_jobs=2, n_partitions=2, records_per_node=16,
@@ -451,13 +485,28 @@ def test_one_death_cancels_both_chains_queued_phases(tmp_path, task_slots):
 @pytest.mark.slow
 def test_replace_dead_respawns_and_restores_capacity(tmp_path):
     """With replace_dead, a killed node id rejoins the pool and later
-    chains use the full width again."""
+    chains use the full width again.  The replacement works in the dead
+    incarnation's directory: its map segments are still there, here
+    each with the torn tail a SIGKILL mid-append leaves, and the chain
+    still ends in the exact checksum."""
     chain = LocalJobConfig(n_jobs=2, n_partitions=4,
                            records_per_node=32, records_per_block=8,
                            seed=4)
     config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=2)
+    torn = []
     with ChainService(config, tmp_path / "svc", max_concurrent=2,
                       replace_dead=True) as service:
+        real_respawn = service.pool.respawn
+
+        def respawn(node):
+            for segment in (tmp_path / "svc" / f"node{node:03d}").rglob(
+                    "*.seg"):
+                with open(segment, "ab") as fh:  # half a section
+                    fh.write(struct.pack(">Qq", 4096, 7) + b"torn")
+                torn.append(segment)
+            return real_respawn(node)
+
+        service.pool.respawn = respawn
         job = service.submit(chain=chain)
         _wait_for(lambda: job.run is not None
                   and job.run.completed_jobs >= 1)
@@ -465,6 +514,7 @@ def test_replace_dead_respawns_and_restores_capacity(tmp_path):
         service.wait(job.id, timeout=120)
         assert job.state == DONE, job.error
         assert job.report.checksum == reference_checksum(chain)
+        assert torn
         _wait_for(lambda: service.pool.alive == {0, 1, 2, 3})
         follow_up = service.submit(chain=LocalJobConfig(
             n_jobs=1, n_partitions=4, records_per_node=16,

@@ -14,7 +14,9 @@ server-side filtering must actually shrink the recompute shuffle.
 
 import contextlib
 import multiprocessing
+import os
 import socket
+import struct
 import sys
 import threading
 import time
@@ -33,6 +35,7 @@ from repro.runtime.storage import (
     decode_records,
     encode_records,
     filter_split,
+    scan_map_segment,
 )
 from repro.runtime.transport import (
     FetchError,
@@ -585,8 +588,8 @@ def test_epoch_bump_cancels_the_queue_through_a_real_pipe(
     in the pipe behind a running one, then ``ports`` of E+1 and a command
     of E+1 arrive.  The intake hears E+1 while the first task still runs,
     so the queued ones answer ``cancelled`` without running; the one in
-    flight aborts if it has not reached its store write (no file, no tmp,
-    no ``map-done``) and commits if it already has; the
+    flight aborts if it has not reached its store write (no section, no
+    ``map-done``) and commits if it already has; the
     E+1 command runs.  (One slot: before the intake, all N ran first.)"""
     n, epoch = 5, 3
     entered, release, heard = (threading.Event() for _ in range(3))
@@ -632,8 +635,73 @@ def test_epoch_bump_cancels_the_queue_through_a_real_pipe(
             if e.kind == "task-failed"] == \
         [(t, epoch, "cancelled") for t in range(n) if t not in committed]
     store = NodeStore(tmp_path, 0)
-    files = sorted(p.name for p in store.root.rglob("*") if p.is_file())
-    assert files == [store.map_path(1, t).name for t in committed + [n]]
+    files = sorted(p for p in store.root.rglob("*") if p.is_file())
+    assert files == [store.map_segment_path(1)]
+    # one section per committed task and not a byte more: a cancelled
+    # task appended nothing, not even a section a later one supersedes
+    data, sections, pos = files[0].read_bytes(), [], 0
+    while pos < len(data):
+        body, task = struct.unpack_from(">Qq", data, pos)
+        sections.append(task)
+        pos += 16 + body
+    assert pos == len(data) and sections == committed + [n]
+    assert sorted(scan_map_segment(files[0])) == sorted(sections)
+
+
+def test_map_done_is_never_sent_before_the_sections_fsync_returned(
+        tmp_path, monkeypatch):
+    """Commit after durable, on the wire: while a map task's fsync is
+    held the worker stays silent; ``map-done`` follows its return."""
+    entered, release = threading.Event(), threading.Event()
+    real_fsync = os.fsync
+
+    def held(fd):
+        entered.set()
+        assert release.wait(10.0)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", held)
+    try:
+        with _piped_worker(tmp_path) as (_, cmd_send, evt_recv):
+            _send_epoch(cmd_send, 0, [0])
+            assert entered.wait(10.0)
+            t_end = time.monotonic() + 0.2
+            while evt_recv.poll(max(0.0, t_end - time.monotonic())):
+                assert evt_recv.recv().kind == "hb"
+            release.set()
+            assert _events_until(evt_recv, 1)[0].kind == "map-done"
+    finally:
+        release.set()
+
+
+def test_respawned_worker_appends_behind_the_dead_incarnations_sections(
+        tmp_path):
+    """A ``--replace-dead`` replacement works in the dead incarnation's
+    directory: its segment is still there, torn tail and all.  The new
+    worker cuts the tail off, appends behind the complete sections, and
+    a recomputed task's later section wins — every slice equals what one
+    uninterrupted worker writes."""
+    def run(root, tasks):
+        with _piped_worker(root) as (_, cmd_send, evt_recv):
+            _send_epoch(cmd_send, 0, tasks)
+            assert [e.kind for e in _events_until(evt_recv, len(tasks))] \
+                == ["map-done"] * len(tasks)
+
+    run(tmp_path / "ref", [0, 1, 2])
+    run(tmp_path / "svc", [0, 1])  # the incarnation that dies
+    segment = NodeStore(tmp_path / "svc", 0).map_segment_path(1)
+    whole = segment.stat().st_size
+    with open(segment, "ab") as fh:  # ... mid-append
+        fh.write(struct.pack(">Qq", 4096, 2) + b"half a section")
+    run(tmp_path / "svc", [1, 2])   # its replacement
+    assert sorted(scan_map_segment(segment)) == [0, 1, 2]
+    assert segment.stat().st_size > whole + 30
+    ref, respawned = (NodeStore(tmp_path / name, 0)
+                      for name in ("ref", "svc"))
+    for task in range(3):
+        for partition in range(2):
+            data = respawned.read_map_slice(1, task, partition)
+            assert data and data == ref.read_map_slice(1, task, partition)
 
 
 def test_epoch_stream_answers_every_task_once_and_in_epoch_order(tmp_path):

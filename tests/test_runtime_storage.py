@@ -3,13 +3,17 @@
 Three promises, each pinned here without starting a worker: a record
 *range* decodes exactly like a slice of the full decode (and a torn
 frame in or ahead of the range still raises); a map output is one
-indexed file behind one fsync and one rename — all of its slices or
-none, never a short one; and the final checksum hashed from stored
-bytes equals the decode-sort-encode definition on every sink shape
-(one piece, split pieces, a cache-adopted donor piece).
+indexed section appended to its job's segment behind one fsync, and
+published only then — all of its slices or none, never a short one, and
+nothing the section headers on disk do not say; and the final checksum
+hashed from stored bytes equals the decode-sort-encode definition on
+every sink shape (one piece, split pieces, a cache-adopted donor piece).
 """
 
 import os
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.localexec import LocalJobConfig
 from repro.localexec.records import Record, generate_records, split_of
+from repro.runtime import storage
 from repro.runtime.coordinator import Coordinator, RuntimeConfig
 from repro.runtime.storage import (
     FRAME_HEADER,
@@ -32,7 +37,7 @@ from repro.runtime.storage import (
     iter_record_frames,
     iter_records,
     partition_columns,
-    read_map_index,
+    scan_map_segment,
 )
 from tests.test_localexec import to_records
 
@@ -194,98 +199,308 @@ def test_partition_columns_routes_like_partition_of(records, n_partitions):
         if (mine := [r for r in records if r.key % n_partitions == p])}
 
 
-# --------------------------------------------------- one file per map output
+# ------------------------------------------ one segment per node and job
 def _slices(seed=3):
     records = generate_records(40, seed=seed, value_size=24)
     return {p: [r for r in records if r.key % 4 == p] for p in (0, 1, 3)}
 
 
-def test_map_output_is_one_fsync_and_one_file(tmp_path, monkeypatch):
-    synced = []
-    real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync",
-                        lambda fd: (synced.append(fd), real_fsync(fd))[1])
-    store = NodeStore(tmp_path, 2)
+def _encoded(seed=3):
+    return {p: encode_records(records)
+            for p, records in _slices(seed).items()}
+
+
+def _files(store):
+    return sorted(str(p.relative_to(store.dir))
+                  for p in store.dir.rglob("*") if p.is_file())
+
+
+def test_map_output_is_one_fsync_and_one_file(stores, tmp_path, monkeypatch):
+    """A job's map outputs are one file.  Its first task creates it;
+    every later task is one append and one fsync — nothing is opened,
+    created or renamed."""
+    calls = []
+
+    def spy(name, real):
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return spied
+
+    monkeypatch.setattr(os, "fsync", spy("fsync", os.fsync))
+    monkeypatch.setattr(os, "replace", spy("replace", os.replace))
+    monkeypatch.setattr(storage, "open", spy("open", open), raising=False)
+    store = stores(tmp_path, 2)
     slices = _slices()
     counts = store.write_map_output(3, 1000007, (2, 5), slices)
-    assert len(synced) == 1
+    assert calls.count("fsync") == 1 and "replace" not in calls
     assert counts == {p: len(records) for p, records in slices.items()}
-    assert [str(p.relative_to(store.dir))
-            for p in store.dir.rglob("*") if p.is_file()] == \
-        ["map/job3/task1000007.bin"]  # no meta.json, no per-slice file, no tmp
+    del calls[:]
+    inode = store.map_segment_path(3).stat().st_ino
+    for task in (4, 5):
+        store.write_map_output(3, task, None, _slices(seed=task))
+    assert calls == ["fsync", "fsync"]
+    monkeypatch.undo()
+    # no per-task file, no meta.json, no per-slice file, no tmp
+    assert _files(store) == ["map/job3.seg"]
+    assert store.map_segment_path(3).stat().st_ino == inode
     for partition, records in slices.items():
         assert store.read_map_slice(3, 1000007, partition) == \
             encode_records(records)
     assert store.read_map_slice(3, 1000007, 2) == b""  # no such slice
-    with open(store.map_path(3, 1000007), "rb") as fh:
-        task_id, origin, slots = read_map_index(fh)
-    assert (task_id, origin) == (1000007, (2, 5))
+    assert store.read_map_slice(3, 5, 3) == _encoded(seed=5)[3]
+    index = scan_map_segment(store.map_segment_path(3))
+    assert sorted(index) == [4, 5, 1000007]
+    origin, slots = index[1000007]
+    assert origin == (2, 5)
     assert {p: count for p, (_, _, count) in slots.items()} == counts
 
 
-def test_map_output_index_roundtrips_no_origin_and_empty_slices(tmp_path):
-    store = NodeStore(tmp_path, 0)
+def test_map_output_index_roundtrips_no_origin_and_empty_slices(stores,
+                                                                tmp_path):
+    store = stores(tmp_path, 0)
     assert store.write_map_output(1, 0, None, {0: [], 2: []}) == {0: 0, 2: 0}
-    with open(store.map_path(1, 0), "rb") as fh:
-        assert read_map_index(fh)[:2] == (0, None)
-    assert store.read_map_slice(1, 0, 0) == b""
     assert store.write_map_output(1, 1, None, {}) == {}  # a block of nothing
-    assert store.read_map_slice(1, 1, 0) == b""
+    index = scan_map_segment(store.map_segment_path(1))
+    assert index[0][0] is None and sorted(index[0][1]) == [0, 2]
+    assert index[1] == (None, {})  # an empty section is no tombstone
+    for reader in (store, stores(tmp_path, 0)):
+        assert reader.read_map_slice(1, 0, 0) == b""
+        assert reader.read_map_slice(1, 1, 0) == b""
 
 
-def test_crash_between_write_and_rename_commits_nothing(tmp_path,
-                                                        monkeypatch):
-    store = NodeStore(tmp_path, 0, memory=MemoryTier(1 << 20))
+def test_reader_during_a_held_fsync_does_not_see_the_section(
+        stores, tmp_path, monkeypatch):
+    """Publish is after durable: while a section's fsync is in flight a
+    reader of the same store gets "no such output" for it — without
+    waiting for the disk, and without that answer sticking — and still
+    reads what was committed before."""
+    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
+    store.write_map_output(1, 0, None, _slices())
+    entered, release = threading.Event(), threading.Event()
+    real_fsync = os.fsync
 
-    def crash(src, dst):
+    def held(fd):
+        entered.set()
+        assert release.wait(10.0)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", held)
+    writer = threading.Thread(
+        target=store.write_map_output, args=(1, 4, None, _slices(seed=4)))
+    writer.start()
+    try:
+        assert entered.wait(10.0)
+        for _ in range(2):
+            assert all(store.read_map_slice(1, 4, p) == b""
+                       for p in range(4))
+        assert store.memory.stats()["entries"] == 3  # task 0's, all
+        store.memory.invalidate_prefix("")  # ... and from the disk tier
+        assert store.read_map_slice(1, 0, 3) == _encoded()[3]
+    finally:
+        release.set()
+        writer.join(10.0)
+    assert not writer.is_alive()
+    assert {p: store.read_map_slice(1, 4, p) for p in (0, 1, 3)} == \
+        _encoded(seed=4)
+
+
+def test_crash_between_write_and_publish_commits_nothing(stores, tmp_path,
+                                                         monkeypatch):
+    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
+
+    def crash(fd):
         raise KeyboardInterrupt("SIGKILL stand-in")
 
-    monkeypatch.setattr(os, "replace", crash)
+    monkeypatch.setattr(os, "fsync", crash)
     with pytest.raises(KeyboardInterrupt):
         store.write_map_output(1, 4, None, _slices())
     monkeypatch.undo()
-    # nothing under the committed name, nothing pinned hot: the only
-    # trace is the orphan tmp the job-directory sweep removes
-    assert not store.map_path(1, 4).exists()
+    # nothing published, nothing pinned hot: the only trace is a section
+    # no commit message ever named, which the recomputed task supersedes
+    # (the later section wins) and the job's sweep removes
     assert store.memory.stats()["entries"] == 0
     assert all(store.read_map_slice(1, 4, p) == b"" for p in range(4))
-    assert [p.name.endswith(".tmp") for p in store.dir.rglob("*")
-            if p.is_file()] == [True]
+    assert _files(store) == ["map/job1.seg"]
+    store.write_map_output(1, 4, None, _slices(seed=9))
+    for reader in (store, stores(tmp_path, 0)):
+        assert reader.read_map_slice(1, 4, 0) == _encoded(seed=9)[0]
     store.drop_job(1)
-    assert not list(store.dir.rglob("*.tmp"))
+    assert _files(store) == []
+
+
+def _section_bytes(tmp_path, task, seed):
+    """The bytes one ``write_map_output`` appends, made in a scratch
+    store."""
+    scratch = NodeStore(tmp_path / f"scratch{task}", 0)
+    scratch.write_map_output(1, task, None, _slices(seed))
+    scratch.close()
+    return scratch.map_segment_path(1).read_bytes()
+
+
+def test_torn_tail_is_invisible_and_the_next_writer_truncates_it(stores,
+                                                                 tmp_path):
+    """What a SIGKILL mid-append leaves: half a section behind two
+    complete ones.  No scan sees it, and the dead incarnation's
+    successor cuts it off before it appends, so its own sections stay
+    reachable."""
+    first = stores(tmp_path, 0)
+    first.write_map_output(1, 0, None, _slices(seed=0))
+    first.write_map_output(1, 1, None, _slices(seed=1))
+    first.close()
+    path = first.map_segment_path(1)
+    whole = path.stat().st_size
+    section = _section_bytes(tmp_path, 2, seed=2)
+    for cut in (1, 15, 16, 40, len(section) // 2, len(section) - 1):
+        with open(path, "r+b") as fh:
+            fh.truncate(whole)
+            fh.seek(whole)
+            fh.write(section[:cut])
+        assert sorted(scan_map_segment(path)) == [0, 1]
+        assert stores(tmp_path, 0).read_map_slice(1, 2, 0) == b""
+    successor = stores(tmp_path, 0)
+    successor.write_map_output(1, 3, None, _slices(seed=3))
+    assert sorted(scan_map_segment(path)) == [0, 1, 3]
+    assert path.stat().st_size == whole + len(
+        _section_bytes(tmp_path, 3, seed=3))
+    for task in (0, 1, 3):
+        assert successor.read_map_slice(1, task, 1) == _encoded(task)[1]
+
+
+def test_tombstone_hides_a_task_and_a_rewrite_unhides_it(stores, tmp_path):
+    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
+    path = store.map_segment_path(1)
+    store.write_map_output(1, 5, None, _slices(seed=5))
+    store.write_map_output(1, 6, None, _slices(seed=6))
+    store.drop_map_output(1, 5)
+    store.drop_map_output(1, 5)   # idempotent: one tombstone, not two
+    store.drop_map_output(1, 99)  # ... and none for a task never written
+    store.drop_map_output(7, 0)   # ... nor a segment for a job never run
+    assert _files(store) == ["map/job1.seg"]
+    size = path.stat().st_size
+    assert sorted(scan_map_segment(path)) == [6]
+    for reader in (store, stores(tmp_path, 0)):
+        assert reader.read_map_slice(1, 5, 0) == b""
+        assert reader.read_map_slice(1, 6, 0) == _encoded(seed=6)[0]
+    store.write_map_output(1, 5, None, _slices(seed=8))  # the recompute
+    assert sorted(scan_map_segment(path)) == [5, 6]
+    for reader in (store, stores(tmp_path, 0)):
+        assert reader.read_map_slice(1, 5, 0) == _encoded(seed=8)[0]
+    # append-only throughout: nothing before the tombstone moved
+    assert path.stat().st_size == size + len(
+        _section_bytes(tmp_path, 5, seed=8))
+
+
+def test_a_second_store_and_a_second_process_read_what_the_first_wrote(
+        stores, tmp_path):
+    """Disk is the truth and the index a cache: a store that never saw
+    the writes — in this process or another — scans the segment."""
+    stores(tmp_path, 0, chain="c0001").write_map_output(
+        2, 7, (1, 3), _slices())
+    second = stores(tmp_path, 0).for_chain("c0001")
+    assert {p: second.read_map_slice(2, 7, p) for p in (0, 1, 3)} == \
+        _encoded()
+    code = ("import sys; from repro.runtime.storage import NodeStore; "
+            "store = NodeStore(sys.argv[1], 0, chain='c0001'); "
+            "sys.stdout.buffer.write(b''.join("
+            "store.read_map_slice(2, 7, p) for p in range(4)))")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, timeout=60, check=True)
+    assert done.stdout == b"".join(_encoded().values())
+
+
+def test_concurrent_appends_scan_to_intact_sections(stores, tmp_path):
+    """Two slot threads appending to one segment: sections never
+    interleave, every one is published, and the bytes are intact."""
+    store = stores(tmp_path, 0)
+    payloads = {task: _encoded(seed=task % 7) for task in range(400)}
+    errors = []
+
+    def slot(tasks):
+        try:
+            for task in tasks:
+                store.write_map_slices(
+                    1, task, None,
+                    {p: (1, data) for p, data in payloads[task].items()})
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=slot, args=(range(i, 400, 2),))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert sorted(scan_map_segment(store.map_segment_path(1))) == \
+        list(range(400))
+    for reader in (store, stores(tmp_path, 0)):
+        for task in (0, 1, 199, 398, 399):
+            assert {p: reader.read_map_slice(1, task, p)
+                    for p in (0, 1, 3)} == payloads[task]
 
 
 def test_torn_or_corrupt_map_output_raises_instead_of_serving_short(
-        tmp_path):
-    store = NodeStore(tmp_path, 0)
+        stores, tmp_path):
+    store = stores(tmp_path, 0)
     store.write_map_output(1, 0, (1, 2), _slices())
-    path = store.map_path(1, 0)
+    path = store.map_segment_path(1)
     whole = path.read_bytes()
-    slot_bytes = int.from_bytes(whole[:4], "big")
-    index_end = 4 + 3 * 8 + slot_bytes
+    slots = scan_map_segment(path)[0][1]
+    slot_bytes = int.from_bytes(whole[16:20], "big")
+    index_end = 16 + 4 + 3 * 8 + slot_bytes
     assert slot_bytes == 3 * 24  # three slices, one slot each
-    for cut in (0, 2, 4, 20, index_end - 1,  # inside the index
-                index_end, len(whole) - 1):  # inside the slices
+    assert int.from_bytes(whole[:8], "big") == len(whole) - 16
+    for cut in (0, 2, 16, 36, index_end - 1,  # inside header and index
+                index_end, len(whole) - 1):   # inside the slices
         path.write_bytes(whole[:cut])
-        for partition in (0, 3):
-            with pytest.raises(ValueError, match="map output"):
-                store.read_map_slice(1, 0, partition)
-    # an index whose length field lies (slot area not a whole number of
-    # slots) is corrupt, not truncated
-    path.write_bytes((slot_bytes + 3).to_bytes(4, "big") + whole[4:])
-    with pytest.raises(ValueError, match="corrupt map output index"):
-        store.read_map_slice(1, 0, 0)
+        for partition, data in _encoded().items():
+            # the store that wrote it trusts its index: a slice cut
+            # short behind its back raises (one the cut spared is whole)
+            offset, length, _ = slots[partition]
+            if offset + length <= cut:
+                assert store.read_map_slice(1, 0, partition) == data
+            else:
+                with pytest.raises(ValueError,
+                                   match="truncated map output"):
+                    store.read_map_slice(1, 0, partition)
+            # ... and to a scan it is a torn tail: no output, never short
+            assert stores(tmp_path, 0).read_map_slice(1, 0, partition) \
+                == b""
+    # a *complete* section whose index lies is corrupt, not torn: a slot
+    # area that is no whole number of slots, a slice past the section's
+    # end, an index head naming another task
+    last_length = 16 + 28 + 2 * 24 + 4 + 8
+    for lie, message in (
+            (whole[:16] + (slot_bytes + 3).to_bytes(4, "big") + whole[20:],
+             "corrupt map output index"),
+            (whole[:last_length] + (1 << 40).to_bytes(8, "big")
+             + whole[last_length + 8:], "truncated map output"),
+            (whole[:20] + (77).to_bytes(8, "big") + whole[28:],
+             "truncated map output")):
+        path.write_bytes(lie)
+        with pytest.raises(ValueError, match=message):
+            scan_map_segment(path)
+        with pytest.raises(ValueError, match=message):
+            stores(tmp_path, 0).read_map_slice(1, 0, 0)
     path.write_bytes(whole)
-    assert decode_records(store.read_map_slice(1, 0, 3)) == _slices()[3]
+    for reader in (store, stores(tmp_path, 0)):
+        assert decode_records(reader.read_map_slice(1, 0, 3)) == \
+            _slices()[3]
 
 
 # ---------------------------------------------------------------- memory tier
-def test_evicted_slice_reloads_from_the_single_file(tmp_path):
+def test_evicted_slice_reloads_from_the_single_file(stores, tmp_path):
     slices = _slices()
     largest = max(len(encode_records(records))
                   for records in slices.values())
     tier = MemoryTier(largest)  # never room for all three slices
-    store = NodeStore(tmp_path, 0, memory=tier)
+    store = stores(tmp_path, 0, memory=tier)
     store.write_map_output(1, 0, None, slices)
     assert tier.stats()["entries"] < 3 and tier.spills >= 1
     for _ in range(2):  # each pass evicts what the next one needs
@@ -293,31 +508,73 @@ def test_evicted_slice_reloads_from_the_single_file(tmp_path):
             assert store.read_map_slice(1, 0, partition) == \
                 encode_records(records)
     assert tier.misses >= 3  # reloaded from the one file, not from RAM
-    assert all(key.startswith(f"{store.map_path(1, 0)}#")
+    assert all(key.startswith(f"{store.map_segment_path(1)}#0#")
                for key in tier._entries)
 
 
-@pytest.mark.parametrize("drop", ["map-output", "job", "sweep"])
-def test_drops_evict_every_slice_entry_and_unlink_the_file(tmp_path, drop):
+@pytest.mark.parametrize("drop", ["map-output", "job", "reclaim", "sweep"])
+def test_drops_evict_every_slice_entry_and_unlink_the_file(stores, tmp_path,
+                                                           drop):
+    """Every way an output goes away evicts exactly its slices; the ways
+    a *job* goes away also close the segment's handle and unlink it, and
+    a later write starts a fresh segment."""
     tier = MemoryTier(1 << 20)
-    store = NodeStore(tmp_path, 0, chain="c0001", memory=tier)
-    store.write_map_output(1, 0, None, _slices())
-    store.write_map_output(1, 10, None, _slices(seed=4))  # "task1" prefix
+    store = stores(tmp_path, 0, chain="c0001", memory=tier)
+    path = store.map_segment_path(1)
+    store.write_map_output(1, 1, None, _slices())
+    store.write_map_output(1, 10, None, _slices(seed=4))  # "#1" prefix
     assert tier.stats()["entries"] == 6
+    segment = store._segments[str(path)]
     if drop == "map-output":
-        store.drop_map_output(1, 0)
-        assert store.map_path(1, 10).exists()  # task10 is not task1*
-        assert sorted(tier._entries) == sorted(
-            f"{store.map_path(1, 10)}#{p}" for p in (0, 1, 3))
+        store.drop_map_output(1, 1)
+        assert sorted(tier._entries) == sorted(  # task 10 is not task 1*
+            f"{path}#10#{p}" for p in (0, 1, 3))
+        assert store.read_map_slice(1, 10, 0) == _encoded(seed=4)[0]
         store.drop_map_output(1, 10)
-    elif drop == "job":
-        assert store.drop_job(1) > 0
+        assert scan_map_segment(path) == {} and not segment.fh.closed
     else:
-        assert store.sweep_chain(keep_reduce_jobs=()) > 0
+        if drop == "job":
+            assert store.drop_job(1) > 0
+        elif drop == "reclaim":
+            assert store.reclaim_job_sets({1}, ()) > 0
+        else:
+            assert store.sweep_chain(keep_reduce_jobs=()) > 0
+        assert segment.fh.closed and not path.exists()
+        assert store._segments == {}
     assert tier.stats()["entries"] == 0 and tier.bytes == 0
-    assert not store.map_path(1, 0).exists()
-    assert not store.map_path(1, 10).exists()
-    assert store.read_map_slice(1, 0, 0) == b""
+    assert store.read_map_slice(1, 1, 0) == b""
+    assert store.read_map_slice(1, 10, 0) == b""
+    store.write_map_output(1, 2, None, _slices(seed=2))
+    assert sorted(scan_map_segment(path)) == [2]
+    assert store.read_map_slice(1, 2, 3) == _encoded(seed=2)[3]
+    if drop != "map-output":
+        assert path.stat().st_size == len(_section_bytes(tmp_path, 2, 2))
+
+
+@pytest.mark.parametrize("drop", ["job", "reclaim"])
+def test_dropping_job_1_leaves_jobs_10_and_11_hot(stores, tmp_path, drop):
+    """Regression: the subtree's memory-tier entries were evicted by the
+    prefix ``.../job1`` — no separator — which is also a prefix of
+    ``.../job10`` and ``.../job11``: dropping job 1 emptied the tier."""
+    tier = MemoryTier(1 << 20)
+    store = stores(tmp_path, 0, memory=tier)
+    records = generate_records(8, seed=3)
+    for job in (1, 10, 11):
+        store.write_map_output(job, 0, None, {0: records})
+        store.write_piece(job, 0, 0, 1, records)
+    if drop == "job":
+        store.drop_job(1)
+    else:
+        store.reclaim_job_sets({1}, {1})
+    assert tier.stats()["entries"] == 4
+    misses = tier.misses
+    for job in (10, 11):
+        assert store.read_map_slice(job, 0, 0) == encode_records(records)
+        assert store.read_piece(job, 0, 0, 1) == encode_records(records)
+    assert tier.misses == misses  # served from RAM, not reloaded
+    assert _files(store) == sorted(
+        name for job in (10, 11)
+        for name in (f"map/job{job}.seg", f"reduce/job{job}/part0/s0of1.bin"))
 
 
 # ------------------------------------------------------- checksum from bytes
