@@ -18,9 +18,9 @@ one size: input ``value_size`` -> map ``10 + min(6, L)`` -> reduce 14)
 or, for ragged values, a 1-D object array of ``bytes`` (correct, not
 fast).  MD5 has a batch form too — :mod:`repro.localexec.md5` digests
 a whole column in one vectorised pass — which wins once a batch is large
-enough to amortise its ~640 numpy calls per 64-byte block;
+enough to amortise its ~600 numpy calls per 64-byte block;
 :func:`_digests` sends columns of at least :data:`MD5_KERNEL_MIN_ROWS`
-rows per block there (messages of one or two blocks only) and keeps one
+rows per block there (messages of up to four blocks) and keeps one
 ``hashlib`` call per record for the rest.
 """
 
@@ -35,15 +35,15 @@ from repro.localexec.md5 import TEXT_HEAD_MAX, md5_rows, md5_text, n_blocks
 
 #: Rows per 64-byte message block from which the batch kernel beats the
 #: ``hashlib`` loop: 1 000 for one-block messages, 2 000 for two-block
-#: ones (job 1's 64-byte values) — ``hashlib``'s cost is mostly its
-#: per-call constructor and grows ~0.1 us with a second block, while the
-#: kernel's doubles.  For the same reason the kernel's lead shrinks with
-#: every further block and is gone by the fourth, so longer messages
-#: (values over 119 bytes) always take the loop.  Measured, not tuned
-#: per run: ``tools/md5_crossover.py`` prints the table in
-#: docs/architecture.md §7.
+#: ones (job 1's 64-byte values), and so on — ``hashlib``'s cost is mostly
+#: its per-call constructor and grows ~0.1 us a block, while the kernel's
+#: grows by a whole block's steps.  For the same reason the kernel's lead
+#: shrinks with every further block and is a tie by the eighth, so
+#: messages of more than four blocks (values over 247 bytes) always take
+#: the loop.  Measured, not tuned per run: ``tools/md5_crossover.py``
+#: prints the table in docs/architecture.md §7.
 MD5_KERNEL_MIN_ROWS = 1000
-MD5_KERNEL_MAX_BLOCKS = 2
+MD5_KERNEL_MAX_BLOCKS = 4
 
 
 class Record(NamedTuple):
@@ -146,19 +146,20 @@ def _kernel_pays(rows: int, blocks: int = 1) -> bool:
             and rows >= MD5_KERNEL_MIN_ROWS * blocks)
 
 
-def _digests(column, head: Optional[bytes] = None) -> np.ndarray:
+def _digests(column, head: Optional[bytes] = None, tick=None) -> np.ndarray:
     """MD5 of every message of a column as an ``n x 16`` byte matrix.
 
     The messages are the rows of a value matrix, the blobs of a list or
     ragged column, or — given ``head`` — the texts ``head + b"%d" %
-    number`` of a ``uint64`` column."""
+    number`` of a ``uint64`` column.  The kernel calls ``tick`` before
+    each of its passes."""
     if head is not None:
         if _kernel_pays(len(column)) and len(head) <= TEXT_HEAD_MAX:
-            return md5_text(head, column)
+            return md5_text(head, column, tick)
         column = [head + b"%d" % number for number in column.tolist()]
     elif isinstance(column, np.ndarray) and column.ndim == 2:
         if _kernel_pays(len(column), n_blocks(column.shape[1])):
-            return md5_rows(column)
+            return md5_rows(column, tick)
         column = _rows(column)
     md5 = hashlib.md5
     return np.frombuffer(b"".join([md5(blob).digest() for blob in column]),
@@ -175,10 +176,13 @@ def generate_batch(n: int, seed: int, value_size: int = 16, start: int = 0
             np.tile(material, (1, value_size // 16 + 1))[:, :value_size])
 
 
-def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`map_udf` over a column batch, row for row."""
-    new_keys = _be_column(_digests(keys, head=b"%d:" % job_index)[:, :8])
+def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int,
+              tick=None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`map_udf` over a column batch, row for row.  ``tick``, if
+    given, is called before every pass of the MD5 kernel (about every
+    8 192 rows of either digest) and may raise to abandon the batch."""
+    new_keys = _be_column(
+        _digests(keys, b"%d:" % job_index, tick)[:, :8])
     if values.ndim == 1:  # ragged
         rows = values.tolist()
         return new_keys, np.array(
@@ -186,7 +190,7 @@ def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int
              + row[:6] for digest, row in zip(_digests(rows)[:, :8], rows)],
             dtype=object)
     out = np.empty((len(values), 10 + min(6, values.shape[1])), np.uint8)
-    out[:, :8] = _digests(values)[:, :8]
+    out[:, :8] = _digests(values, tick=tick)[:, :8]
     out[:, 8:10] = _be_bytes(values.sum(axis=1, dtype=np.uint64), 2)
     out[:, 10:] = values[:, :6]
     return new_keys, out
@@ -202,20 +206,33 @@ def reduce_batch(keys: np.ndarray, values: np.ndarray
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
     sizes = np.diff(np.append(starts, len(keys)))
-    values = blobs = values[order]
-    if len(starts) < len(keys):  # DAG joins, key collisions: sort + join
+    values = values[order]
+
+    def group_blobs(values, starts, sizes) -> list[bytes]:  # sort + join
         rows = _rows(values)
-        blobs = [b"".join(sorted(rows[start:start + size]))
-                 for start, size in zip(starts.tolist(), sizes.tolist())]
-    # else one value per key — every chain job from the second on — and
-    # the column is the blobs as it stands
+        return [b"".join(sorted(rows[start:start + size]))
+                for start, size in zip(starts.tolist(), sizes.tolist())]
+
     if values.ndim == 1:  # ragged
+        blobs = group_blobs(values, starts, sizes)
+        digests = _digests(blobs)
         sums, lengths = list(map(sum, blobs)), list(map(len, blobs))
     else:
+        # one value per key — every chain job from the second on, and all
+        # but a few keys of the first — is its blob as it stands: only
+        # the groups of several (DAG joins, key collisions) sort + join
+        several = sizes > 1
+        digests = np.empty((len(starts), 16), np.uint8)
+        digests[~several] = _digests(values[starts[~several]])
+        if several.any():
+            ends = np.cumsum(sizes[several])
+            digests[several] = _digests(group_blobs(
+                values[np.repeat(several, sizes)], ends - sizes[several],
+                sizes[several]))
         sums = np.add.reduceat(values.sum(axis=1, dtype=np.uint64), starts)
         lengths = sizes * values.shape[1]
     out = np.empty((len(starts), 14), np.uint8)
-    out[:, :8] = _digests(blobs)[:, :8]
+    out[:, :8] = digests[:, :8]
     out[:, 8:10] = _be_bytes(sums, 2)
     out[:, 10:] = _be_bytes(lengths, 4)
     return keys[starts], out

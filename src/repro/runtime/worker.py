@@ -11,7 +11,18 @@ process keeps several tasks in flight (the paper's surviving
 parallelism, exploited *within* a node).  Single-slot execution stays on
 the main thread on purpose: on a slot thread the numpy buffers land in a
 second malloc arena (+1.8 MB peak RSS per worker, measured), while the
-intake allocates nothing but unpickled command dicts.  A task keeps its
+intake allocates nothing but unpickled command dicts.
+
+The unit of *compute* is a run, the unit of *commit* a task: a map
+command takes with it the map commands of the same chain, job and epoch
+queued right behind it, and the map UDF runs over all their rows at once
+— the epoch re-checked before every pass of the MD5 kernel, about every
+8 192 rows — because the batch kernel's cost is per call and one
+3 000-row block pays it for too few rows.  Then every
+task partitions its own rows, re-checks its epoch, appends and fsyncs its
+own section and sends its own ``map-done``; a block that cannot be
+fetched fails its own task; the mapped-ahead columns live no longer than
+the run (one slot's, with ``task_slots > 1``).  A task keeps its
 data as columns — ``keys: uint64[n]`` plus an ``n x L`` value matrix —
 from the moment a block's or a shuffle response's bytes are decoded
 (:func:`~repro.runtime.storage.decode_columns`) to the moment the output
@@ -39,8 +50,9 @@ results.  Because the intake hears the bump while the executor is still
 busy, one rule cancels in both slot modes: a command older than the
 newest epoch on the wire is skipped when it is picked up — the whole
 queued share of a cancelled map phase falls through in microseconds —
-and the task *in flight* re-checks once right before its store write and
-does not commit (no fsync'd bytes, no ``*-done`` event).
+and the task *in flight* re-checks once right before its store write (a
+run of map tasks also before each kernel pass) and does not commit (no
+fsync'd bytes, no ``*-done`` event).
 A skipped or aborted task answers ``task-failed`` / ``"cancelled"`` so a
 speculative race waiting on it settles; drops and reclaims of a
 cancelled epoch stay silent.  Before running the first command of a new
@@ -50,12 +62,15 @@ interleaves with a cancelled epoch's stragglers on the same disk.
 
 from __future__ import annotations
 
+import collections
 import os
 import queue
 import threading
 import time
 import traceback
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.localexec.records import generate_batch, map_batch, reduce_batch
 from repro.runtime import protocol, transport
@@ -103,12 +118,17 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
     commands: queue.SimpleQueue = queue.SimpleQueue()
     threading.Thread(target=_intake, args=(cmd_conn, worker, commands),
                      name="intake", daemon=True).start()
+    pending: collections.deque = collections.deque()
     try:
         while True:
-            cmd = commands.get()
+            if not pending:
+                pending.append(commands.get())
+            while not commands.empty():  # a map looks ahead in the arrived
+                pending.append(commands.get_nowait())
+            cmd = pending.popleft()
             if cmd["op"] == "stop":
                 break
-            worker.dispatch(cmd)
+            worker.dispatch(cmd, pending)
     finally:
         server.close()
         worker.close()
@@ -134,9 +154,9 @@ class _Cancelled(Exception):
 
 
 class _SlotPool:
-    """N daemon slot threads pulling task commands off one queue."""
+    """N daemon slot threads pulling runs of task commands off one queue."""
 
-    def __init__(self, n: int, run: Callable[[dict], None]):
+    def __init__(self, n: int, run: Callable[[list], None]):
         self._queue: queue.Queue = queue.Queue()
         self._run = run
         for i in range(n):
@@ -145,17 +165,17 @@ class _SlotPool:
 
     def _loop(self) -> None:
         while True:
-            cmd = self._queue.get()
+            run = self._queue.get()
             try:
-                self._run(cmd)
+                self._run(run)
             finally:
                 self._queue.task_done()
 
-    def submit(self, cmd: dict) -> None:
-        self._queue.put(cmd)
+    def submit(self, run: list) -> None:
+        self._queue.put(run)
 
     def drain(self) -> None:
-        """Block until every queued and running command has finished."""
+        """Block until every queued and running run has finished."""
         self._queue.join()
 
 
@@ -186,7 +206,7 @@ class _Worker:
         self._stores: dict = {None: store, store.chain: store}
         self.pool = transport.PeerPool(timeout=opts["fetch_timeout"])
         slots = max(1, int(opts["task_slots"]))
-        self._slots = _SlotPool(slots, self.execute) if slots > 1 else None
+        self._slots = _SlotPool(slots, self.execute_run) if slots > 1 else None
         self._ports: dict[int, int] = {}
         self._latest_epoch = -1  # newest epoch the command loop reached
         self._wire_epoch = -1    # newest epoch the intake saw: >= the above
@@ -213,8 +233,11 @@ class _Worker:
         if cmd.get("epoch", self._wire_epoch) < self._wire_epoch:
             raise _Cancelled
 
-    def dispatch(self, cmd: dict) -> None:
-        """Route one command from the pipe (main loop thread only)."""
+    def dispatch(self, cmd: dict,
+                 pending: collections.deque | tuple = ()) -> None:
+        """Route one command from the pipe (main loop thread only); a map
+        command takes the rest of its run off ``pending``, the commands
+        that arrived behind it."""
         epoch = cmd.get("epoch")
         if epoch is not None and epoch > self._latest_epoch:
             # first command of a new epoch: quiesce the cancelled
@@ -269,19 +292,33 @@ class _Worker:
         # everything but the task ops — drops, sweeps, reclaims — runs
         # inline on the command loop, which the epoch drain keeps free
         # of concurrent task stragglers
+        run = [cmd]
+        while cmd["op"] == "map" and pending and all(
+                pending[0].get(field) == cmd.get(field)
+                for field in ("op", "chain", "job", "epoch")):
+            run.append(pending.popleft())
         if self._slots is not None and cmd["op"] in protocol.TASK_OPS:
-            self._slots.submit(cmd)
+            self._slots.submit(run)
         else:
-            self.execute(cmd)
+            self.execute_run(run)
 
-    def execute(self, cmd: dict) -> None:
+    def execute_run(self, run: list) -> None:
+        """Execute one unit of compute — a lone command, or a run of map
+        commands of one chain, job and epoch — as units of commit: the
+        map UDF runs once over the run's rows, then every task checks,
+        commits and answers on its own."""
+        mapped = self._map_run(run) if run[0]["op"] == "map" else [None]
+        for cmd, outcome in zip(run, mapped):
+            self.execute(cmd, outcome)
+
+    def execute(self, cmd: dict, mapped=None) -> None:
         op = cmd.get("op")
         chain = cmd.get("chain")
         try:
             self._check_epoch(cmd)
             store = self._store(chain)
             if op == "map":
-                self._map(cmd, chain, store)
+                self._map(cmd, store, mapped)
             elif op == "reduce":
                 self._reduce(cmd, chain, store)
             elif op == "replicate":
@@ -413,18 +450,60 @@ class _Worker:
         return total
 
     # -- tasks -----------------------------------------------------------
-    def _map(self, cmd: dict, chain, store: NodeStore) -> None:
+    def _map_run(self, run: list) -> list:
+        """Resolve a run's blocks and map all their rows in one column
+        pass.  One outcome per task: ``(keys, values, fetched, local,
+        seconds)`` — its resolve time plus its share of the pass, pro rata
+        by rows — or the exception it is to raise: its own block's (a
+        ``FetchError`` fails that task, not the run) or the pass's."""
+        chain, job = run[0].get("chain"), run[0]["job"]
+        outcomes: list = []
+        passes: dict = {}  # ragged and uniform value columns: one each
+        try:
+            self._check_epoch(run[0])
+            store = self._store(chain)
+            for cmd in run:
+                started = time.perf_counter()
+                try:
+                    block = self._block_columns(cmd, chain, store,
+                                                self._ports)
+                except Exception as exc:
+                    outcomes.append(exc)
+                    continue
+                passes.setdefault(block[1].shape[1:], []).append(
+                    len(outcomes))
+                outcomes.append((*block, time.perf_counter() - started))
+            for members in passes.values():
+                started = time.perf_counter()
+                # the epoch re-checked before every pass of the MD5 kernel,
+                # so a cancelled run stops within one
+                keys, values = map_batch(*(
+                    np.concatenate([outcomes[i][column] for i in members])
+                    for column in (0, 1)), job,
+                    lambda: self._check_epoch(run[0]))
+                per_row = (time.perf_counter() - started) / max(1, len(keys))
+                cuts = np.cumsum([len(outcomes[i][0]) for i in members])[:-1]
+                for i, task_keys, task_values in zip(
+                        members, np.split(keys, cuts), np.split(values, cuts)):
+                    *_, fetched, local, seconds = outcomes[i]
+                    outcomes[i] = (task_keys, task_values, fetched, local,
+                                   seconds + per_row * len(task_keys))
+        except Exception as exc:
+            return [exc] * len(run)
+        return outcomes
+
+    def _map(self, cmd: dict, store: NodeStore, mapped) -> None:
+        if isinstance(mapped, Exception):
+            raise mapped
+        keys, values, fetched, local, seconds = mapped
         started = time.perf_counter()
-        job, task_id = cmd["job"], cmd["task"]
-        keys, values, fetched, local = self._block_columns(
-            cmd, chain, store, self._ports)
-        slices = partition_columns(*map_batch(keys, values, job),
-                                   cmd["n_partitions"])
+        slices = partition_columns(keys, values, cmd["n_partitions"])
         self._check_epoch(cmd)
-        counts = store.write_map_slices(job, task_id, cmd["origin"], slices)
+        counts = store.write_map_slices(cmd["job"], cmd["task"],
+                                        cmd["origin"], slices)
         # the throttle stretches the task *before* its commit event, so
         # a slow node's commits land at 1/factor speed, not just its slot
-        self.throttle.pace(time.perf_counter() - started)
+        self.throttle.pace(seconds + time.perf_counter() - started)
         self._done(cmd, counts, fetched, local)
 
     def _reduce(self, cmd: dict, chain, store: NodeStore) -> None:

@@ -22,8 +22,14 @@ from repro.localexec import (
     recover_and_finish,
     reduce_udf,
 )
+from repro.localexec import md5 as md5_mod
 from repro.localexec import records as records_mod
-from repro.localexec.md5 import _CHUNK, md5_rows, md5_text
+from repro.localexec.md5 import (
+    _CHUNK,
+    TEXT_HEAD_MAX,
+    md5_rows,
+    md5_text,
+)
 from repro.localexec.records import (
     MD5_KERNEL_MIN_ROWS,
     Record,
@@ -164,6 +170,40 @@ def test_batch_udfs_compose_like_a_chain_job():
         [reduce_udf(k, v) for k, v in sorted(groups.items())]
 
 
+@pytest.mark.parametrize("n", [40, 2 * MD5_KERNEL_MIN_ROWS + 7])
+@pytest.mark.parametrize("duplicates", ["none", "one", "every"])
+def test_reduce_batch_sorts_and_joins_only_the_groups_of_several(
+        n, duplicates):
+    """One duplicate key (job 1's 32-bit input keys collide) must not
+    send the whole partition down the per-group path: the groups of one
+    are digested as the column they are — through the kernel, above the
+    crossover — and the result is ``reduce_udf`` row for row either way,
+    as it is when every key has several values (a DAG join)."""
+    keys, values = map_batch(*generate_batch(n, seed=9, value_size=64), 1)
+    if duplicates == "one":
+        keys[n // 3] = keys[n - 2]
+    elif duplicates == "every":
+        keys, values = np.tile(keys, 2), np.concatenate([values[::-1], values])
+    groups = {}
+    for r in to_records(keys, values):
+        groups.setdefault(r.key, []).append(r.value)
+    assert len(groups) == {"none": n, "one": n - 1, "every": n}[duplicates]
+    assert to_records(*reduce_batch(keys, values)) == \
+        [reduce_udf(k, v) for k, v in sorted(groups.items())]
+
+
+def test_one_duplicate_key_keeps_the_rest_of_a_partition_on_the_kernel(
+        monkeypatch):
+    n, digested = 2 * MD5_KERNEL_MIN_ROWS, []
+    monkeypatch.setattr(records_mod, "md5_rows", lambda column, tick: (
+        digested.append(len(column)), md5_rows(column))[1])
+    keys, values = map_batch(*generate_batch(n, seed=4, value_size=16), 2)
+    digested.clear()
+    keys[5] = keys[77]
+    reduce_batch(keys, values)
+    assert digested == [n - 2]  # the pair alone took the hashlib loop
+
+
 # ------------------------------------------- the MD5 kernel vs ``hashlib``
 def hashlib_digests(blobs):
     return [hashlib.md5(blob).digest() for blob in blobs]
@@ -265,6 +305,56 @@ def test_md5_text_is_hashlib_on_random_columns(numbers, head):
         hashlib_digests(head + b"%d" % number for number in numbers[::-1])
 
 
+@pytest.mark.parametrize("at", range(TEXT_HEAD_MAX + 1))
+def test_md5_text_is_hashlib_at_every_head_length(at):
+    """The head decides which message words are constants (the words it
+    fills) and where in a word the digits start: every length, over the
+    keys whose text changes length — 0, 10^k - 1, 10^k, 2^64 - 1."""
+    numbers = np.array(EDGE_NUMBERS + [10**k for k in range(20)]
+                       + [10**k - 1 for k in range(1, 20)], np.uint64)
+    head = bytes(range(0x30, 0x30 + at))
+    assert_md5_text_is_hashlib(head, numbers)
+    # short texts only: the words behind the longest fold to constants
+    assert_md5_text_is_hashlib(head, numbers[numbers < 1000])
+
+
+# one row either side of a kernel pass, and of the row counts where the
+# equal passes go from one to two and from two to three
+@pytest.mark.parametrize("n, passes", [
+    (_CHUNK - 1, 1), (_CHUNK, 1), (_CHUNK + 1, 1),
+    (_CHUNK * 3 // 2 - 1, 1), (_CHUNK * 3 // 2 + 1, 2),
+    (_CHUNK * 5 // 2 + 1, 3)])
+def test_kernels_are_hashlib_at_the_pass_edges(monkeypatch, n, passes):
+    """The kernel runs in equal passes of about ``_CHUNK`` rows — never a
+    short remainder — and ticks before each."""
+    sizes, ticks = [], []
+    monkeypatch.setattr(md5_mod, "_compress", lambda rows, words, real=md5_mod
+                        ._compress: (sizes.append(rows), real(rows, words))[1])
+    values = random_matrix(n, 14, seed=n)
+    assert digest_rows(md5_rows(values, lambda: ticks.append(len(sizes)))) \
+        == hashlib_digests(bytes(row) for row in values)
+    assert ticks == list(range(passes))  # one tick ahead of every pass
+    assert len(sizes) == passes and sum(sizes) == n
+    assert max(sizes) - min(sizes) <= 1
+    assert_md5_rows_is_hashlib(random_matrix(n, 64, seed=n))
+    assert_md5_text_is_hashlib(b"2:", np.random.default_rng(n).integers(
+        0, 2**64, n, dtype=np.uint64))
+
+
+def test_a_raising_tick_abandons_the_batch():
+    class Stop(Exception):
+        pass
+
+    def tick():
+        raise Stop
+
+    n = MD5_KERNEL_MIN_ROWS
+    with pytest.raises(Stop):
+        map_batch(*generate_batch(n, seed=1, value_size=16), 1, tick)
+    # under the crossover nothing ticks: the ``hashlib`` loop is one piece
+    map_batch(*generate_batch(n - 1, seed=1, value_size=16), 1, tick)
+
+
 # ------------------------ batch UDFs on either side of the kernel crossover
 def at_crossover(crossover, fn, *args):
     with pytest.MonkeyPatch.context() as patch:
@@ -335,14 +425,19 @@ def test_a_chain_job_above_the_crossover_is_the_per_record_job(
         + ["md5_rows"]
 
 
-def test_values_over_two_blocks_keep_the_hashlib_loop(monkeypatch):
-    """The kernel's lead shrinks with every block and is gone by the
-    fourth (tools/md5_crossover.py), so 120-byte values never enter it."""
-    monkeypatch.setattr(records_mod, "md5_rows", None)  # a call would raise
+def test_values_over_four_blocks_keep_the_hashlib_loop(monkeypatch):
+    """The kernel's lead shrinks with every block and is a tie by the
+    eighth (tools/md5_crossover.py), so 248-byte values never enter it —
+    and 247-byte ones, four blocks, do from 4 000 rows."""
+    calls = []
+    monkeypatch.setattr(records_mod, "md5_rows", lambda column, tick: (
+        calls.append(column.shape), md5_rows(column))[1])
     n = 4 * MD5_KERNEL_MIN_ROWS
-    records = generate_records(n, seed=8, value_size=120)
-    assert to_records(*map_batch(*to_columns(records), 1)) == \
-        [map_udf(r, 1) for r in records]
+    for value_size, entered in ((248, []), (247, [(n, 247)])):
+        records = generate_records(n, seed=8, value_size=value_size)
+        assert to_records(*map_batch(*to_columns(records), 1)) == \
+            [map_udf(r, 1) for r in records]
+        assert calls == entered
 
 
 # ------------------------------------------------------------- partitioning

@@ -394,7 +394,7 @@ def test_worker_software_error_surfaces_with_traceback(tmp_path,
     """A deterministic bug inside a task must surface as a coordinator
     error carrying the worker's traceback — not masquerade as a node
     death and cascade through recovery killing node after node."""
-    def buggy_udf(keys, values, job):
+    def buggy_udf(keys, values, job, tick):
         raise ValueError("deterministic UDF bug")
 
     # fork start method: the patched module state is inherited by workers

@@ -12,6 +12,7 @@ reproduce the in-process reference byte-for-byte under kills, and
 server-side filtering must actually shrink the recompute shuffle.
 """
 
+import collections
 import contextlib
 import multiprocessing
 import os
@@ -24,6 +25,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.localexec import md5 as md5_mod
 from repro.localexec.records import generate_records, split_of
 from repro.obs import RecordingTracer
 from repro.runtime import protocol
@@ -731,6 +733,175 @@ def test_epoch_stream_answers_every_task_once_and_in_epoch_order(tmp_path):
     done = [e.epoch for e in events if e.kind == "map-done"]
     assert done == sorted(done)
     assert done.count(epochs - 1) == per_epoch
+
+
+# ------------------------------------- compute as a run, commit as tasks
+def _map_commands(tasks, rows, epoch=0):
+    """Job-1 map commands over consecutive ``rows``-row input blocks."""
+    return [{"op": "map", "job": 1, "task": task, "origin": None,
+             "n_partitions": 2, "source": ("input", 0, task * rows, rows),
+             "key": ("map", 1, task), "epoch": epoch, "chain": None}
+            for task in tasks]
+
+
+def _run_worker(root, rows, n_tasks):
+    store = NodeStore(root, 0)
+    return _Worker(0, store, _EventSink(), seed=3,
+                   records_per_node=rows * n_tasks, value_size=16)
+
+
+def _dispatch_as_one_run(worker, cmds):
+    """What the command loop does when ``cmds`` have all arrived."""
+    pending = collections.deque(cmds[1:])
+    worker.dispatch(cmds[0], pending)
+    assert not pending
+
+
+# 8-row blocks digest on the ``hashlib`` loop alone and as a run; 1500-row
+# blocks enter the kernel either way, the run in passes of several blocks
+@pytest.mark.parametrize("rows", [8, 1500])
+@pytest.mark.parametrize("task_slots", [1, 2])
+def test_a_run_of_map_commands_commits_what_single_tasks_commit(
+        tmp_path, monkeypatch, rows, task_slots):
+    """N queued map commands computed as one run leave the segment N
+    single-task executions leave, byte for byte, and answer N
+    ``map-done`` events in task order with the same per-task results."""
+    n, passes = 7, []
+    real = worker_mod.map_batch
+    monkeypatch.setattr(worker_mod, "map_batch", lambda keys, *rest: (
+        passes.append(len(keys)), real(keys, *rest))[1])
+    results = {}
+    for name in ("single", "run"):
+        store = NodeStore(tmp_path / name, 0)
+        worker = _Worker(0, store, _EventSink(), seed=3,
+                         records_per_node=rows * n, value_size=16,
+                         options={"task_slots": task_slots})
+        try:
+            cmds = _map_commands(range(n), rows)
+            if name == "run":
+                _dispatch_as_one_run(worker, cmds)
+            else:
+                for cmd in cmds:
+                    worker.dispatch(cmd)
+            if worker._slots is not None:
+                worker._slots.drain()
+            events = sorted(worker.evt.sent, key=lambda e: e.key) \
+                if name == "single" else worker.evt.sent
+            assert [(e.kind, e.key) for e in events] == \
+                [("map-done", ("map", 1, task)) for task in range(n)]
+            results[name] = ([e.result for e in events],
+                             store.map_segment_path(1).read_bytes()
+                             if task_slots == 1 else
+                             [store.read_map_slice(1, task, partition)
+                              for task in range(n) for partition in (0, 1)])
+        finally:
+            worker.close()
+    assert results["run"] == results["single"]
+    # the singles ran the UDF once a task; the run once
+    assert passes == [rows] * n + [rows * n]
+
+
+def test_an_epoch_bump_inside_a_run_stops_it_within_one_pass(
+        tmp_path, monkeypatch):
+    """A newer epoch heard while a run's pass is under way: the pass does
+    not start another kernel chunk, nothing is written, and every task of
+    the run answers ``cancelled`` on its own."""
+    n, rows, calls = 4, md5_mod._CHUNK, []
+    worker = _run_worker(tmp_path, rows, n)
+    real = md5_mod._compress
+
+    def bump_then_compress(n_rows, words):
+        calls.append(n_rows)
+        worker.hear(1)
+        return real(n_rows, words)
+
+    try:
+        worker._input_block(None, 0, 0, 1)  # generated before the spy
+        monkeypatch.setattr(md5_mod, "_compress", bump_then_compress)
+        _dispatch_as_one_run(worker, _map_commands(range(n), rows))
+        # one kernel pass of the key digest's four, then the check: not
+        # the other three, and none of the value digest's
+        assert calls == [rows]
+        assert [(e.kind, e.key[2], e.result) for e in worker.evt.sent] == \
+            [("task-failed", task, "cancelled") for task in range(n)]
+        assert not worker.store.map_segment_path(1).exists()
+    finally:
+        worker.close()
+
+
+def test_an_epoch_bump_between_commits_of_a_run_commits_nothing_further(
+        tmp_path, monkeypatch):
+    """The run is mapped; the bump lands while its tasks commit one by
+    one: each re-checks right before its own store write, so the tasks
+    already durable answer ``map-done`` and the rest ``cancelled`` — and
+    the mapped-ahead columns go with the run."""
+    n, durable = 5, 2
+    worker = _run_worker(tmp_path, 8, n)
+    real = NodeStore.write_map_slices
+
+    def write_then_bump(store, job, task, *rest):
+        counts = real(store, job, task, *rest)
+        if task == durable - 1:
+            worker.hear(1)
+        return counts
+
+    monkeypatch.setattr(NodeStore, "write_map_slices", write_then_bump)
+    try:
+        _dispatch_as_one_run(worker, _map_commands(range(n), 8))
+        assert [(e.kind, e.key[2]) for e in worker.evt.sent] == \
+            [("map-done", task) for task in range(durable)] + \
+            [("task-failed", task) for task in range(durable, n)]
+        assert sorted(scan_map_segment(
+            worker.store.map_segment_path(1))) == list(range(durable))
+    finally:
+        worker.close()
+
+
+def test_a_fetch_error_on_a_looked_ahead_block_fails_only_its_task(
+        tmp_path, monkeypatch):
+    n, lost = 4, 2
+    worker = _run_worker(tmp_path, 8, n)
+    real = _Worker._block_columns
+
+    def block_columns(self, cmd, *rest):
+        if cmd["task"] == lost:
+            raise FetchError("source 7 is gone")
+        return real(self, cmd, *rest)
+
+    monkeypatch.setattr(_Worker, "_block_columns", block_columns)
+    try:
+        _dispatch_as_one_run(worker, _map_commands(range(n), 8))
+        assert [(e.kind, e.key[2]) for e in worker.evt.sent] == \
+            [("task-failed" if task == lost else "map-done", task)
+             for task in range(n)]
+        assert worker.evt.sent[lost].result == "source 7 is gone"
+        assert sorted(scan_map_segment(
+            worker.store.map_segment_path(1))) == [0, 1, 3]
+    finally:
+        worker.close()
+
+
+def test_a_run_ends_where_chain_job_or_epoch_change(tmp_path, monkeypatch):
+    """Only contiguous map commands of one chain, job and epoch compute
+    together; whatever follows stays queued for the command loop."""
+    worker = _run_worker(tmp_path, 8, 8)
+    runs = []
+    monkeypatch.setattr(worker, "execute_run",
+                        lambda run: runs.append([c["task"] for c in run]))
+    try:
+        cmds = _map_commands(range(8), 8)
+        for cmd in cmds[2:]:
+            cmd["job"] = 2
+        for cmd in cmds[4:]:
+            cmd["epoch"] = 1
+        cmds[5]["chain"] = "c0001"
+        cmds[7]["op"] = "reduce"
+        pending = collections.deque(cmds)
+        while pending:
+            worker.dispatch(pending.popleft(), pending)
+        assert runs == [[0, 1], [2, 3], [4], [5], [6], [7]]
+    finally:
+        worker.close()
 
 
 def test_stop_and_a_closed_command_pipe_both_end_the_worker(tmp_path):

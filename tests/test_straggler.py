@@ -10,6 +10,7 @@ first-commit-wins overlay, losers' partial output is swept, and
 pre-replication leaves no sole-copy piece on a suspected node.
 """
 
+import collections
 import json
 import time
 import warnings
@@ -33,7 +34,9 @@ from repro.runtime.coordinator import (
 )
 from repro.runtime.faults import LiveFaultPlan
 from repro.runtime.recovery import pre_replication_targets
+from repro.runtime import worker as worker_mod
 from repro.runtime.service import DONE, ChainService
+from repro.runtime.storage import NodeStore
 from repro.runtime.transport import Throttle
 from repro.simcore import SeedSequenceRegistry, Simulator
 from repro.workloads.chain import build_chain
@@ -43,6 +46,7 @@ from tests.test_runtime_process import (
     reference_checksum,
     run_process_chain,
 )
+from tests.test_runtime_shuffle import _EventSink, _map_commands
 
 SMALL = LocalJobConfig(n_jobs=2, n_partitions=4, records_per_node=32,
                        records_per_block=16, split_ratio=2, seed=0)
@@ -257,6 +261,40 @@ def test_throttle_pace_stretches_elapsed_time():
     start = time.monotonic()
     throttle.pace(10.0)  # 1x never sleeps, however long the work was
     assert time.monotonic() - start < 0.5
+
+
+def test_a_throttled_run_stretches_every_commit_not_the_first(
+        tmp_path, monkeypatch):
+    """A run's map pass is computed once but charged to its tasks pro
+    rata by rows, so a ``slow@`` node paces *every* commit of the run by
+    its factor — not the first by the whole pass and the rest by their
+    few hundred microseconds of commit."""
+    n, rows, pass_s = 4, 8, 0.08
+    real = worker_mod.map_batch
+
+    def slow_pass(*args):
+        time.sleep(pass_s)
+        return real(*args)
+
+    monkeypatch.setattr(worker_mod, "map_batch", slow_pass)
+    charged = []
+
+    class Recorder(Throttle):
+        def pace(self, elapsed):
+            charged.append(elapsed)
+
+    worker = worker_mod._Worker(
+        0, NodeStore(tmp_path, 0), _EventSink(), seed=0,
+        records_per_node=n * rows, value_size=16, throttle=Recorder(10.0))
+    try:
+        cmds = _map_commands(range(n), rows)
+        worker.dispatch(cmds[0], collections.deque(cmds[1:]))
+    finally:
+        worker.close()
+    assert [e.kind for e in worker.evt.sent] == ["map-done"] * n
+    assert len(charged) == n
+    assert all(share >= 0.9 * pass_s / n for share in charged)
+    assert pass_s <= sum(charged) < 2 * pass_s + 1.0
 
 
 # ------------------------------------------------------- placement policy

@@ -22,7 +22,7 @@ import numpy as np
 from repro.localexec import records
 from repro.localexec.md5 import n_blocks
 
-ROWS = (64, 256, 1000, 2000, 3000, 15000, 30000)
+ROWS = (64, 256, 1000, 2000, 3000, 4000, 8000, 15000, 30000)
 LENGTHS = (14, 16, 64, 128, 192, 448)
 
 
