@@ -905,16 +905,6 @@ class ChainRun:
         self._pending_deaths: deque[int] = deque()
         self._inbox: Optional[queue.Queue] = None
 
-    @property
-    def completed_jobs(self) -> int:
-        """Length of the contiguous completed prefix — the linear-chain
-        view of :attr:`done_jobs`, kept for callers (benches, service
-        wire shape) that report chain progress as a single number."""
-        done = 0
-        while done + 1 in self.done_jobs:
-            done += 1
-        return done
-
     # --------------------------------------------------------- event intake
     def attach_inbox(self) -> queue.Queue:
         """Switch to service mode: events arrive on a queue fed by the

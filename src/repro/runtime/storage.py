@@ -919,22 +919,17 @@ class ClusterRegistry:
             self.replicated_jobs.pop(job, None)
 
     # -- failure --------------------------------------------------------
-    def record_death(self, node: int,
-                     completed_jobs: int | Iterable[int]) -> None:
+    def record_death(self, node: int, done_jobs: Iterable[int]) -> None:
         """Remove the dead node's outputs; file damage for committed jobs.
 
         A piece with surviving replica holders is *promoted* — its
         primary entry re-points to a surviving holder — and never becomes
         damage.  Losses in a not-yet-committed job are not damage either:
         the job will simply re-run its missing work.  Only last-copy
-        losses in committed jobs get signatures filed for the planner;
-        ``completed_jobs`` is the done set — an int is the classic chain
-        prefix ``1..k``, an iterable the explicit (possibly non-prefix)
-        DAG done set."""
-        if isinstance(completed_jobs, int):
-            done = set(range(1, completed_jobs + 1))
-        else:
-            done = set(completed_jobs)
+        losses in the committed jobs ``done_jobs`` (any subset of the
+        graph, not only a chain prefix) get signatures filed for the
+        planner."""
+        done = set(done_jobs)
         for key in [k for k, m in self.map_outputs.items()
                     if m.node == node]:
             del self.map_outputs[key]

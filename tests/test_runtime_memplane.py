@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.faults import FaultModel
 from repro.localexec import LocalJobConfig
 from repro.localexec.records import Record, generate_records
 from repro.runtime.coordinator import RunReport, RuntimeConfig
@@ -33,6 +34,7 @@ from repro.runtime.transport import (
     serve_request,
     serve_request_spans,
 )
+from repro.workloads import cube_dependencies, shape_dependencies
 
 from tests.test_runtime_process import (  # noqa: F401 - shared harness
     CHAIN,
@@ -323,3 +325,46 @@ def test_generate_records_inputs_do_not_hit_the_shuffle(tmp_path):
     assert report.checksum == reference_checksum(chain, n_nodes=2)
     for phase in report.shuffle_bytes_local:
         assert "reduce" in phase or "replica" in phase
+
+
+# ------------------------------------------------------------ tier matrix
+_TIER_BASE = dict(n_partitions=4, records_per_node=128, records_per_block=16,
+                  value_size=32, split_ratio=2, seed=0)
+#: shape -> (chain, kill schedule -> fault plan)
+TIER_SHAPES = {
+    "linear": (LocalJobConfig(n_jobs=3, **_TIER_BASE),
+               {"single": "kill@job2+0:node=1",
+                "double": "kill@job2+0:node=1; kill@job3+0:node=2"}),
+    "diamond": (LocalJobConfig(n_jobs=4, **_TIER_BASE,
+                               dependencies=shape_dependencies("diamond")),
+                {"single": "kill@job2+0:node=1",
+                 "double": "kill@job2+0:node=1; kill@job4+0:node=2"}),
+    "cube3": (LocalJobConfig(n_jobs=8, **_TIER_BASE,
+                             dependencies=cube_dependencies(3)),
+              {"single": "kill@job5+0:node=1",
+               "double": "kill@job2+0:node=1; kill@job8+0:node=2"}),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("budget", [0, 64 << 20, 4096],
+                         ids=["off", "on", "tiny"])
+@pytest.mark.parametrize("schedule", ["none", "single", "double"])
+@pytest.mark.parametrize("strategy", ["rcmp", "optimistic", "repl2",
+                                      "hybrid"])
+@pytest.mark.parametrize("shape", list(TIER_SHAPES))
+def test_tier_matrix(tmp_path, shape, strategy, schedule, budget):
+    """The differential checksum matrix under the memory tier off, on,
+    and at a 4 KiB budget that spills on every commit: every cell must
+    reproduce the failure-free in-process checksum, see exactly the
+    scheduled deaths, and — for RCMP under a kill — really recompute."""
+    chain, plans = TIER_SHAPES[shape]
+    plan = plans.get(schedule, "")
+    report = run_process_chain(
+        tmp_path, chain=chain, strategy=strategy, task_slots=2,
+        memory_budget=budget,
+        fault_model=FaultModel.parse(plan) if plan else None)
+    assert report.checksum == reference_checksum(chain)
+    assert len(report.deaths) == plan.count("kill@")
+    if strategy == "rcmp" and plan:
+        assert "recompute" in [kind for _, kind, _ in report.job_times]

@@ -436,8 +436,8 @@ def test_kill_cascades_only_chains_with_pieces_on_dead_node(tmp_path):
         # kill once both chains have committed job 1 (A's pieces now sit
         # on node 3; B's never will) and are still mid-chain
         _wait_for(lambda: job_a.run is not None and job_b.run is not None
-                  and job_a.run.completed_jobs >= 1
-                  and job_b.run.completed_jobs >= 1)
+                  and 1 in job_a.run.done_jobs
+                  and 1 in job_b.run.done_jobs)
         service.pool.kill_node(3)
         service.wait(job_a.id, timeout=120)
         service.wait(job_b.id, timeout=120)
@@ -468,7 +468,7 @@ def test_one_death_cancels_both_chains_queued_phases(tmp_path, task_slots):
                       max_concurrent=2) as service:
         jobs = [service.submit(chain=chain) for chain in chains]
         _wait_for(lambda: all(job.run is not None
-                              and job.run.completed_jobs >= 1
+                              and 1 in job.run.done_jobs
                               for job in jobs))
         service.pool.kill_node(3)
         for job in jobs:
@@ -509,7 +509,7 @@ def test_replace_dead_respawns_and_restores_capacity(tmp_path):
         service.pool.respawn = respawn
         job = service.submit(chain=chain)
         _wait_for(lambda: job.run is not None
-                  and job.run.completed_jobs >= 1)
+                  and 1 in job.run.done_jobs)
         service.pool.kill_node(2)
         service.wait(job.id, timeout=120)
         assert job.state == DONE, job.error

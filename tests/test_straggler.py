@@ -438,6 +438,11 @@ def test_speculation_backs_up_straggler_tasks(tmp_path):
     # a backup always runs on a different node than the original
     assert all(ev["args"]["backup"] != ev["args"]["original"]
                for ev in instants(tracer, "speculative-attempt"))
+    # ...and the backups cut completion (2.2-2.9x on a 2-core host)
+    off = run_process_chain(
+        tmp_path / "off", chain=SMALL, n_nodes=4, task_slots=2,
+        fault_model=FaultModel.parse("slow@1:10"))
+    assert report.wall_time < off.wall_time
 
 
 @pytest.mark.slow
@@ -469,14 +474,16 @@ def test_first_commit_wins_and_losers_are_swept(tmp_path):
 
 
 @pytest.mark.slow
-def test_straggler_whose_node_dies_mid_attempt(tmp_path):
+@pytest.mark.parametrize("strategy", ["rcmp", "optimistic", "repl2",
+                                      "hybrid"])
+def test_straggler_whose_node_dies_mid_attempt(tmp_path, strategy):
     """slow composes with kill: the straggler is finally lost for real
     and normal recovery takes over — pending losers on the dead node are
     pruned instead of waited on."""
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
                            records_per_block=16, split_ratio=2, seed=0)
     report = run_process_chain(
-        tmp_path, chain=chain, n_nodes=4, task_slots=2,
+        tmp_path, chain=chain, n_nodes=4, task_slots=2, strategy=strategy,
         speculation=True, speculation_min_age=0.02,
         fault_model=FaultModel.parse("slow@1:10; kill@job3+0:node=1"))
     assert report.checksum == reference_checksum(chain, 4)

@@ -1,6 +1,10 @@
 """A/B the benchmark spine: a parent revision against this checkout.
 
-Checks the parent out into a temporary ``git worktree``, then runs
+Copies both sides into sibling directories under one temporary root —
+the parent with ``git archive``, this checkout as its tracked plus
+untracked-but-not-ignored files — so neither runs from the checkout
+itself (on a 2-core host, identical code measured ~10% faster on
+``service-small`` from there than from a fresh copy).  Then runs
 ``benchmarks/spine/run.py --workload W --trace 0`` on both sides for N
 pairs, alternating which side goes first, and prints per end-to-end
 metric each side's median and quartiles, the pairs each side won, and
@@ -22,16 +26,42 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPINE = Path("benchmarks") / "spine" / "run.py"
 MIN_PAIRS = 10  # fewer pairs than this carry no verdict
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          stdout=subprocess.PIPE).stdout
+
+
+def copy_revision(rev: str, dest: Path) -> None:
+    """The committed tree of ``rev``, as ``git archive`` exports it."""
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def copy_checkout(dest: Path) -> None:
+    """This checkout's tracked and untracked-not-ignored files as they
+    are on disk (a tracked file deleted from the tree is left out)."""
+    listed = _git("ls-files", "-z", "--cached", "--others",
+                  "--exclude-standard")
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_spine(checkout: Path, workload: str, seed: int, args) -> dict:
@@ -101,28 +131,25 @@ def main(argv=None) -> int:
                         help="the spine's --seconds (default: its own)")
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
     args = parser.parse_args(argv)
-    worktree = Path(tempfile.mkdtemp(prefix="ab-spine-")) / "parent"
-    subprocess.run(["git", "worktree", "add", "--detach", str(worktree),
-                    args.parent], cwd=ROOT, check=True,
-                   stdout=subprocess.DEVNULL)
+    root = Path(tempfile.mkdtemp(prefix="ab-spine-"))
+    checkouts = {"parent": root / "parent", "change": root / "change"}
     try:
+        copy_revision(args.parent, checkouts["parent"])
+        copy_checkout(checkouts["change"])
         for workload in args.workload or names:
             sides = {"parent": [], "change": []}
             for k in range(args.pairs):
                 order = ("parent", "change") if k % 2 == 0 \
                     else ("change", "parent")
                 for side in order:
-                    checkout = worktree if side == "parent" else ROOT
-                    sides[side].append(run_spine(checkout, workload,
+                    sides[side].append(run_spine(checkouts[side], workload,
                                                  args.seed + k, args))
                 print(f"{workload} pair {k + 1}/{args.pairs} done "
                       f"({order[0]} first)", file=sys.stderr, flush=True)
             compare(workload, spec["end_to_end"], sides["parent"],
                     sides["change"])
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        str(worktree)], cwd=ROOT, check=False)
-        worktree.parent.rmdir()
+        shutil.rmtree(root, ignore_errors=True)
     return 0
 
 
