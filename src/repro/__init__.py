@@ -16,8 +16,10 @@ intermediate job outputs.  This package contains:
     A slot/wave-based MapReduce engine (mappers, all-to-all shuffle,
     reducers, a JobTracker with Hadoop-style within-job recovery).
 ``repro.core``
-    RCMP itself: persisted-output store, lineage cascade planner, reducer
-    splitting, multi-job middleware and failure-resilience strategies.
+    RCMP itself in the simulator: persisted-output store, lineage,
+    multi-job middleware and failure-resilience strategies.  Recovery is
+    planned by the shared ``repro.runtime.recovery`` (cascade, reducer
+    splitting, hybrid anchors) that every executor uses.
 ``repro.localexec``
     A record-level in-process MapReduce running the paper's actual UDFs;
     used to validate the *semantic correctness* of recomputation.

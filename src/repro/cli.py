@@ -149,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="K",
                    help='k-way reducer splitting during recovery, or '
                         '"auto" (the default) for survivors-1 — the '
-                        "paper's choice, matching the simulator's "
-                        "Strategy.effective_split; capped at the "
-                        "surviving-node count")
+                        "paper's choice; capped at the surviving-node "
+                        "count (recovery.effective_split_ratio, which "
+                        "the simulator plans with too)")
     p.add_argument("--strategy", default="rcmp",
                    choices=("rcmp", "optimistic", "repl2", "repl3",
                             "hybrid"))

@@ -1,9 +1,12 @@
-"""RCMP: persisted outputs, cascade planning, reducer splitting, middleware."""
+"""RCMP in the timing simulator: persisted outputs, lineage, middleware.
+
+Recovery is planned by the shared :mod:`repro.runtime.recovery` (cascade,
+reducer splitting, hybrid anchors), the same planner both live executors
+use; this package applies its plans to simulated time."""
 
 from repro.core import strategies
 from repro.core.middleware import ChainResult, Middleware, run_chain
 from repro.core.persistence import LossReport, MapOutputMeta, PersistedStore
-from repro.core.splitting import plan_reduce_recomputation
 from repro.core.strategies import Strategy
 
 __all__ = [
@@ -13,7 +16,6 @@ __all__ = [
     "Middleware",
     "PersistedStore",
     "Strategy",
-    "plan_reduce_recomputation",
     "run_chain",
     "strategies",
 ]

@@ -1,35 +1,36 @@
 """Lineage tracking and recomputation planning (paper §IV-A).
 
-The middleware knows the job dependency DAG (here: a linear chain, the
-paper's evaluation workload; the planner itself only relies on
-"job j reads job j-1's output").  :class:`ChainState` records, for every
-completed job, the current layout of its output partitions — which DFS files
-hold which key-fraction *pieces* of each partition — plus the set of damaged
-pieces awaiting regeneration.
+The middleware knows the job dependency DAG (``ChainSpec.graph``, the
+:class:`~repro.runtime.recovery.JobGraph` every executor plans over).
+:class:`ChainState` records, for every completed job, the current layout of
+its output partitions — which DFS files hold which key-fraction *pieces* of
+each partition — plus the set of damaged pieces awaiting regeneration.
 
 From that state it builds the three kinds of :class:`~repro.mapreduce.types.
 JobPlan`:
 
 * ``initial`` — the full job, from the current upstream layout;
-* ``recompute`` — the *minimum* work: only reducers for lost pieces (split
-  per the strategy) and only mappers whose persisted outputs are missing or
-  invalidated (the Fig. 5 rule);
+* ``recompute`` — the *minimum* work that the shared planner
+  (:func:`~repro.runtime.recovery.plan_job_recovery`) prescribes: only
+  reducers for lost pieces (split per the strategy) and only mappers whose
+  persisted outputs are missing or invalidated (the Fig. 5 rule);
 * ``rerun`` — the full re-execution of the job that was interrupted by the
   failure (RCMP discards its partial results, §V-A).
 
-Map task identifiers are hierarchical — ``partition * STRIDE + block`` — so
-a partition regenerated *unsplit* (identical block boundaries) keeps its
-consumers' task ids stable and their persisted outputs reusable, while a
-*split* regeneration changes the id space for exactly the affected partition,
-matching the invalidation the correctness rule demands.
+Map task identifiers are hierarchical — ``partition * STRIDE + block``, in
+the parent position's ``PARENT_STRIDE`` band — so a partition regenerated
+*unsplit* (identical block boundaries) keeps its consumers' task ids stable
+and their persisted outputs reusable, while a *split* regeneration changes
+the id space for exactly the affected partition, matching the invalidation
+the correctness rule demands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.persistence import MapOutputMeta, PersistedStore
-from repro.core.splitting import LostPiece, plan_reduce_recomputation
 from repro.core.strategies import Strategy
 from repro.dfs import DistributedFileSystem
 from repro.mapreduce.jobtracker import JobCompletion
@@ -41,15 +42,16 @@ from repro.mapreduce.types import (
     ReduceTaskSpec,
     ReusedMapOutput,
 )
+from repro.runtime.recovery import PARENT_STRIDE, STRIDE, plan_job_recovery
 from repro.workloads.chain import ChainSpec
-
-#: Map task id stride per upstream partition (far above any block count).
-STRIDE = 1_000_000
 
 
 @dataclass
 class Piece:
-    """One live piece of a partition's current layout."""
+    """One piece of a partition's output: live in the layout, or damaged
+    and awaiting regeneration.  A damaged piece keeps its ``file`` so a
+    transient node that rejoins with its data intact can heal the damage
+    by re-adopting the file instead of recomputing it."""
 
     file: str
     fraction: float
@@ -63,7 +65,7 @@ class Piece:
 @dataclass
 class _JobState:
     layout: dict[int, list[Piece]] = field(default_factory=dict)
-    damaged: dict[int, list[LostPiece]] = field(default_factory=dict)
+    damaged: dict[int, list[Piece]] = field(default_factory=dict)
 
     @property
     def has_damage(self) -> bool:
@@ -137,7 +139,7 @@ class ChainState:
             # the regeneration supersedes any still-damaged kept-around
             # files of this partition: they can never be healed now
             for lp in state.damaged.pop(partition, []):
-                if lp.file and self.dfs.exists(lp.file):
+                if self.dfs.exists(lp.file):
                     self.dfs.delete(lp.file)
             self.regenerating.discard((j, partition))
         if plan.kind in ("initial", "rerun"):
@@ -202,11 +204,8 @@ class ChainState:
                 if not lost:
                     continue
                 any_loss = True
-                entry = state.damaged.setdefault(partition, [])
+                state.damaged.setdefault(partition, []).extend(lost)
                 for piece in lost:
-                    entry.append(LostPiece(partition, piece.fraction,
-                                           piece.split_index, piece.n_splits,
-                                           file=piece.file))
                     if self.dfs.exists(piece.file) \
                             and not self.keep_lost_files:
                         self.dfs.delete(piece.file)
@@ -239,23 +238,22 @@ class ChainState:
         healed = 0
         for j, state in self.jobs.items():
             for partition, lost in list(state.damaged.items()):
-                remaining: list[LostPiece] = []
+                remaining: list[Piece] = []
                 for lp in lost:
-                    if lp.file is None or lp.file not in restored:
+                    if lp.file not in restored:
                         remaining.append(lp)
                         continue
                     pieces = state.layout.get(partition, [])
-                    sig = (lp.fraction, lp.split_index, lp.n_splits)
                     covered = sum(p.fraction for p in pieces)
                     if (j, partition) in self.regenerating \
-                            or any(p.signature() == sig for p in pieces) \
+                            or any(p.signature() == lp.signature()
+                                   for p in pieces) \
                             or covered + lp.fraction > 1.0 + 1e-6:
                         if self.dfs.exists(lp.file):
                             self.dfs.delete(lp.file)
                         remaining.append(lp)
                         continue
-                    pieces.append(Piece(lp.file, lp.fraction,
-                                        lp.split_index, lp.n_splits))
+                    pieces.append(lp)
                     state.layout[partition] = sorted(
                         pieces, key=lambda p: (p.n_splits, p.split_index))
                     healed += 1
@@ -280,24 +278,26 @@ class ChainState:
         for state in self.jobs.values():
             for lost in state.damaged.values():
                 for lp in lost:
-                    if lp.file and self.dfs.exists(lp.file) \
+                    if self.dfs.exists(lp.file) \
                             and not self.dfs.meta(lp.file).available:
                         self.dfs.delete(lp.file)
+
+    def drop_jobs(self, jobs: Iterable[int]) -> None:
+        """Forget the lineage of ``jobs`` and delete their files still in
+        the DFS: live pieces and kept-around damaged ones alike."""
+        doomed = set(jobs)
+        for j in [j for j in self.jobs if j in doomed]:
+            state = self.jobs.pop(j)
+            for pieces in [*state.layout.values(), *state.damaged.values()]:
+                for piece in pieces:
+                    if self.dfs.exists(piece.file):
+                        self.dfs.delete(piece.file)
 
     def rollback_to(self, anchor: int) -> None:
         """Graceful degradation: forget every job after ``anchor`` (whose
         output must be intact — e.g. a hybrid replication point, or the
         chain input at anchor 0) so the chain re-executes from there."""
-        for j in [j for j in self.jobs if j > anchor]:
-            state = self.jobs.pop(j)
-            for pieces in state.layout.values():
-                for piece in pieces:
-                    if self.dfs.exists(piece.file):
-                        self.dfs.delete(piece.file)
-            for lost in state.damaged.values():
-                for lp in lost:
-                    if lp.file and self.dfs.exists(lp.file):
-                        self.dfs.delete(lp.file)
+        self.drop_jobs([j for j in self.jobs if j > anchor])
         self.store.drop_jobs_after(anchor)
         self.completed_through = min(self.completed_through, anchor)
         self.regenerating.clear()  # no run is in flight during a rollback
@@ -306,43 +306,9 @@ class ChainState:
         """Logical indexes of jobs with outstanding damage, ascending."""
         return sorted(j for j, st in self.jobs.items() if st.has_damage)
 
-    def needed_cascade(self, current_job: int) -> list[int]:
-        """The minimal recomputation cascade for ``current_job`` (§IV-A).
-
-        Walk the dependency DAG backwards from the current job's inputs;
-        every *transitively* damaged upstream job must be recomputed (in
-        dependency order, which submission order satisfies because every
-        dependency precedes its consumer).  Each walk branch stops at the
-        first job whose output is intact — e.g. a hybrid replication point
-        (§IV-C) — so damage shadowed behind an intact output is left
-        alone: it is only regenerated if a later failure exposes it."""
-        cascade: set[int] = set()
-        stack = list(self.chain.dependencies(current_job))
-        seen: set[int] = set()
-        while stack:
-            dep = stack.pop()
-            if dep in seen:
-                continue
-            seen.add(dep)
-            state = self.jobs.get(dep)
-            if state is None or not state.has_damage:
-                continue  # intact output: this branch needs nothing below
-            cascade.add(dep)
-            stack.extend(self.chain.dependencies(dep))
-        return sorted(cascade)
-
     def reset(self) -> None:
         """OPTIMISTIC restart: discard every intermediate result."""
-        for state in self.jobs.values():
-            for pieces in state.layout.values():
-                for piece in pieces:
-                    if self.dfs.exists(piece.file):
-                        self.dfs.delete(piece.file)
-            for lost in state.damaged.values():
-                for lp in lost:
-                    if lp.file and self.dfs.exists(lp.file):
-                        self.dfs.delete(lp.file)
-        self.jobs.clear()
+        self.drop_jobs(list(self.jobs))
         self.store.clear()
         self.completed_through = 0
         self.regenerating.clear()
@@ -355,7 +321,7 @@ class ChainState:
         input file; a job with several upstreams (DAG join) maps over the
         union of their output blocks."""
         ratio = self.chain.job(j).map_output_ratio
-        deps = self.chain.dependencies(j)
+        deps = self.chain.graph.parents(j)
         tasks: list[MapTaskSpec] = []
         if not deps:
             meta = self.dfs.meta(self.INPUT_FILE)
@@ -379,7 +345,7 @@ class ChainState:
             for partition in sorted(upstream.layout):
                 ordinal = 0
                 origin = PartitionRef(dep, partition)
-                base = (u_index * 10_000 + partition) * STRIDE
+                base = u_index * PARENT_STRIDE + partition * STRIDE
                 for piece in upstream.layout[partition]:
                     meta = self.dfs.meta(piece.file)
                     for block in meta.blocks:
@@ -414,30 +380,32 @@ class ChainState:
 
     def build_recompute_plan(self, j: int,
                              min_rerun_mappers: int = 0) -> JobPlan:
-        """Minimum-work recomputation plan for damaged job ``j`` (§IV-A).
+        """Minimum-work recomputation plan for damaged job ``j`` (§IV-A),
+        as :func:`~repro.runtime.recovery.plan_job_recovery` prescribes it.
 
         ``min_rerun_mappers`` forces extra mapper re-execution (used by the
         Fig. 14 wave-count experiment); the default recomputes only mappers
-        whose persisted outputs are unavailable."""
+        whose persisted outputs are unavailable.  That forcing and the
+        round-robin mapper placement below model timing, which only the
+        simulator does."""
         state = self.jobs[j]
-        lost = [p for pieces in state.damaged.values() for p in pieces]
-        if not lost:
-            raise RuntimeError(f"job {j} has no damage to recompute")
         alive = self.cluster.alive_ids()
-        survivors = len(alive)
-        split_ratio = self.strategy.effective_split(survivors)
-        reduce_plan = plan_reduce_recomputation(lost, split_ratio, alive)
+        if not alive:  # name the root cause before any block lost with it
+            raise ValueError("no alive nodes")
+        all_maps = self.enumerate_map_tasks(j)
+        persisted = self.store.entries_for_job(j) \
+            if self.strategy.reuse_map_outputs else {}
+        plan = plan_job_recovery(
+            j, {partition: sorted((p.split_index, p.n_splits) for p in lost)
+                for partition, lost in state.damaged.items()},
+            [t.task_id for t in all_maps], persisted, alive,
+            self.strategy.split_ratio)
         for partition in state.damaged:
             self.regenerating.add((j, partition))
 
         spec = self.chain.job(j)
-        n_partitions = spec.n_reducers(self.cluster.spec)
-        all_maps = self.enumerate_map_tasks(j)
-        persisted = self.store.entries_for_job(j) \
-            if self.strategy.reuse_map_outputs else {}
-        rerun = [t for t in all_maps if t.task_id not in persisted]
-        reused_specs = {t.task_id: t for t in all_maps
-                        if t.task_id in persisted}
+        reused_specs = {t.task_id: t for t in all_maps}
+        rerun = [reused_specs.pop(tid) for tid in plan.map_tasks]
         if min_rerun_mappers > len(rerun):
             extra = min_rerun_mappers - len(rerun)
             forced = sorted(reused_specs)[:extra]
@@ -446,25 +414,28 @@ class ChainState:
         reused = [ReusedMapOutput(tid, persisted[tid].node,
                                   persisted[tid].size)
                   for tid in sorted(reused_specs)]
+        rerun.sort(key=lambda t: t.task_id)
         # Spread recomputed mappers round-robin over the survivors (paper
         # Fig. 6: they run in one wave across the surviving nodes, which is
         # what concentrates their reads on the regenerated data's location).
         mapper_assignment = {t.task_id: alive[i % len(alive)]
-                             for i, t in enumerate(
-                                 sorted(rerun, key=lambda t: t.task_id))}
+                             for i, t in enumerate(rerun)}
         return JobPlan(
             logical_index=j,
             name=f"job{j}/recomp",
             kind="recompute",
-            map_tasks=sorted(rerun, key=lambda t: t.task_id),
-            reduce_tasks=reduce_plan.tasks,
-            n_partitions=n_partitions,
+            map_tasks=rerun,
+            reduce_tasks=[ReduceTaskSpec(i, r.partition, 1.0 / r.n_splits,
+                                         r.split_index, r.n_splits)
+                          for i, r in enumerate(plan.reduces)],
+            n_partitions=spec.n_reducers(self.cluster.spec),
             reused_map_outputs=reused,
             reduce_output_ratio=spec.reduce_output_ratio,
             output_replication=1,
             recovery_mode="abort",
-            reducer_assignment=reduce_plan.assignment,
+            reducer_assignment={i: r.node
+                                for i, r in enumerate(plan.reduces)},
             mapper_assignment=mapper_assignment,
             spread_output=self.strategy.spread_reduce_output,
-            split_partitions=frozenset(reduce_plan.split_partitions),
+            split_partitions=frozenset(plan.split_partitions),
         )

@@ -37,6 +37,11 @@ from repro.faults import FaultEvent, FaultInjector, FaultModel
 from repro.mapreduce.jobtracker import JobAborted, JobFailed, JobTracker
 from repro.mapreduce.metrics import RunMetrics
 from repro.obs.tracer import Tracer
+from repro.runtime.recovery import (
+    cascade_jobs,
+    hybrid_reclaimable,
+    is_hybrid_anchor,
+)
 from repro.simcore import AllOf, SeedSequenceRegistry, SimulationError, Simulator
 from repro.workloads.chain import ChainSpec, build_chain
 
@@ -239,10 +244,12 @@ class Middleware:
         self.state.seed_input()
         idx = 1
         rerun = False
-        while idx <= self.chain.n_jobs:
+        # like ``ChainRun.run``: done only once every job has run *and* no
+        # damaged output is still needed (a damaged sink is a lost result)
+        while idx <= self.chain.n_jobs or self._cascade(idx):
             self._flush_detections()
-            # Service any damage the next job transitively depends on.
-            if self.state.needed_cascade(idx):
+            # Service any damage the next job (or the result) still needs.
+            if self._cascade(idx):
                 if self.strategy.recompute:
                     status = yield from self._recover(idx)
                     if self.failure_reason:
@@ -262,6 +269,8 @@ class Middleware:
                     self.failure_reason = ("irrecoverable data loss: "
                                            "replication was insufficient")
                     break
+            if idx > self.chain.n_jobs:
+                continue
             kind = "rerun" if rerun else "initial"
             try:
                 plan = self.state.build_initial_plan(idx, kind=kind)
@@ -314,6 +323,15 @@ class Middleware:
                            failure_reason=self.failure_reason)
         return result
 
+    def _cascade(self, next_job: int) -> list[int]:
+        """The damaged jobs to recompute before ``next_job`` runs (§IV-A):
+        the shared planner's cut over the dependency graph, with every job
+        before ``next_job`` done.  An intact output — e.g. a replicated
+        hybrid anchor (§IV-C) — stops the cut, so damage shadowed behind
+        it is left alone until a later failure exposes it."""
+        return cascade_jobs(self.chain.graph, range(1, next_job),
+                            self.state.damaged_jobs())
+
     def _recover(self, current_job: int) -> Generator:
         """Run the minimal recomputation cascade for ``current_job``
         (§IV-A).  Each iteration re-reads the damage set, so failures that
@@ -332,7 +350,7 @@ class Middleware:
         bound = self.strategy.max_cascade_depth
         while True:
             self._flush_detections()
-            cascade = self.state.needed_cascade(current_job)
+            cascade = self._cascade(current_job)
             if not cascade:
                 if recover_span is not None:
                     recover_span.end()
@@ -404,8 +422,8 @@ class Middleware:
 
     # -------------------------------------------------------------- hybrid
     def _is_hybrid_point(self, idx: int) -> bool:
-        k = self.strategy.hybrid_interval
-        return bool(k) and idx % k == 0 and idx < self.chain.n_jobs
+        return is_hybrid_anchor(self.chain.graph, idx,
+                                self.strategy.hybrid_interval)
 
     def _replicate_output(self, idx: int) -> Generator:
         """§IV-C: replicate job ``idx``'s output to bound the cascade.
@@ -425,34 +443,21 @@ class Middleware:
                 break
             except (SimulationError, DataLossError):
                 # a target died mid-replication; recover then retry
-                if self.state.needed_cascade(idx + 1):
+                if self._cascade(idx + 1):
                     status = yield from self._recover(idx + 1)
                     if status != "ok":
                         return status
-        if self.strategy.hybrid_reclaim and idx >= 2:
-            self.store.reclaim_jobs(idx - 1)
-            self._reclaim_outputs(idx - 2)
+        if self.strategy.hybrid_reclaim:
+            # drop the map outputs and pieces the anchors now shield from
+            # any future cascade
+            damaged = self.state.damaged_jobs()
+            intact = [j for j in range(1, idx + 1)
+                      if self._is_hybrid_point(j) and j not in damaged]
+            map_jobs, piece_jobs = hybrid_reclaimable(
+                self.chain.graph, range(1, idx + 1), intact)
+            self.store.reclaim_jobs(map_jobs)
+            self.state.drop_jobs(piece_jobs)
         return "ok"
-
-    def _reclaim_outputs(self, up_to_job: int) -> None:
-        """Delete reducer-output files of jobs <= ``up_to_job`` whose
-        consumers have all completed (their data sits safely behind the
-        replication point; in a DAG a later job may still need an early
-        output, so those are kept)."""
-        completed = {j for j in self.state.jobs
-                     if not self.state.jobs[j].has_damage}
-        for j in list(self.state.jobs):
-            if j > up_to_job:
-                continue
-            consumers = self.chain.consumers(j)
-            if any(c not in completed for c in consumers):
-                continue
-            state = self.state.jobs[j]
-            for pieces in state.layout.values():
-                for piece in pieces:
-                    if self.dfs.exists(piece.file):
-                        self.dfs.delete(piece.file)
-            del self.state.jobs[j]
 
     # -------------------------------------------------------------- result
     def _result(self, completed: bool) -> ChainResult:

@@ -65,9 +65,9 @@ class PersistedStore:
         #: origins invalidated (Fig. 5) — offline entries with these
         #: origins must never come back
         self._invalidated: set[PartitionRef] = set()
-        #: highest job reclaimed by the hybrid strategy — offline entries
-        #: at or below it were superseded by a replicated output
-        self._reclaimed_through: int = -1
+        #: jobs reclaimed by the hybrid strategy — their offline entries
+        #: were superseded by a replicated output
+        self._reclaimed: set[int] = set()
 
     # ------------------------------------------------------------ mutation
     def register(self, meta: MapOutputMeta) -> None:
@@ -108,7 +108,7 @@ class PersistedStore:
                 continue
             if meta.origin is not None and meta.origin in self._invalidated:
                 continue
-            if meta.job_index <= self._reclaimed_through:
+            if meta.job_index in self._reclaimed:
                 continue
             self.register(meta)
             restored.append(meta)
@@ -129,16 +129,17 @@ class PersistedStore:
             self._debit(meta)
         return victims
 
-    def reclaim_jobs(self, up_to_job: int) -> float:
-        """Hybrid strategy (§IV-C): after replicating job ``k``'s output,
-        persisted map outputs of jobs <= ``up_to_job`` can be discarded.
-        Returns the bytes freed."""
+    def reclaim_jobs(self, jobs: Iterable[int]) -> float:
+        """Hybrid strategy (§IV-C): the persisted map outputs of ``jobs``
+        (``hybrid_reclaimable``'s map set: jobs shielded behind intact
+        replicated anchors) can be discarded.  Returns the bytes freed."""
+        doomed = set(jobs)
         freed = 0.0
-        for key in [k for k in self._entries if k[0] <= up_to_job]:
+        for key in [k for k in self._entries if k[0] in doomed]:
             meta = self._entries.pop(key)
             self._debit(meta)
             freed += meta.size
-        self._reclaimed_through = max(self._reclaimed_through, up_to_job)
+        self._reclaimed |= doomed
         return freed
 
     def drop_jobs_after(self, anchor: int) -> float:
@@ -161,7 +162,7 @@ class PersistedStore:
         self.bytes_on_node.clear()
         self._offline.clear()
         self._invalidated.clear()
-        self._reclaimed_through = -1
+        self._reclaimed.clear()
 
     # ------------------------------------------------------------- queries
     def get(self, job_index: int, task_id: int) -> Optional[MapOutputMeta]:

@@ -94,12 +94,6 @@ class Strategy:
         return "hadoop" if (not self.recompute and not self.optimistic) \
             else "abort"
 
-    def effective_split(self, survivors: int) -> int:
-        """Split ratio to use given the current number of alive nodes."""
-        if self.split_ratio is None:
-            return max(1, survivors - 1)
-        return self.split_ratio
-
     def with_split(self, ratio: Optional[int]) -> "Strategy":
         suffix = "SPLIT-auto" if ratio is None else f"SPLIT-{ratio}"
         return replace(self, split_ratio=ratio,

@@ -39,7 +39,7 @@ class LocalJobConfig:
     records_per_block: int = 16
     value_size: int = 16
     #: reducer splitting during recomputation; ``None`` = auto
-    #: (``survivors - 1``, matching ``Strategy.effective_split``)
+    #: (``survivors - 1``, per ``recovery.effective_split_ratio``)
     split_ratio: Optional[int] = 1
     seed: int = 0
     #: per-job upstream tuples (1-based; () = computation input);

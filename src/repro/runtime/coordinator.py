@@ -98,6 +98,7 @@ from repro.runtime.recovery import (
     cascade_jobs,
     consumer_invalidations,
     hybrid_reclaimable,
+    is_hybrid_anchor,
     plan_job_recovery,
     pre_replication_targets,
 )
@@ -319,8 +320,7 @@ class RuntimeConfig:
         """Hybrid replication point (§IV-C) — every ``hybrid_interval``-th
         job except sinks (whose output is part of the final result)."""
         return (self.strategy == "hybrid"
-                and job % self.hybrid_interval == 0
-                and bool(self.graph.consumers(job)))
+                and is_hybrid_anchor(self.graph, job, self.hybrid_interval))
 
     def replication_for(self, job: int) -> int:
         """Copies ``job``'s committed output must hold on distinct nodes."""

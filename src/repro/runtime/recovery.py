@@ -9,14 +9,16 @@ must invalidate downstream map outputs for.  :func:`cascade_jobs` also
 understands hybrid anchors (§IV-C): an intact replicated job output
 bounds the recomputation cascade from below.
 
-Both execution backends consume the same plan:
+All three executors consume the same plan:
 
+* :mod:`repro.core.lineage` / :mod:`repro.core.middleware` apply it to
+  the timing simulator;
 * :mod:`repro.localexec.recovery` applies it to the in-process
   record-level cluster;
 * :mod:`repro.runtime.coordinator` applies it to real worker processes.
 
-Keeping the planner free of any engine import is what guarantees the two
-backends recover byte-identically — they cannot drift apart on the rules.
+Keeping the planner free of any engine import is what guarantees the
+executors recover alike — they cannot drift apart on the rules.
 """
 
 from __future__ import annotations
@@ -196,8 +198,7 @@ def effective_split_ratio(split_ratio: Optional[int], n_alive: int) -> int:
     """Reducer splitting cannot exceed the surviving-node count.
 
     ``None`` selects the paper's auto ratio — ``survivors - 1`` (§IV-B1:
-    8 on STIC, 59 on DCO) — matching
-    :meth:`repro.core.strategies.Strategy.effective_split`."""
+    8 on STIC, 59 on DCO)."""
     if n_alive < 1:
         raise ValueError("no surviving nodes")
     if split_ratio is None:
@@ -302,6 +303,14 @@ def adoptable_closure(resident_jobs: Iterable[int],
         if j in resident and all(p in closed for p in graph.parents(j)):
             closed.add(j)
     return closed
+
+
+def is_hybrid_anchor(graph: JobGraph, job: int, interval: int) -> bool:
+    """Hybrid replication point (§IV-C): every ``interval``-th job that
+    has a consumer.  A sink's output is a final result, not a cascade
+    floor, so replicating it would buy nothing; 0 disables anchors."""
+    return bool(interval) and job % interval == 0 \
+        and bool(graph.consumers(job))
 
 
 def hybrid_reclaimable(graph: JobGraph, done_jobs: Iterable[int],

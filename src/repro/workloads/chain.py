@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.cluster.presets import BLOCK_SIZE, STIC_PER_NODE_INPUT
 from repro.cluster.spec import ClusterSpec
+from repro.runtime.recovery import JobGraph
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,9 @@ class ChainSpec:
     block_size: float = BLOCK_SIZE
     jobs: tuple[ChainJobSpec, ...] = field(default=())
     input_replication: int = 3   # the paper's triple-replicated input
+    #: the dependency DAG the shared recovery planner reads, built (and
+    #: validated: malformed edges raise ``ValueError``) at construction
+    graph: JobGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
@@ -71,13 +75,8 @@ class ChainSpec:
             raise ValueError("sizes must be positive")
         if self.jobs and len(self.jobs) != self.n_jobs:
             raise ValueError("jobs tuple must match n_jobs")
-        for j in range(1, self.n_jobs + 1):
-            for dep in self.dependencies(j):
-                if not 1 <= dep < j:
-                    raise ValueError(
-                        f"job {j} depends on {dep}: dependencies must "
-                        f"reference earlier jobs (a DAG in submission "
-                        f"order)")
+        object.__setattr__(self, "graph", JobGraph(tuple(
+            tuple(self.dependencies(j)) for j in range(1, self.n_jobs + 1))))
 
     def job(self, job_index: int) -> ChainJobSpec:
         """1-based access to a job's spec (uniform default chain)."""
@@ -93,11 +92,6 @@ class ChainSpec:
         if spec.depends_on is not None:
             return spec.depends_on
         return (job_index - 1,) if job_index > 1 else ()
-
-    def consumers(self, job_index: int) -> tuple[int, ...]:
-        """Jobs that read ``job_index``'s output."""
-        return tuple(j for j in range(job_index + 1, self.n_jobs + 1)
-                     if job_index in self.dependencies(j))
 
     def total_input(self, n_nodes: int) -> float:
         return self.per_node_input * n_nodes

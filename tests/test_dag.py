@@ -3,8 +3,12 @@
 import pytest
 
 from repro.cluster import presets
+from repro.cluster.topology import Cluster
 from repro.core import strategies
-from repro.core.middleware import run_chain
+from repro.core.middleware import Middleware, run_chain
+from repro.dfs import DistributedFileSystem
+from repro.runtime.recovery import cascade_jobs
+from repro.simcore import SeedSequenceRegistry, Simulator
 from repro.workloads import dag
 from repro.workloads.chain import ChainJobSpec, ChainSpec
 
@@ -22,7 +26,7 @@ def test_linear_chain_dependencies_unchanged():
     assert chain.dependencies(1) == ()
     assert chain.dependencies(2) == (1,)
     assert chain.dependencies(3) == (2,)
-    assert chain.consumers(1) == (2,)
+    assert chain.graph.consumers(1) == (2,)
 
 
 def test_diamond_structure():
@@ -32,14 +36,14 @@ def test_diamond_structure():
     assert d.dependencies(2) == (1,)
     assert d.dependencies(3) == (1,)
     assert d.dependencies(4) == (2, 3)
-    assert d.consumers(1) == (2, 3)
+    assert d.graph.consumers(1) == (2, 3)
 
 
 def test_fan_shapes():
     fi = small(dag.fan_in, k=3)
     assert fi.dependencies(4) == (1, 2, 3)
     fo = small(dag.fan_out, k=3)
-    assert fo.consumers(1) == (2, 3, 4)
+    assert fo.graph.consumers(1) == (2, 3, 4)
     with pytest.raises(ValueError):
         dag.fan_in(k=1)
     with pytest.raises(ValueError):
@@ -87,21 +91,45 @@ def test_diamond_recovers_from_failure():
     assert recomputed == {1, 2, 3}
 
 
-def test_fan_out_failure_in_one_branch_spares_siblings():
-    """A failure while consumer job 3 runs damages completed outputs, but
-    the cascade for job 3 only needs its own ancestry (job 1 + earlier
-    consumers' outputs are irrelevant to it)."""
+def run_middleware(chain, strategy, failures=None, seed=0, n_nodes=4):
+    """``run_chain``, also returning the middleware for its final state."""
+    sim = Simulator()
+    cluster = Cluster(sim, presets.tiny(n_nodes), SeedSequenceRegistry(seed))
+    middleware = Middleware(cluster,
+                            DistributedFileSystem(cluster, chain.block_size),
+                            chain, strategy, failures)
+    proc = sim.process(middleware.run(), name="middleware")
+    sim.run()
+    return proc.value, middleware
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fan_out_failure_recomputes_the_damaged_sibling_sink(seed):
+    """A failure while consumer job 3 runs damages job 1 and the finished
+    sibling job 2.  Job 2 is a sink, its output a final result, so the
+    shared cascade (§IV-A) recomputes it too, as the live runtime does:
+    a completed run never leaves a damaged sink behind."""
     chain = small(dag.fan_out, k=3)
-    result = run_chain(presets.tiny(4), strategies.RCMP, chain=chain,
-                       failures="3")  # during the second consumer
+    result, middleware = run_middleware(chain, strategies.RCMP,
+                                        failures="3", seed=seed)
     assert result.completed
-    recomputed = [j.logical_index for j in
-                  result.metrics.jobs_of_kind("recompute")]
-    # job 2 (a finished sibling consumer) is NOT in job 3's ancestry; it is
-    # only regenerated later if the final job ordering needs it — with
-    # fan-out it never is, so only job 1's partition cascades now
-    assert 1 in recomputed
-    assert 2 not in recomputed
+    recomputed = {j.logical_index for j in
+                  result.metrics.jobs_of_kind("recompute")}
+    assert {1, 2} <= recomputed
+    assert not set(middleware.state.damaged_jobs()) & \
+        set(chain.graph.sinks())
+
+
+def test_hybrid_anchors_skip_sinks():
+    """§IV-C anchors are every k-th job *with a consumer*: on fan_out(3)
+    job 2 is a sink, so ``hybrid_interval=2`` replicates nothing, while
+    interval 1 replicates the shared producer (job 1) only."""
+    chain = small(dag.fan_out, k=3)
+    plain, _ = run_middleware(chain, strategies.RCMP)
+    every_2nd, _ = run_middleware(chain, strategies.rcmp(hybrid_interval=2))
+    every_job, _ = run_middleware(chain, strategies.rcmp(hybrid_interval=1))
+    assert every_2nd.dfs_bytes == plain.dfs_bytes
+    assert every_job.dfs_bytes > plain.dfs_bytes
 
 
 def test_dag_double_failure():
@@ -120,14 +148,11 @@ def test_repl_baseline_on_dag():
 
 
 def test_cascade_minimality_on_diamond():
-    """needed_cascade stops at intact outputs: with job 2's output
+    """The cascade stops at intact outputs: with job 2's output
     replicated (hybrid point), a failure during job 4 must not recompute
     job 2, but job 3 (single-replicated) still cascades."""
-    from repro.cluster.topology import Cluster
     from repro.core.lineage import ChainState
     from repro.core.persistence import PersistedStore
-    from repro.dfs import DistributedFileSystem
-    from repro.simcore import SeedSequenceRegistry, Simulator
 
     chain = small(dag.diamond)
     sim = Simulator()
@@ -145,10 +170,9 @@ def test_cascade_minimality_on_diamond():
             js.layout[p] = [Piece(name, 1.0, 0, 1)]
         state.jobs[j] = js
     # damage jobs 1 and 3 (not 2)
-    from repro.core.splitting import LostPiece
-    state.jobs[1].damaged[0] = [LostPiece(0)]
-    state.jobs[3].damaged[0] = [LostPiece(0)]
-    cascade = state.needed_cascade(4)
+    state.jobs[1].damaged[0] = [Piece("j1p0", 1.0, 0, 1)]
+    state.jobs[3].damaged[0] = [Piece("j3p0", 1.0, 0, 1)]
+    cascade = cascade_jobs(chain.graph, range(1, 4), state.damaged_jobs())
     # job 4 depends on (2, 3): 2 intact -> branch stops; 3 damaged -> its
     # dep 1 is damaged too -> cascade = [1, 3]
     assert cascade == [1, 3]

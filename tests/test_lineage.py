@@ -5,11 +5,11 @@ import pytest
 from repro.cluster import presets
 from repro.cluster.topology import Cluster
 from repro.core import strategies
-from repro.core.lineage import STRIDE, ChainState, Piece, _JobState
+from repro.core.lineage import ChainState, Piece, _JobState
 from repro.core.persistence import MapOutputMeta, PersistedStore
-from repro.core.splitting import LostPiece
 from repro.dfs import DistributedFileSystem
 from repro.mapreduce.types import PartitionRef
+from repro.runtime.recovery import STRIDE
 from repro.simcore import SeedSequenceRegistry, Simulator
 from repro.workloads.chain import build_chain
 
@@ -67,7 +67,7 @@ def test_enumeration_requires_intact_upstream():
     state, dfs, _store = make_state()
     state.seed_input()
     js = fabricate_job(state, dfs, 1)
-    js.damaged[0] = [LostPiece(0)]
+    js.damaged[0] = [Piece("fab-j1-p0", 1.0, 0, 1)]
     with pytest.raises(RuntimeError, match="damaged"):
         state.enumerate_map_tasks(2)
 
@@ -90,7 +90,7 @@ def test_note_node_death_marks_and_removes_pieces():
     assert state.damaged_jobs() == [1]
     js = state.jobs[1]
     assert 1 not in js.layout  # partition 1 lived on node 1
-    assert js.damaged[1][0].partition == 1
+    assert js.damaged[1][0].file == "fab-j1-p1"
     assert store.get(1, 0) is None  # persisted outputs on node 1 dropped
 
 
@@ -132,7 +132,7 @@ def test_recompute_plan_without_damage_raises():
     state, dfs, _store = make_state()
     state.seed_input()
     fabricate_job(state, dfs, 1)
-    with pytest.raises(RuntimeError, match="no damage"):
+    with pytest.raises(ValueError, match="no damage"):
         state.build_recompute_plan(1)
 
 

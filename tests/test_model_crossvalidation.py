@@ -1,9 +1,12 @@
-"""Cross-validation: the simulator against §IV's closed-form model.
+"""Cross-validation: the simulator against §IV's closed-form model, and
+against the live multi-process runtime.
 
 The paper's wave arithmetic must fall out of the simulated execution: the
 map phase really runs in ceil(tasks / (N*S)) waves, a recomputation run
 really re-executes ~1/N of the work, and the recomputed mappers fit in
-ceil(WM / (N-1)) waves when spread over the survivors.
+ceil(WM / (N-1)) waves when spread over the survivors.  Both executors
+plan recovery with the one shared planner, so under the same kill they
+must recompute the same jobs.
 """
 
 import numpy as np
@@ -17,6 +20,10 @@ from repro.analysis.model import (
 from repro.cluster import presets
 from repro.core import strategies
 from repro.core.middleware import run_chain
+from repro.faults import FaultModel
+from repro.localexec import LocalJobConfig
+from repro.runtime.coordinator import Coordinator, RuntimeConfig
+from repro.workloads import cube, dag, shape_dependencies
 from repro.workloads.chain import build_chain
 
 MB = 1 << 20
@@ -108,3 +115,29 @@ def test_speedup_bounded_by_ideal():
     speedup = init / rec
     # ideal: N x less data, (N-1)-way parallel regeneration => << N*(N-1)
     assert 1.0 < speedup < n_nodes * (n_nodes - 1)
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape,build", [("diamond", dag.diamond),
+                                         ("cube:3", cube)])
+def test_simulator_and_live_runtime_recompute_the_same_jobs(tmp_path, shape,
+                                                            build):
+    """One kill during the last job, simulated on ``tiny(4)`` and real on
+    4 worker processes: the jobs with a ``recompute`` run must match.
+    The last job of both shapes runs alone on both executors, so they
+    reach the kill with the same jobs done (``fanout:3`` would not: the
+    live runtime runs its three consumers as one wave)."""
+    chain = build(per_node_input=256 * MB, block_size=64 * MB)
+    faults = f"kill@job{chain.n_jobs}+0:node=1"
+    simulated = run_chain(presets.tiny(4), strategies.RCMP, chain=chain,
+                          failures=faults)
+    assert simulated.completed
+    config = LocalJobConfig(n_jobs=chain.n_jobs, n_partitions=4,
+                            records_per_node=48, records_per_block=16,
+                            seed=0, dependencies=shape_dependencies(shape))
+    with Coordinator(RuntimeConfig(n_nodes=4, chain=config), tmp_path,
+                     fault_model=FaultModel.parse(faults)) as coord:
+        report = coord.run_chain()
+    assert report.deaths
+    live = {job for job, kind, _ in report.job_times if kind == "recompute"}
+    assert live == {j.logical_index for j in
+                    simulated.metrics.jobs_of_kind("recompute")}

@@ -58,7 +58,7 @@ def test_reclaim_jobs_frees_old_entries():
     store = PersistedStore()
     for j in (1, 2, 3):
         store.register(meta(j, 0, node=j, size=10.0))
-    freed = store.reclaim_jobs(2)
+    freed = store.reclaim_jobs({1, 2})
     assert freed == pytest.approx(20.0)
     assert store.get(1, 0) is None
     assert store.get(2, 0) is None

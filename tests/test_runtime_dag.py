@@ -23,6 +23,7 @@ from repro.runtime.coordinator import Coordinator, RuntimeConfig
 from repro.runtime.recovery import STRIDE
 from repro.runtime.storage import chain_checksum
 from repro.workloads import cube_dependencies, cuboids, shape_dependencies
+from repro.workloads.chain import ChainJobSpec, ChainSpec
 from tests.test_runtime_process import (
     KillAt,
     KillPlan,
@@ -50,8 +51,9 @@ def reference_output(config, n_nodes=4):
 def test_every_entry_point_rejects_malformed_dependencies():
     """Reject-or-run must be exhaustive: a malformed ``depends_on`` spec
     raises ``ValueError`` at config construction, before any entry point
-    (CLI, service submit, coordinator, localexec) could silently run it
-    as a linear chain."""
+    (CLI, service submit, coordinator, localexec, the simulator's
+    ``ChainSpec``) could silently run it as a linear chain — or, for a
+    duplicate edge, map one upstream output twice."""
     malformed = [
         ((), (1, 1), (1,)),   # duplicate edge
         ((), (3,), (1,)),     # forward edge
@@ -62,6 +64,9 @@ def test_every_entry_point_rejects_malformed_dependencies():
     for deps in malformed:
         with pytest.raises(ValueError):
             LocalJobConfig(n_jobs=3, dependencies=deps)
+        with pytest.raises(ValueError):
+            ChainSpec(n_jobs=3, jobs=tuple(ChainJobSpec(depends_on=d)
+                                           for d in deps))
     with pytest.raises(ValueError):
         shape_dependencies("mobius")
     with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ engine.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultModel
 from repro.runtime.faults import LiveFaultPlan
@@ -61,6 +63,27 @@ def test_plan_splits_whole_partition_loss():
     assert [r.node for r in plan.reduces] == [0, 2, 3]
 
 
+def test_plan_k_way_split_lands_on_k_distinct_nodes():
+    # all of compute-node parallelism: one split per survivor (Fig. 4)
+    plan = plan_job_recovery(
+        2, {3: [(0, 1)]}, all_map_tasks=[], present_map_tasks=[],
+        alive=[4, 0, 2, 1], split_ratio=4)
+    assert [r.split_index for r in plan.reduces] == [0, 1, 2, 3]
+    assert sorted(r.node for r in plan.reduces) == [0, 1, 2, 4]
+    assert sum(1 / r.n_splits for r in plan.reduces) == pytest.approx(1.0)
+
+
+def test_plan_orders_lost_partitions_then_splits():
+    plan = plan_job_recovery(
+        1, {1: [(0, 1)], 0: [(0, 1)]}, all_map_tasks=[],
+        present_map_tasks=[], alive=[0, 1, 2, 3], split_ratio=2)
+    assert plan.split_partitions == (0, 1)
+    assert [(r.partition, r.split_index) for r in plan.reduces] == \
+        [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # round robin keeps spreading across all nodes
+    assert sorted(r.node for r in plan.reduces) == [0, 1, 2, 3]
+
+
 def test_plan_split_capped_at_surviving_nodes():
     plan = plan_job_recovery(
         2, {0: [(0, 1)]}, all_map_tasks=[], present_map_tasks=[],
@@ -80,7 +103,7 @@ def test_plan_partial_piece_loss_is_not_resplit():
 
 
 def test_effective_split_ratio_auto_is_survivors_minus_one():
-    # None = auto, the paper's choice (Strategy.effective_split)
+    # None = auto, the paper's choice (survivors - 1)
     assert effective_split_ratio(None, 4) == 3
     assert effective_split_ratio(None, 9) == 8
     assert effective_split_ratio(None, 2) == 1
@@ -100,6 +123,34 @@ def test_cascade_walks_contiguous_damage_only():
     # job 1 damaged but job 2 intact: the cascade does not reach job 1
     assert _chain_cascade(4, [1, 3]) == [3]
     assert _chain_cascade(1, []) == []
+
+
+def _backward_walk(next_job, damaged):
+    """The simulator's former cascade rule on a linear chain, kept inline
+    as the oracle: walk back from ``next_job``'s input while damaged."""
+    cascade, seen = set(), set()
+    stack = [next_job - 1] if next_job > 1 else []
+    while stack:
+        dep = stack.pop()
+        if dep in seen:
+            continue
+        seen.add(dep)
+        if dep not in damaged:
+            continue  # intact output: this branch needs nothing below
+        cascade.add(dep)
+        stack.extend([dep - 1] if dep > 1 else [])
+    return sorted(cascade)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cascade_equals_backward_walk_on_linear_chains(data):
+    n_jobs = data.draw(st.integers(1, 10))
+    idx = data.draw(st.integers(1, n_jobs))
+    # damage only ever sits on jobs that ran, i.e. before the next job
+    damaged = data.draw(st.sets(st.integers(1, n_jobs))) & set(range(1, idx))
+    assert cascade_jobs(JobGraph.linear(n_jobs), range(1, idx), damaged) \
+        == _backward_walk(idx, damaged)
 
 
 def test_cascade_bounded_below_by_intact_anchor():

@@ -1,87 +1,47 @@
-"""Tests for reducer splitting (paper §IV-B1)."""
+"""Tests for reducer splitting (paper §IV-B1), as the shared recovery
+planner ``repro.runtime.recovery.plan_job_recovery`` applies it."""
 
 import pytest
 
-from repro.core.splitting import LostPiece, plan_reduce_recomputation
+from repro.core.strategies import Strategy
+from repro.runtime.recovery import plan_job_recovery
 
 
-def test_whole_partition_split_k_ways():
-    plan = plan_reduce_recomputation([LostPiece(3)], split_ratio=4,
-                                     alive_nodes=[0, 1, 2, 4])
-    assert len(plan.tasks) == 4
-    assert plan.split_partitions == {3}
-    fractions = [t.fraction for t in plan.tasks]
-    assert sum(fractions) == pytest.approx(1.0)
-    assert all(t.partition == 3 for t in plan.tasks)
-    assert [t.split_index for t in plan.tasks] == [0, 1, 2, 3]
-    # splits land on distinct nodes (maximize compute-node parallelism)
-    nodes = [plan.assignment[t.task_id] for t in plan.tasks]
-    assert sorted(nodes) == [0, 1, 2, 4]
+def _plan(damage, alive, split_ratio):
+    return plan_job_recovery(1, damage, all_map_tasks=[],
+                             present_map_tasks=[], alive=alive,
+                             split_ratio=split_ratio)
 
 
 def test_no_split_single_task_on_one_node():
-    plan = plan_reduce_recomputation([LostPiece(0)], split_ratio=1,
-                                     alive_nodes=[5, 6, 7])
-    assert len(plan.tasks) == 1
-    assert plan.tasks[0].fraction == 1.0
-    assert plan.split_partitions == set()
-    assert plan.assignment[plan.tasks[0].task_id] == 5
+    plan = _plan({0: [(0, 1)]}, alive=[7, 5, 6], split_ratio=1)
+    assert [(r.partition, r.split_index, r.n_splits, r.node)
+            for r in plan.reduces] == [(0, 0, 1, 5)]
+    assert plan.split_partitions == ()
 
 
 def test_split_ratio_capped_by_alive_nodes():
-    plan = plan_reduce_recomputation([LostPiece(0)], split_ratio=10,
-                                     alive_nodes=[0, 1, 2])
-    assert len(plan.tasks) == 3
+    plan = _plan({0: [(0, 1)]}, alive=[0, 1, 2], split_ratio=10)
+    assert len(plan.reduces) == 3
+    assert {r.n_splits for r in plan.reduces} == {3}
+    assert sorted(r.node for r in plan.reduces) == [0, 1, 2]
+    assert plan.split_partitions == (0,)
 
 
 def test_fractional_piece_not_resplit():
     """A lost split piece is recomputed as one task with its key range."""
-    lost = [LostPiece(2, fraction=0.25, split_index=1, n_splits=4)]
-    plan = plan_reduce_recomputation(lost, split_ratio=8,
-                                     alive_nodes=[0, 1, 2])
-    assert len(plan.tasks) == 1
-    task = plan.tasks[0]
-    assert task.fraction == pytest.approx(0.25)
-    assert task.split_index == 1 and task.n_splits == 4
-    assert plan.split_partitions == set()
-
-
-def test_multiple_lost_partitions_all_planned():
-    lost = [LostPiece(1), LostPiece(0)]
-    plan = plan_reduce_recomputation(lost, split_ratio=2,
-                                     alive_nodes=[0, 1, 2, 3])
-    assert len(plan.tasks) == 4
-    assert plan.split_partitions == {0, 1}
-    # tasks ordered by partition then split
-    assert [t.partition for t in plan.tasks] == [0, 0, 1, 1]
-    # round robin keeps spreading across all nodes
-    nodes = [plan.assignment[t.task_id] for t in plan.tasks]
-    assert sorted(nodes) == [0, 1, 2, 3]
-
-
-def test_task_ids_start_from_offset_and_are_unique():
-    lost = [LostPiece(0), LostPiece(1)]
-    plan = plan_reduce_recomputation(lost, split_ratio=3,
-                                     alive_nodes=[0, 1, 2],
-                                     start_task_id=100)
-    ids = [t.task_id for t in plan.tasks]
-    assert ids == list(range(100, 106))
-
-
-def test_exclude_nodes_honored():
-    plan = plan_reduce_recomputation([LostPiece(0)], split_ratio=2,
-                                     alive_nodes=[0, 1, 2],
-                                     exclude_nodes={0})
-    nodes = {plan.assignment[t.task_id] for t in plan.tasks}
-    assert 0 not in nodes
+    plan = _plan({2: [(1, 4)]}, alive=[0, 1, 2], split_ratio=8)
+    assert len(plan.reduces) == 1
+    task = plan.reduces[0]
+    assert (task.partition, task.split_index, task.n_splits) == (2, 1, 4)
+    assert 1 / task.n_splits == pytest.approx(0.25)
+    assert plan.split_partitions == ()
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        plan_reduce_recomputation([LostPiece(0)], split_ratio=0,
-                                  alive_nodes=[0])
+        Strategy("bad", replication=1, recompute=True, split_ratio=0)
     with pytest.raises(ValueError):
-        plan_reduce_recomputation([LostPiece(0)], split_ratio=1,
-                                  alive_nodes=[])
+        _plan({0: [(0, 1)]}, alive=[], split_ratio=1)
     with pytest.raises(ValueError):
-        LostPiece(0, fraction=0.0)
+        _plan({0: []}, alive=[0], split_ratio=1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import strategies
 from repro.core.strategies import Strategy, rcmp, repl
+from repro.runtime.recovery import effective_split_ratio
 
 
 def test_presets_match_paper_configuration():
@@ -28,11 +29,13 @@ def test_recovery_modes():
 
 def test_effective_split_auto_is_survivors_minus_one():
     # paper: split ratio 59 on 60-node DCO, N-1 in Fig. 11
-    assert strategies.RCMP.effective_split(60) == 59
-    assert strategies.RCMP.effective_split(2) == 1
-    assert strategies.RCMP_NOSPLIT.effective_split(60) == 1
-    explicit = rcmp(split_ratio=8)
-    assert explicit.effective_split(60) == 8
+    def split(strategy, survivors):
+        return effective_split_ratio(strategy.split_ratio, survivors)
+
+    assert split(strategies.RCMP, 60) == 59
+    assert split(strategies.RCMP, 2) == 1
+    assert split(strategies.RCMP_NOSPLIT, 60) == 1
+    assert split(rcmp(split_ratio=8), 60) == 8
 
 
 def test_validation_rules():

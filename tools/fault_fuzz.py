@@ -7,13 +7,21 @@ or stochastic MTBF arrivals — executes the chain **twice**, and asserts:
 
 * no crash: the run returns a ``ChainResult`` (exceptions abort the fuzz);
 * termination: the result is ``completed`` or carries a ``failure_reason``;
-* determinism: both executions produce byte-identical summaries.
+* determinism: both executions produce byte-identical summaries;
+* no lost result: a completed run leaves no damaged sink behind.
+
+After the ``--runs`` linear chains come ``--runs // 3`` DAG runs (diamond,
+fan-out, fan-in, reduction tree) drawn from their own generator, so adding
+them left every linear draw unchanged.
 
 Usage::
 
-    PYTHONPATH=src python tools/fault_fuzz.py [--runs N] [--seed S]
+    PYTHONPATH=src python tools/fault_fuzz.py [--runs N] [--seed S] \
+        [--dump FILE]
 
-``FAULT_FUZZ_RUNS`` / ``FAULT_FUZZ_SEED`` env vars override the defaults.
+``--dump`` writes one ``i<TAB>summary`` line per run (DAG runs as
+``dagI``), so two builds compare with ``cmp``.  ``FAULT_FUZZ_RUNS`` /
+``FAULT_FUZZ_SEED`` env vars override the defaults.
 """
 
 from __future__ import annotations
@@ -26,9 +34,13 @@ import sys
 
 from repro.cluster import presets
 from repro.cluster.spec import MB
+from repro.cluster.topology import Cluster
 from repro.core import strategies
-from repro.core.middleware import run_chain
+from repro.core.middleware import Middleware
+from repro.dfs import DistributedFileSystem
 from repro.faults import FaultModel
+from repro.simcore import SeedSequenceRegistry, Simulator
+from repro.workloads import dag
 from repro.workloads.chain import build_chain
 
 DEGRADE = dict(max_cascade_depth=6, max_restarts=4, restart_backoff=1.0)
@@ -40,6 +52,15 @@ STRATEGIES = {
     "optimistic": lambda: strategies.OPTIMISTIC.with_degradation(
         max_restarts=4, restart_backoff=1.0),
 }
+
+SMALL = dict(per_node_input=256 * MB, block_size=64 * MB)
+
+DAG_SHAPES = [
+    lambda rng: dag.diamond(**SMALL),
+    lambda rng: dag.fan_out(rng.randint(2, 3), **SMALL),
+    lambda rng: dag.fan_in(rng.randint(2, 3), **SMALL),
+    lambda rng: dag.binary_tree(rng.randint(1, 2), **SMALL),
+]
 
 
 def _draw_faults(rng: random.Random, n_jobs: int, n_nodes: int):
@@ -96,8 +117,26 @@ def _summary(result) -> str:
                  tuple(result.fault_log), result.metrics.summary()))
 
 
-def fuzz_one(i: int, master_seed: int) -> None:
-    rng = random.Random(master_seed * 100_000 + i)
+def _run(cluster_spec, strategy, chain, faults, seed):
+    """``run_chain``, also returning the jobs damaged when the chain ends
+    (a fault drawn past the end still lands in the drained simulation)."""
+    sim = Simulator()
+    cluster = Cluster(sim, cluster_spec, SeedSequenceRegistry(seed))
+    middleware = Middleware(cluster,
+                            DistributedFileSystem(cluster, chain.block_size),
+                            chain, strategy, faults)
+
+    def body():
+        result = yield from middleware.run()
+        return result, set(middleware.state.damaged_jobs())
+
+    proc = sim.process(body(), name="middleware")
+    sim.run()
+    assert proc.triggered and proc.ok, "chain did not finish cleanly"
+    return proc.value
+
+
+def _draw_cluster(rng: random.Random):
     n_nodes = rng.randint(4, 6)
     cluster = presets.tiny(n_nodes)
     if rng.random() < 0.3:
@@ -106,26 +145,50 @@ def fuzz_one(i: int, master_seed: int) -> None:
         cluster = dataclasses.replace(
             cluster, heartbeat_interval=float(rng.randint(1, 5)),
             heartbeat_expiry=float(rng.randint(6, 15)))
-    n_jobs = rng.randint(2, 4)
-    chain = build_chain(n_jobs=n_jobs, per_node_input=256 * MB,
-                        block_size=64 * MB)
+    return cluster
+
+
+def _fuzz(label: str, rng: random.Random, cluster, chain) -> str:
+    """Draw a strategy and faults, run ``chain`` twice, check the
+    contract; returns the run's summary."""
     name = rng.choice(sorted(STRATEGIES))
     strategy = STRATEGIES[name]()
-    faults = _draw_faults(rng, n_jobs, n_nodes)
+    faults = _draw_faults(rng, chain.n_jobs, cluster.n_nodes)
     seed = rng.randint(0, 2**31 - 1)
+    context = f"strategy={name}, faults={faults!r}, seed={seed}"
+    # sinks: the jobs no other job reads — the computation's results
+    # (from ``dependencies`` alone, so a ``--dump`` of older sources runs)
+    sinks = set(range(1, chain.n_jobs + 1)) - {
+        d for j in range(1, chain.n_jobs + 1)
+        for d in chain.dependencies(j)}
 
     summaries = []
     for _ in range(2):
-        result = run_chain(cluster, strategy, chain=chain,
-                           failures=faults, seed=seed)
+        result, damaged = _run(cluster, strategy, chain, faults, seed)
         assert result.completed or result.failure_reason, (
-            f"run {i}: neither completed nor failed cleanly "
-            f"(strategy={name}, faults={faults!r}, seed={seed})")
+            f"{label}: neither completed nor failed cleanly ({context})")
+        assert not (result.completed and damaged & sinks), (
+            f"{label}: completed with damaged sinks "
+            f"{sorted(damaged & sinks)} ({context})")
         summaries.append(_summary(result))
     assert summaries[0] == summaries[1], (
-        f"run {i}: non-deterministic summary (strategy={name}, "
-        f"faults={faults!r}, seed={seed})\n"
+        f"{label}: non-deterministic summary ({context})\n"
         f"  first:  {summaries[0]}\n  second: {summaries[1]}")
+    return summaries[0]
+
+
+def fuzz_one(i: int, master_seed: int) -> str:
+    rng = random.Random(master_seed * 100_000 + i)
+    cluster = _draw_cluster(rng)
+    chain = build_chain(n_jobs=rng.randint(2, 4), **SMALL)
+    return _fuzz(f"run {i}", rng, cluster, chain)
+
+
+def fuzz_dag(i: int, master_seed: int) -> str:
+    rng = random.Random(f"dag-{master_seed}-{i}")
+    cluster = _draw_cluster(rng)
+    chain = rng.choice(DAG_SHAPES)(rng)
+    return _fuzz(f"dag run {i}", rng, cluster, chain)
 
 
 def main(argv=None) -> int:
@@ -134,13 +197,26 @@ def main(argv=None) -> int:
                         default=int(os.environ.get("FAULT_FUZZ_RUNS", 300)))
     parser.add_argument("--seed", type=int,
                         default=int(os.environ.get("FAULT_FUZZ_SEED", 1)))
+    parser.add_argument("--dump", metavar="FILE",
+                        help="write one 'i<TAB>summary' line per run")
     args = parser.parse_args(argv)
-    for i in range(args.runs):
-        fuzz_one(i, args.seed)
-        if (i + 1) % 50 == 0:
-            print(f"fault-fuzz: {i + 1}/{args.runs} ok", flush=True)
-    print(f"fault-fuzz: {args.runs} randomized runs, all terminated "
-          f"deterministically (seed={args.seed})")
+    runs = [(str(i), fuzz_one, i) for i in range(args.runs)] + \
+        [(f"dag{i}", fuzz_dag, i) for i in range(args.runs // 3)]
+    dump = open(args.dump, "w") if args.dump else None
+    try:
+        for n, (label, fuzz, i) in enumerate(runs, start=1):
+            summary = fuzz(i, args.seed)
+            if dump:
+                dump.write(f"{label}\t{summary}\n")
+                dump.flush()
+            if n % 50 == 0:
+                print(f"fault-fuzz: {n}/{len(runs)} ok", flush=True)
+    finally:
+        if dump:
+            dump.close()
+    print(f"fault-fuzz: {args.runs} linear + {args.runs // 3} DAG "
+          f"randomized runs, all terminated deterministically "
+          f"(seed={args.seed})")
     return 0
 
 
