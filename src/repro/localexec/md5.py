@@ -26,9 +26,11 @@ _WORD = ([i for i in range(16)] + [(5 * i + 1) % 16 for i in range(16)]
          + [(3 * i + 5) % 16 for i in range(16)]
          + [(7 * i) % 16 for i in range(16)])
 
-#: rows digested per pass: keeps the working arrays (four registers, two
-#: scratch, the varying words) cache-sized
-_CHUNK = 8192
+#: rows digested per pass: long enough to amortise a pass's ~600 ufunc
+#: calls, short enough to keep the working arrays (four registers, two
+#: scratch, the varying words) in cache — ``tools/md5_crossover.py
+#: --passes`` sweeps it
+_CHUNK = 16384
 #: longest ``head`` of :func:`md5_text`: head + 20 digits + the 0x80
 #: marker must leave the block's last 8 bytes to the bit length
 TEXT_HEAD_MAX = 35
@@ -42,11 +44,14 @@ def n_blocks(length: int) -> int:
 def _compress(n: int, words: list) -> np.ndarray:
     """Digests of ``n`` padded messages given as their little-endian
     message words, 16 per 64-byte block: ``uint32[n]`` columns, or ints
-    where a word is the same in every row."""
-    state = [np.full(n, word, np.uint32) for word in _INIT]
+    where a word is the same in every row.  Consumes ``words``: a
+    block's columns are let go once the block is done, so a pass holds
+    one block's columns and the registers, never more."""
+    state = list(_INIT)  # ints until the first block is added to them
     f, t = np.empty(n, np.uint32), np.empty(n, np.uint32)
     for block in range(0, len(words), 16):
-        a, b, c, d = (word.copy() for word in state)
+        a, b, c, d = (np.full(n, word, np.uint32) if isinstance(word, int)
+                      else word.copy() for word in state)
         for i in range(64):
             if i < 16:    # d ^ (b & (c ^ d))
                 np.bitwise_xor(c, d, out=f)
@@ -76,7 +81,9 @@ def _compress(n: int, words: list) -> np.ndarray:
             np.add(f, b, out=f)
             a, b, c, d, f = d, f, b, c, a  # old ``a`` is the next scratch
         for word, register in zip(state, (a, b, c, d)):
-            word += register
+            register += word
+        state = [a, b, c, d]
+        words[block:block + 16] = [None] * 16
     return np.stack(state, axis=1).astype("<u4", copy=False).view(np.uint8)
 
 
@@ -95,8 +102,9 @@ def _digest_chunks(column: np.ndarray, words, tick) -> np.ndarray:
 
 
 def _columns(padded: np.ndarray) -> list:
-    """The little-endian words of an ``n x 4k`` byte matrix, one
-    contiguous ``uint32[n]`` column each."""
+    """The little-endian words of an ``n x 4k`` byte matrix — each row
+    contiguous, the rows at any stride — one contiguous ``uint32[n]``
+    column each."""
     return list(np.ascontiguousarray(padded.view("<u4").T, dtype=np.uint32))
 
 
@@ -112,6 +120,8 @@ def md5_rows(values: np.ndarray, tick=None) -> np.ndarray:
         tail[0] = 0x80
 
     def words(chunk: np.ndarray) -> list:
+        if width == length and chunk.strides[1] == 1:  # 16 B, 64 B rows:
+            return _columns(chunk) + tail  # no padded copy to fill
         padded = np.zeros((len(chunk), width), np.uint8)
         padded[:, :length] = chunk
         padded[:, length:length + 1] = 0x80  # ... or shares the last word

@@ -180,7 +180,7 @@ def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int,
               tick=None) -> tuple[np.ndarray, np.ndarray]:
     """:func:`map_udf` over a column batch, row for row.  ``tick``, if
     given, is called before every pass of the MD5 kernel (about every
-    8 192 rows of either digest) and may raise to abandon the batch."""
+    16 384 rows of either digest) and may raise to abandon the batch."""
     new_keys = _be_column(
         _digests(keys, b"%d:" % job_index, tick)[:, :8])
     if values.ndim == 1:  # ragged
@@ -199,8 +199,10 @@ def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int,
 def reduce_batch(keys: np.ndarray, values: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`reduce_udf` over every key group of a column batch, in
-    ascending key order (what ``sorted(groups.items())`` yields)."""
-    order = np.argsort(keys, kind="stable")
+    ascending key order (what ``sorted(groups.items())`` yields).  The
+    sort need not be stable: a group's blob is its values sorted, and
+    its byte sum and length ignore their order."""
+    order = np.argsort(keys)
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)  # marks the first row of a group
     first[1:] = keys[1:] != keys[:-1]
@@ -217,18 +219,23 @@ def reduce_batch(keys: np.ndarray, values: np.ndarray
         blobs = group_blobs(values, starts, sizes)
         digests = _digests(blobs)
         sums, lengths = list(map(sum, blobs)), list(map(len, blobs))
+    elif len(starts) == len(keys):
+        # no key repeats — every chain job from the second on: each
+        # value is its group's blob, digested as the column it is
+        digests = _digests(values)
+        sums = values.sum(axis=1, dtype=np.uint64)
+        lengths = [values.shape[1]]  # one length, broadcast
     else:
-        # one value per key — every chain job from the second on, and all
-        # but a few keys of the first — is its blob as it stands: only
-        # the groups of several (DAG joins, key collisions) sort + join
+        # the groups of one (all but a few keys of job 1) still go as a
+        # column: only the groups of several (DAG joins, key collisions)
+        # sort + join
         several = sizes > 1
         digests = np.empty((len(starts), 16), np.uint8)
         digests[~several] = _digests(values[starts[~several]])
-        if several.any():
-            ends = np.cumsum(sizes[several])
-            digests[several] = _digests(group_blobs(
-                values[np.repeat(several, sizes)], ends - sizes[several],
-                sizes[several]))
+        ends = np.cumsum(sizes[several])
+        digests[several] = _digests(group_blobs(
+            values[np.repeat(several, sizes)], ends - sizes[several],
+            sizes[several]))
         sums = np.add.reduceat(values.sum(axis=1, dtype=np.uint64), starts)
         lengths = sizes * values.shape[1]
     out = np.empty((len(starts), 14), np.uint8)

@@ -73,15 +73,18 @@ def udf_identity() -> str:
     identity is the *source text* of the map/reduce/partition functions
     rather than a version constant someone would forget to bump: the
     per-record definitions and the batch forms the workers execute —
-    down to the digest helper and the MD5 kernel under them — which are
-    what actually decides a stored piece's bytes."""
+    down to the column helpers, the digest helper and the MD5 kernel
+    under them — which are what actually decides a stored piece's
+    bytes."""
     h = hashlib.md5()
     for fn in (_records_mod.generate_records, _records_mod.map_udf,
                _records_mod.reduce_udf, _records_mod.partition_of,
                _records_mod.generate_batch, _records_mod.map_batch,
                _records_mod.reduce_batch, _records_mod._digests,
-               _md5_mod.md5_rows, _md5_mod.md5_text, _md5_mod._decimal,
-               _md5_mod._compress):
+               _records_mod._be_column, _records_mod._be_bytes,
+               _records_mod._rows, _md5_mod.md5_rows, _md5_mod.md5_text,
+               _md5_mod._decimal, _md5_mod._compress,
+               _md5_mod._digest_chunks, _md5_mod._columns):
         h.update(inspect.getsource(fn).encode())
     return h.hexdigest()
 

@@ -31,10 +31,11 @@ a stage the same size, so a stored slice or piece *is* an ``n x (12 + L)``
 byte matrix — row = key (8) | L (4) | value (L) — and the workers never
 leave that shape: :func:`decode_columns` reshapes it into ``keys:
 uint64[n]`` plus the ``n x L`` value matrix without copying a value,
-:func:`encode_columns` is the inverse, and :func:`filter_split_spans` /
-:func:`partition_columns` route by one mask over the key column.  Bytes
-that are no such matrix (ragged values, a torn frame) take the frame
-walk, with the same truncation errors.
+:func:`encode_columns` is the inverse, :func:`filter_split_spans` routes
+by one mask over the key column, and :func:`partition_columns` by one
+stable sort of the routes and one encode, whose byte ranges are the
+slices.  Bytes that are no such matrix (ragged values, a torn frame)
+take the frame walk, with the same truncation errors.
 
 A piece is written through a temp file + ``os.replace`` (other processes
 read pieces by name), a section by append + ``fsync`` and only then
@@ -196,17 +197,28 @@ def decode_columns(data, start: int = 0, count: Optional[int] = None
 def partition_columns(keys: np.ndarray, values: np.ndarray,
                       n_partitions: int) -> dict[int, tuple[int, bytes]]:
     """Route a column batch by ``partition_of``: partition -> (record
-    count, encoded slice), ascending, batch order kept within a slice."""
-    routes = partition_of(keys, n_partitions).astype(np.intp)
+    count, encoded slice), ascending, batch order kept within a slice.
+
+    One stable sort of the routes — in the smallest unsigned dtype,
+    which numpy radix-sorts — and one encode of the reordered batch:
+    each slice is a byte range of that encoding."""
+    routes = partition_of(keys, n_partitions).astype(
+        np.min_scalar_type(n_partitions - 1))
+    order = np.argsort(routes, kind="stable")
     # bincount, not np.unique: unique's first call imports numpy.ma —
     # 12-15 ms of CPU in every freshly forked worker
     counts = np.bincount(routes, minlength=n_partitions)
-    slices = {}
-    for partition in np.flatnonzero(counts).tolist():
-        mine = routes == partition
-        slices[partition] = (int(counts[partition]),
-                             encode_columns(keys[mine], values[mine]))
-    return slices
+    values = values[order]
+    data = encode_columns(keys[order], values)
+    if values.ndim == 2:
+        ends = np.cumsum(counts) * (FRAME_HEADER + values.shape[1])
+    else:  # ragged: each frame as long as its value
+        ends = np.cumsum([0] + [FRAME_HEADER + len(value)
+                                for value in values])[np.cumsum(counts)]
+    bounds = [0, *ends.tolist()]
+    return {partition: (int(counts[partition]),
+                        data[bounds[partition]:bounds[partition + 1]])
+            for partition in np.flatnonzero(counts).tolist()}
 
 
 def filter_split_spans(data, split_index: int, n_splits: int

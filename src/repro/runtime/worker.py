@@ -17,7 +17,7 @@ The unit of *compute* is a run, the unit of *commit* a task: a map
 command takes with it the map commands of the same chain, job and epoch
 queued right behind it, and the map UDF runs over all their rows at once
 — the epoch re-checked before every pass of the MD5 kernel, about every
-8 192 rows — because the batch kernel's cost is per call and one
+16 384 rows — because the batch kernel's cost is per call and one
 3 000-row block pays it for too few rows.  Then every
 task partitions its own rows, re-checks its epoch, appends and fsyncs its
 own section and sends its own ``map-done``; a block that cannot be
@@ -38,7 +38,8 @@ servers (local slices are read straight from disk), and a re-homed
 mapper fetches its input piece range the same way.  A task fetches one
 source node after another over
 :class:`~repro.runtime.transport.PeerPool`'s persistent connections and
-groups everything that landed by one stable sort of the key column (a
+groups everything that landed by one sort of the key column — not a
+stable one, as no output byte depends on the order of equal keys (a
 fetcher thread pool was judged against this loop and tied: EXPERIMENTS.md
 "Data-plane options, judged").  When a fetch fails because the
 source died, the worker reports ``task-failed`` and returns to its loop;

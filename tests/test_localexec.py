@@ -41,6 +41,7 @@ from repro.localexec.records import (
     split_of,
 )
 from repro.localexec.recovery import recompute_job
+from repro.runtime.storage import FRAME_HEADER, decode_columns, encode_columns
 
 
 def reference_output(config, n_nodes=4):
@@ -135,8 +136,9 @@ def test_map_batch_is_map_udf_row_by_row(records, job):
 @settings(max_examples=200, deadline=None)
 @given(records=st.one_of(batch_strategy(),
                          batch_strategy(st.sampled_from([0, 3, 2**64 - 1,
-                                                         7919, 2**63]))))
-def test_reduce_batch_is_reduce_udf_per_sorted_group(records):
+                                                         7919, 2**63]))),
+       rng=st.randoms(use_true_random=False))
+def test_reduce_batch_is_reduce_udf_per_sorted_group(records, rng):
     groups = {}
     for r in records:
         groups.setdefault(r.key, []).append(r.value)
@@ -144,6 +146,12 @@ def test_reduce_batch_is_reduce_udf_per_sorted_group(records):
     assert values.shape == (len(groups), 14)
     assert to_records(keys, values) == \
         [reduce_udf(k, v) for k, v in sorted(groups.items())]
+    # the key sort is not stable: the order values arrive in (and so
+    # the order of equal keys after it) must not reach a byte
+    shuffled = rng.sample(records, len(records))
+    again = reduce_batch(*to_columns(shuffled))
+    assert again[0].tobytes() == keys.tobytes()
+    assert again[1].tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("value_size", [0, 1, 5, 6, 16, 17, 64])
@@ -199,6 +207,9 @@ def test_one_duplicate_key_keeps_the_rest_of_a_partition_on_the_kernel(
         digested.append(len(column)), md5_rows(column))[1])
     keys, values = map_batch(*generate_batch(n, seed=4, value_size=16), 2)
     digested.clear()
+    reduce_batch(keys, values)
+    assert digested == [n]  # no key repeats: the partition is one column
+    digested.clear()
     keys[5] = keys[77]
     reduce_batch(keys, values)
     assert digested == [n - 2]  # the pair alone took the hashlib loop
@@ -231,9 +242,15 @@ def test_md5_rows_is_hashlib_at_every_length(length):
     assert_md5_rows_is_hashlib(random_matrix(5, length, seed=length))
 
 
+#: a second pass size for the pass-edge cases: the pass arithmetic must
+#: hold at any size, not only the shipped ``_CHUNK``
+OTHER_PASS = 8192
+
+
 @pytest.mark.parametrize("length", [14, 55, 56, 63, 64, 119, 120])
 @pytest.mark.parametrize("n", [0, 1, MD5_KERNEL_MIN_ROWS - 1,
-                               MD5_KERNEL_MIN_ROWS, 4096, 2 * _CHUNK + 3])
+                               MD5_KERNEL_MIN_ROWS, 4096,
+                               2 * OTHER_PASS + 3, 2 * _CHUNK + 3])
 def test_md5_rows_is_hashlib_at_every_batch_size(n, length):
     assert_md5_rows_is_hashlib(random_matrix(n, length, seed=n))
 
@@ -285,7 +302,8 @@ def test_md5_text_is_hashlib_at_the_formatter_chunk_boundaries():
         assert_md5_text_is_hashlib(b"7:", np.array(numbers, np.uint64))
 
 
-@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 1000, _CHUNK + 5])
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 1000, OTHER_PASS + 5,
+                               _CHUNK + 5])
 @pytest.mark.parametrize("start", [0, 27_000, 10**8 - 3, 10**16 - 3])
 def test_md5_text_is_hashlib_on_arange_input(start, n):
     """What ``generate_batch`` sends: consecutive row numbers, whose text
@@ -320,13 +338,17 @@ def test_md5_text_is_hashlib_at_every_head_length(at):
 
 # one row either side of a kernel pass, and of the row counts where the
 # equal passes go from one to two and from two to three
-@pytest.mark.parametrize("n, passes", [
-    (_CHUNK - 1, 1), (_CHUNK, 1), (_CHUNK + 1, 1),
-    (_CHUNK * 3 // 2 - 1, 1), (_CHUNK * 3 // 2 + 1, 2),
-    (_CHUNK * 5 // 2 + 1, 3)])
-def test_kernels_are_hashlib_at_the_pass_edges(monkeypatch, n, passes):
+@pytest.mark.parametrize("n, passes, chunk", [
+    pytest.param(n, passes, chunk, id=f"{n}-{passes}")
+    for chunk in (OTHER_PASS, _CHUNK)
+    for n, passes in [(chunk - 1, 1), (chunk, 1), (chunk + 1, 1),
+                      (chunk * 3 // 2 - 1, 1), (chunk * 3 // 2 + 1, 2),
+                      (chunk * 5 // 2 + 1, 3)]])
+def test_kernels_are_hashlib_at_the_pass_edges(monkeypatch, n, passes,
+                                               chunk):
     """The kernel runs in equal passes of about ``_CHUNK`` rows — never a
     short remainder — and ticks before each."""
+    monkeypatch.setattr(md5_mod, "_CHUNK", chunk)
     sizes, ticks = [], []
     monkeypatch.setattr(md5_mod, "_compress", lambda rows, words, real=md5_mod
                         ._compress: (sizes.append(rows), real(rows, words))[1])
@@ -337,6 +359,12 @@ def test_kernels_are_hashlib_at_the_pass_edges(monkeypatch, n, passes):
     assert len(sizes) == passes and sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
     assert_md5_rows_is_hashlib(random_matrix(n, 64, seed=n))
+    for length in (16, 64):  # whole words, read from a strided view
+        keys = np.arange(n, dtype=np.uint64)
+        _, view = decode_columns(encode_columns(
+            keys, random_matrix(n, length, seed=n)))
+        assert view.strides == (FRAME_HEADER + length, 1)
+        assert_md5_rows_is_hashlib(view)
     assert_md5_text_is_hashlib(b"2:", np.random.default_rng(n).integers(
         0, 2**64, n, dtype=np.uint64))
 

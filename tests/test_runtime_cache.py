@@ -94,12 +94,14 @@ def test_udf_identity_is_stable():
 
 @pytest.mark.parametrize("name", ["generate_batch", "map_batch",
                                   "reduce_batch", "map_udf", "_digests",
+                                  "_be_column", "_be_bytes", "_rows",
                                   "md5.md5_rows", "md5.md5_text",
-                                  "md5._decimal", "md5._compress"])
+                                  "md5._decimal", "md5._compress",
+                                  "md5._digest_chunks", "md5._columns"])
 def test_fingerprints_follow_the_udfs_that_run(monkeypatch, name):
     """The workers execute the batch UDFs, so an edit to one of them —
-    like an edit to its per-record definition, or to the digest helper
-    and MD5 kernel they share — must miss the cache."""
+    like an edit to its per-record definition, or to the column helpers,
+    digest helper and MD5 kernel they share — must miss the cache."""
     before = chain_fingerprints(CHAIN3, 4)
 
     def edited(*args):

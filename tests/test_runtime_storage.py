@@ -16,7 +16,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.localexec import LocalJobConfig
@@ -189,6 +189,8 @@ def test_filter_split_spans_equal_the_frame_walk(records):
 
 @settings(max_examples=100, deadline=None)
 @given(records=records_strategy, n_partitions=st.integers(1, 5))
+@example(records=generate_records(3000, seed=3, value_size=16),
+         n_partitions=8)  # a map block of the spine's shape
 def test_partition_columns_routes_like_partition_of(records, n_partitions):
     slices = partition_columns(*decode_columns(encode_records(records)),
                                n_partitions)

@@ -7,10 +7,12 @@ itself (on a 2-core host, identical code measured ~10% faster on
 ``service-small`` from there than from a fresh copy).  Then runs
 ``benchmarks/spine/run.py --workload W --trace 0`` on both sides for N
 pairs, alternating which side goes first, and prints per end-to-end
-metric each side's median and quartiles, the pairs each side won, and
-whether the medians differ by more than the parent's interquartile range
-(the ``choosing-metrics`` rule for claiming a gain: >= 9/10 of the pairs
-won *and* the medians further apart than the parent's own spread).
+metric — and ``recovery_s`` / ``recovery_job_equiv`` where the workload
+reports them — each side's median and quartiles, the pairs each side
+won, and whether the medians differ by more than the parent's
+interquartile range (the ``choosing-metrics`` rule for claiming a gain:
+>= 9/10 of the pairs won *and* the medians further apart than the
+parent's own spread).
 
 It only reads the spine's last output line (the driver contract's JSON)
 and ``BENCHMARK.json`` (which way is better); it changes nothing under
@@ -40,6 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPINE = Path("benchmarks") / "spine" / "run.py"
 MIN_PAIRS = 10  # fewer pairs than this carry no verdict
+#: compared too where a workload reports them (the kill workloads)
+RECOVERY = [{"name": "recovery_s", "better": "lower"},
+            {"name": "recovery_job_equiv", "better": "lower"}]
 
 
 def _git(*args: str) -> bytes:
@@ -65,14 +70,22 @@ def copy_checkout(dest: Path) -> None:
 
 
 def run_spine(checkout: Path, workload: str, seed: int, args) -> dict:
-    """One spine run in ``checkout``; returns its last-line JSON."""
+    """One spine run in ``checkout``; returns its last-line JSON, plus
+    the :data:`RECOVERY` metrics of the result file it leaves."""
     cmd = [sys.executable, str(checkout / SPINE), "--workload", workload,
            "--seed", str(seed), "--trace", "0", "--scale", args.scale]
     if args.seconds is not None:
         cmd += ["--seconds", str(args.seconds)]
     done = subprocess.run(cmd, cwd=checkout, text=True, check=True,
                           stdout=subprocess.PIPE)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    line = json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads((checkout / SPINE.parent / "out"
+                         / f"{workload}.result.json").read_text())
+    for metric in RECOVERY:
+        if metric["name"] in (result["end_to_end"] or {}):
+            line["metrics"][metric["name"]] = \
+                result["end_to_end"][metric["name"]]
+    return line
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -146,8 +159,11 @@ def main(argv=None) -> int:
                                                  args.seed + k, args))
                 print(f"{workload} pair {k + 1}/{args.pairs} done "
                       f"({order[0]} first)", file=sys.stderr, flush=True)
-            compare(workload, spec["end_to_end"], sides["parent"],
-                    sides["change"])
+            runs = sides["parent"] + sides["change"]
+            compare(workload, spec["end_to_end"] + [
+                metric for metric in RECOVERY
+                if all(metric["name"] in run["metrics"] for run in runs)],
+                sides["parent"], sides["change"])
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return 0

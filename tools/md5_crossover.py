@@ -7,19 +7,33 @@ forced on (best of ``--reps``), as the markdown table behind
 ``records.MD5_KERNEL_MIN_ROWS`` (docs/architecture.md §7).  The two
 sides' digests are asserted equal byte for byte.
 
+``--passes`` measures the kernel's pass size instead
+(``repro.localexec.md5._CHUNK``): microseconds per row of ``md5_rows``
+on 16-byte and 64-byte rows and of ``md5_text`` on ``b"%d:%d"`` texts,
+by pass size, with ``--procs`` copies of the sweep running at once, in
+step (4 = the spine's workers on one host), so that the cache they
+share is part of the number.  Each cell is the median over the copies
+of each copy's best CPU time of ``--reps`` (CPU, as more copies than
+cores wait their turn); every cell's digests are asserted equal to
+``hashlib``'s.
+
 Usage::
 
     PYTHONPATH=src python tools/md5_crossover.py [--reps 9]
+    PYTHONPATH=src python tools/md5_crossover.py --passes [--procs 4]
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import multiprocessing
+import statistics
 import time
 
 import numpy as np
 
-from repro.localexec import records
+from repro.localexec import md5, records
 from repro.localexec.md5 import n_blocks
 
 ROWS = (64, 256, 1000, 2000, 3000, 4000, 8000, 15000, 30000)
@@ -39,10 +53,82 @@ def measure(kernel: bool, reps: int, column, head) -> tuple[float, bytes]:
     return best / len(column) * 1e6, digests.tobytes()
 
 
+PASSES = (4096, 8192, 12288, 16384, 24576, 32768)
+#: rows per digest call of the pass sweep: whole passes at every size
+PASS_ROWS = 2 * max(PASSES)
+
+
+def _pass_columns() -> dict:
+    """The sweep's inputs: label -> (digest call, column, the column's
+    digests as ``hashlib`` makes them)."""
+    rng = np.random.default_rng(0)
+    inputs = {}
+    for length in (16, 64):
+        column = rng.integers(0, 256, (PASS_ROWS, length), dtype=np.uint8)
+        inputs[f"{length} B"] = (md5.md5_rows, column,
+                                 [bytes(row) for row in column])
+    numbers = rng.integers(0, 2 ** 64, PASS_ROWS, dtype=np.uint64)
+    inputs['text `b"%d:%d"`'] = (
+        lambda column: md5.md5_text(b"2:", column), numbers,
+        [b"2:%d" % number for number in numbers.tolist()])
+    return {label: (digest, column, b"".join(
+                hashlib.md5(message).digest() for message in messages))
+            for label, (digest, column, messages) in inputs.items()}
+
+
+def _sweep_passes(columns: dict, reps: int, barrier, results) -> None:
+    """One copy of the sweep: best µs/row per (label, pass size), each
+    cell started in step with the other copies."""
+    cells = {}
+    for label, (digest, column, want) in columns.items():
+        for rows in PASSES:
+            md5._CHUNK = rows
+            barrier.wait()
+            best = float("inf")
+            for _ in range(reps):  # CPU, not wall: copies share cores
+                t0 = time.process_time()
+                got = digest(column)
+                best = min(best, time.process_time() - t0)
+            assert got.tobytes() == want, (label, rows)
+            cells[label, rows] = best / PASS_ROWS * 1e6
+    results.put(cells)
+
+
+def passes(reps: int, procs: int) -> None:
+    """Print the pass-size table (see the module docstring)."""
+    columns = _pass_columns()
+    # forked, the copies inherit the columns instead of unpickling them
+    context = multiprocessing.get_context("fork")
+    barrier, results = context.Barrier(procs), context.Queue()
+    workers = [context.Process(target=_sweep_passes,
+                               args=(columns, reps, barrier, results))
+               for _ in range(procs)]
+    for worker in workers:
+        worker.start()
+    copies = [results.get() for _ in workers]
+    for worker in workers:
+        worker.join()
+        assert worker.exitcode == 0
+    print("| pass rows | " + " | ".join(f"{label} µs/row" for label in columns)
+          + " |")
+    print("|---:|" + "---:|" * len(columns))
+    for rows in PASSES:
+        cells = [statistics.median(copy[label, rows] for copy in copies)
+                 for label in columns]
+        print(f"| {rows} | " + " | ".join(f"{c:.4f}" for c in cells) + " |")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=9)
-    reps = parser.parse_args().reps
+    parser.add_argument("--passes", action="store_true",
+                        help="sweep the kernel's pass size instead")
+    parser.add_argument("--procs", type=int, default=4,
+                        help="copies of the --passes sweep run at once")
+    args = parser.parse_args()
+    if args.passes:
+        return passes(args.reps, args.procs)
+    reps = args.reps
     rng = np.random.default_rng(0)
     shipped = records.MD5_KERNEL_MIN_ROWS, records.MD5_KERNEL_MAX_BLOCKS
     print("| messages | rows | `hashlib` loop µs/row | kernel µs/row "
