@@ -39,21 +39,23 @@ adopted pieces always land in the adopting chain's own namespace.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
 import logging
+import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.localexec import md5 as _md5_mod
 from repro.localexec import records as _records_mod
 from repro.localexec.engine import LocalJobConfig
 from repro.runtime.recovery import JobGraph, adoptable_closure
-from repro.runtime.storage import NodeStore
+from repro.runtime.storage import NodeStore, piece_key, scan_segment
 
 _LOG = logging.getLogger(__name__)
 
@@ -62,7 +64,8 @@ _LOG = logging.getLogger(__name__)
 LineageFingerprint = str
 
 _REGISTRY_NAME = "cache_registry.json"
-_FORMAT_VERSION = 1
+#: 2: pieces are sections of ``reduce/jobJ.seg`` (1: ``.bin`` files)
+_FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------- fingerprints
@@ -76,15 +79,24 @@ def udf_identity() -> str:
     down to the column helpers, the digest helper and the MD5 kernel
     under them — which are what actually decides a stored piece's
     bytes."""
+    return _source_hash((
+        _records_mod.generate_records, _records_mod.map_udf,
+        _records_mod.reduce_udf, _records_mod.partition_of,
+        _records_mod.generate_batch, _records_mod.map_batch,
+        _records_mod.reduce_batch, _records_mod._digests,
+        _records_mod._be_column, _records_mod._be_bytes,
+        _records_mod._rows, _md5_mod.md5_rows, _md5_mod.md5_text,
+        _md5_mod._decimal, _md5_mod._compress,
+        _md5_mod._digest_chunks, _md5_mod._columns))
+
+
+@functools.lru_cache(maxsize=8)
+def _source_hash(fns: tuple) -> str:
+    """MD5 of the functions' source, once per tuple of function objects:
+    ``getsource`` re-reads the file, so hashing on every call both costs
+    milliseconds and follows edits the running code does not have."""
     h = hashlib.md5()
-    for fn in (_records_mod.generate_records, _records_mod.map_udf,
-               _records_mod.reduce_udf, _records_mod.partition_of,
-               _records_mod.generate_batch, _records_mod.map_batch,
-               _records_mod.reduce_batch, _records_mod._digests,
-               _records_mod._be_column, _records_mod._be_bytes,
-               _records_mod._rows, _md5_mod.md5_rows, _md5_mod.md5_text,
-               _md5_mod._decimal, _md5_mod._compress,
-               _md5_mod._digest_chunks, _md5_mod._columns):
+    for fn in fns:
         h.update(inspect.getsource(fn).encode())
     return h.hexdigest()
 
@@ -134,9 +146,10 @@ def chain_fingerprints(chain: LocalJobConfig,
 # ----------------------------------------------------------------- entries
 @dataclass(frozen=True)
 class CachedPiece:
-    """One surviving on-disk reduce piece of a cached job output.
+    """One surviving on-disk reduce piece of a cached job output: a
+    section of ``reduce/job<J>.seg`` on ``node``, ``size`` bytes long.
 
-    ``chain`` is the namespace the file physically lives in — usually
+    ``chain`` is the namespace the segment physically lives in — usually
     the producing chain, but a partially recomputed producer may leave
     an entry whose pieces span several namespaces."""
 
@@ -199,7 +212,9 @@ class CacheRegistry:
     Thread-safe: the service loop adopts while chain threads admit and
     release.  Every mutation persists the JSON state atomically, so a
     service restart (same workdir) reloads it and re-verifies each
-    piece file against the disk before trusting it.
+    piece against its segment on disk before trusting it.  One
+    ``(namespace, job)`` has one fingerprint, so an entry owns the
+    reduce segments its pieces live in whole.
 
     Lifecycle rules, in order of authority:
 
@@ -240,9 +255,10 @@ class CacheRegistry:
 
     # -- persistence ----------------------------------------------------
     def load(self) -> int:
-        """Reload persisted state, re-verifying every piece file on
-        disk (size included); entries that lost any file are dropped
-        and their survivors unlinked.  Returns the entry count kept."""
+        """Reload persisted state, re-verifying every piece on disk
+        (size included); entries that lost any piece are dropped and
+        their segments unlinked.  A registry of another format version
+        loads empty.  Returns the entry count kept."""
         with self._lock:
             self.entries.clear()
             try:
@@ -255,6 +271,11 @@ class CacheRegistry:
             except ValueError:
                 _LOG.warning("cache registry %s is corrupt; "
                              "starting empty", self.path)
+                return 0
+            if state.get("version") != _FORMAT_VERSION:
+                _LOG.warning("cache registry %s has format version %s, "
+                             "not %d; starting empty", self.path,
+                             state.get("version"), _FORMAT_VERSION)
                 return 0
             counters = state.get("counters", {})
             self.hits = int(counters.get("hits", 0))
@@ -299,40 +320,51 @@ class CacheRegistry:
                         sorted(self.entries.values(),
                                key=lambda e: e.fingerprint)],
         }
-        NodeStore._write_atomic(self.path,
-                                json.dumps(state, indent=1).encode())
+        # tmp + fsync + rename: a crash leaves the old state or the new
+        tmp = f"{self.path}.tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(state, indent=1).encode())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)
 
     # -- disk helpers ---------------------------------------------------
-    def _piece_path(self, entry: CacheEntry, piece: CachedPiece) -> Path:
-        return NodeStore(self.root, piece.node,
-                         chain=piece.chain).piece_path(
-            entry.job, piece.partition, piece.split_index, piece.n_splits)
+    def _section_sizes(self, job: int, node: int,
+                       chain: str) -> dict[int, int]:
+        """Piece key -> live section length of one reduce segment, from
+        a read-only scan (empty when the segment is gone or corrupt)."""
+        path = NodeStore(self.root, node, chain=chain).reduce_segment_path(
+            job)
+        try:
+            index = scan_segment(path)
+        except (OSError, ValueError):
+            return {}
+        return {key: sum(length for _, length, _ in slots.values())
+                for key, (_, slots) in index.items()}
 
     def _intact(self, entry: CacheEntry) -> bool:
-        for piece in entry.pieces:
-            try:
-                if self._piece_path(entry, piece).stat().st_size \
-                        != piece.size:
-                    return False
-            except OSError:
-                return False
-        return True
+        """Every piece is a live section of its recorded size: one scan
+        per segment the entry has pieces in."""
+        sizes = {where: self._section_sizes(entry.job, *where)
+                 for where in {(p.node, p.chain) for p in entry.pieces}}
+        return all(sizes[p.node, p.chain].get(piece_key(
+            p.partition, p.split_index, p.n_splits)) == p.size
+            for p in entry.pieces)
 
     def _unlink_entry(self, entry: CacheEntry,
                       skip_node: Optional[int] = None) -> None:
-        """Delete an entry's backing files (best-effort) and prune the
-        directories they leave empty, up to (and including) the piece's
-        chain namespace dir.  The prune boundary is derived from the
-        store layout — a fixed parent count silently walked past the
-        namespace root whenever the layout put the piece at a different
-        depth (e.g. an un-namespaced piece), deleting node state that
-        was never the cache's to manage."""
-        for piece in entry.pieces:
-            if piece.node == skip_node:
+        """Delete an entry's segments (best-effort) and prune the
+        directories they leave empty, up to (and including) the
+        segment's chain namespace dir.  The prune boundary is derived
+        from the store layout — a fixed parent count silently walked
+        past the namespace root whenever the layout put the segment at a
+        different depth (e.g. an un-namespaced one), deleting node state
+        that was never the cache's to manage."""
+        for node, chain in sorted({(p.node, p.chain) for p in entry.pieces}):
+            if node == skip_node:
                 continue
-            store = NodeStore(self.root, piece.node, chain=piece.chain)
-            path = store.piece_path(entry.job, piece.partition,
-                                    piece.split_index, piece.n_splits)
+            store = NodeStore(self.root, node, chain=chain)
+            path = store.reduce_segment_path(entry.job)
             path.unlink(missing_ok=True)
             for parent in path.parents:
                 if not parent.is_relative_to(store.dir):
@@ -355,8 +387,8 @@ class CacheRegistry:
         too (:func:`adoptable_closure`) — on a linear chain that is the
         classic longest contiguous prefix, on a DAG it may skip a lost
         sibling branch while keeping the rest.  Each candidate entry is
-        stat-verified against the disk right here — an entry whose
-        files were lost out-of-band is invalidated and drops out of the
+        verified against its segments right here — an entry whose
+        pieces were lost out-of-band is invalidated and drops out of the
         closure.  Counts one hit per adopted job and one miss per job
         the chain must execute."""
         if graph is None:
@@ -435,27 +467,22 @@ class CacheRegistry:
                     continue
                 entry = CacheEntry(fp, job, n_partitions,
                                    created=now, last_used=now)
-                intact = True
-                for partition in sorted(partitions):
-                    for row in partitions[partition]:
-                        namespace = getattr(row, "chain", None) or chain_id
-                        path = NodeStore(
-                            self.root, row.node,
-                            chain=namespace).piece_path(
-                            job, row.partition, row.split_index,
-                            row.n_splits)
-                        try:
-                            size = path.stat().st_size
-                        except OSError:
-                            intact = False
-                            break
-                        entry.pieces.append(CachedPiece(
-                            row.partition, row.split_index, row.n_splits,
-                            row.node, row.n_records, size, namespace))
-                        entry.bytes += size
-                    if not intact:
+                rows = [(row, getattr(row, "chain", None) or chain_id)
+                        for partition in sorted(partitions)
+                        for row in partitions[partition]]
+                sizes = {where: self._section_sizes(job, *where) for where
+                         in {(row.node, ns) for row, ns in rows}}
+                for row, namespace in rows:
+                    size = sizes[row.node, namespace].get(piece_key(
+                        row.partition, row.split_index, row.n_splits))
+                    if size is None:
                         break
-                if not intact or entry.bytes > self.budget_bytes:
+                    entry.pieces.append(CachedPiece(
+                        row.partition, row.split_index, row.n_splits,
+                        row.node, row.n_records, size, namespace))
+                    entry.bytes += size
+                if len(entry.pieces) < len(rows) \
+                        or entry.bytes > self.budget_bytes:
                     continue
                 self.entries[fp] = entry
                 admitted += 1

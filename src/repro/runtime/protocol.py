@@ -72,9 +72,10 @@ class Event(NamedTuple):
     #: bytes the task resolved without a socket (the node's own store)
     local: int = 0
     #: ``ready``: shuffle port; ``map-done``: per-partition record
-    #: counts; ``reduce-done``: record count; ``piece-dropped`` /
-    #: ``job-dropped`` / ``reclaimed``: bytes freed; ``task-failed``:
-    #: the fetch error or ``"cancelled"``; ``task-error``: the traceback
+    #: counts; ``reduce-done``: record count; ``piece-dropped``: bytes
+    #: its tombstone hid; ``job-dropped`` / ``reclaimed``: bytes freed;
+    #: ``task-failed``: the fetch error or ``"cancelled"``;
+    #: ``task-error``: the traceback
     result: Any = None
 
 

@@ -342,16 +342,15 @@ class ChainService:
             self.pool.send(node, dict(cmd))
 
     def _close_chain(self, job: ChainJob) -> None:
-        """Drop the chain's caches on every worker, then sweep its
-        namespace files — sparing the reduce jobs the cross-run cache
-        registered, so beyond the cache budget nothing grows the
-        workdir.  (A dead node's files linger until its id is reused —
+        """One ``chain-close`` per worker drops the chain's caches, then
+        sweeps its namespace files — sparing the reduce jobs the
+        cross-run cache registered, so beyond the cache budget nothing
+        grows the workdir.  (A dead node's files linger until its id is reused —
         there is no worker left to sweep them.)"""
         keep = sorted(self.cache.kept_jobs(job.id)) \
             if self.cache is not None else []
         for node in sorted(self.pool._links):
-            self.pool.send(node, {"op": "chain-close", "chain": job.id})
-            self.pool.send(node, {"op": "chain-sweep", "chain": job.id,
+            self.pool.send(node, {"op": "chain-close", "chain": job.id,
                                   "keep": keep})
 
     # --------------------------------------------------------- service loop

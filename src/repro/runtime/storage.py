@@ -1,26 +1,29 @@
 """Node-local persisted outputs and the coordinator's damage inventory.
 
-On-disk layout (``repro.dfs``-compatible: one directory per node, one
-single-replica file per stored object, exactly what a collocated
-compute/storage node loses when it dies)::
+On-disk layout (``repro.dfs``-compatible: one directory per node, every
+stored object single-replica, exactly what a collocated compute/storage
+node loses when it dies)::
 
-    <root>/node03/map/job2.seg                    one job's map outputs
-    <root>/node03/reduce/job1/part2/s1of3.bin     one stored piece
+    <root>/node03/map/job2.seg       one job's map outputs on this node
+    <root>/node03/reduce/job1.seg    one job's reduce pieces and replicas
 
-A node's map outputs of one job are one append-only segment: a task
-commits by appending one section to a kept-open handle (no file created,
-renamed or unlinked per task).  A section is a header, then Hadoop's
-shape, a partition index in front of the slices (one fsync commits all
-of a task's slices or none)::
+Both are append-only segments of one format: a task commits by appending
+one section to a kept-open handle (no file created, renamed or unlinked
+per task).  A section is a header, then Hadoop's shape, a partition
+index in front of the slices (one fsync commits all of a section's
+slices or none)::
 
-    u64 bytes of body | i64 task id | body: u32 bytes of slots | i64
-    task id, origin job, origin partition (-1 = none) | per slice: u32
-    partition, u64 offset past the index, u64 length, u32 record count |
-    the encoded slices, concatenated
+    u64 bytes of body | i64 key | body: u32 bytes of slots | i64 key,
+    origin job, origin partition (-1 = none) | per slice: u32 partition,
+    u64 offset past the index, u64 length, u32 record count | the
+    encoded slices, concatenated
 
-A task's later section wins; a bodiless one is a dropped output's
-tombstone.  The disk is the truth and an open segment's index a cache of
-it: :func:`scan_map_segment` rebuilds it from the headers alone.
+A map output's key is its task id and it has a slice per partition; a
+piece's key packs ``(partition, split index, split count)``
+(:func:`piece_key`) and it is one slice with no origin.  A key's later
+section wins; a bodiless one is a dropped output's tombstone.  The disk
+is the truth and an open segment's index a cache of it:
+:func:`scan_segment` rebuilds it from the headers alone.
 
 Records are framed binary — 8-byte big-endian key, 4-byte length, value —
 so a partition's bytes are a pure function of its record multiset and the
@@ -37,13 +40,14 @@ stable sort of the routes and one encode, whose byte ranges are the
 slices.  Bytes that are no such matrix (ragged values, a torn frame)
 take the frame walk, with the same truncation errors.
 
-A piece is written through a temp file + ``os.replace`` (other processes
-read pieces by name), a section by append + ``fsync`` and only then
-published in the index, so a ``SIGKILL`` mid-write can never surface torn
-bytes as a committed output — half a section is a torn tail every scan
-ignores and the segment's next writer truncates — and the coordinator only
-learns about an output from the worker's commit message, which is sent
-after the data is durable.
+A section is written by append + ``fsync`` and only then published in
+the index, so a ``SIGKILL`` mid-write can never surface torn bytes as a
+committed output — half a section is a torn tail every scan ignores and
+the segment's next writer truncates — and the coordinator only learns
+about an output from the worker's commit message, which is sent after the
+data is durable.  A store or process that does not write a segment (the
+coordinator's checksum, the cache, another chain's namespace) reads it
+by a read-only scan, never by opening it for appending.
 
 :class:`ClusterRegistry` is the coordinator-side metadata: which node
 persists which map output and which reducer piece — the same shape as
@@ -70,12 +74,19 @@ from repro.runtime.recovery import PARENT_STRIDE, STRIDE, PieceSignature
 
 _KEY = struct.Struct(">QI")
 FRAME_HEADER = _KEY.size  # a frame's value starts this far past its start
-#: map-segment section: header (body bytes that follow, task id), index
-#: head (slot bytes that follow, task id, origin job, origin partition),
-#: then one slot (partition, offset, length, record count) per slice
+#: segment section: header (body bytes that follow, key), index head
+#: (slot bytes that follow, key, origin job, origin partition), then one
+#: slot (partition, offset, length, record count) per slice
 _SECTION = struct.Struct(">Qq")
 _INDEX_HEAD = struct.Struct(">Iqqq")
 _INDEX_SLOT = struct.Struct(">IQQI")
+_PIECE_KEY = struct.Struct(">IHH")
+
+
+def piece_key(partition: int, split_index: int, n_splits: int) -> int:
+    """A reduce piece's section key: its signature packed in one i64."""
+    return int.from_bytes(_PIECE_KEY.pack(partition, split_index, n_splits),
+                          "big")
 
 
 # --------------------------------------------------------------- record codec
@@ -308,11 +319,11 @@ class MemoryTier:
     re-read from its file on the next access and a ``SIGKILL`` can only
     ever lose what the recovery planner already knows how to recompute.
 
-    Keys are absolute path strings, which makes one tier shareable
-    across a worker's chain-namespaced :class:`NodeStore` views and lets
-    directory-level invalidation (job drops, hybrid reclaims, chain
-    sweeps) evict by path prefix.  Thread-safe: task-slot threads commit
-    and read while shuffle-server threads serve."""
+    Keys are ``<segment path>#<section key>#<partition>``, which makes
+    one tier shareable across a worker's chain-namespaced
+    :class:`NodeStore` views and lets a tombstone or a segment's unlink
+    evict by prefix.  Thread-safe: task-slot threads commit and read
+    while shuffle-server threads serve."""
 
     def __init__(self, budget: int):
         if budget <= 0:
@@ -381,7 +392,7 @@ class MemoryTier:
 
 # ----------------------------------------------------------------- node store
 def _scan_segment(fh) -> tuple[dict, int]:
-    """Walk an open segment's section headers: ``({task id: (origin,
+    """Walk an open segment's section headers: ``({key: (origin,
     {partition: (file offset, length, record count)})}, end of the last
     complete section)``.  A torn tail — what a ``SIGKILL`` cut short — is
     ignored; a *complete* section whose index is inconsistent raises."""
@@ -416,31 +427,21 @@ def _scan_segment(fh) -> tuple[dict, int]:
     return index, pos
 
 
-def scan_map_segment(path: str | Path) -> dict:
-    """The live outputs of a map segment file, from its headers alone:
-    ``{task id: (origin, {partition: (file offset, length, count)})}``."""
+def scan_segment(path: str | Path) -> dict:
+    """The live sections of a segment file, from its headers alone:
+    ``{key: (origin, {partition: (file offset, length, count)})}``."""
     with open(path, "rb") as fh:
         return _scan_segment(fh)[0]
 
 
-def _read_slot(fh, index: dict, task_id: int, partition: int) -> bytes:
-    """One slice of a segment: ``KeyError`` when the task has no live
+def _read_slot(fh, index: dict, key: int, partition: int) -> bytes:
+    """One slice of a segment: ``KeyError`` when ``key`` has no live
     section, never a short read."""
-    offset, length, _ = index[task_id][1].get(partition, (0, 0, 0))
+    offset, length, _ = index[key][1].get(partition, (0, 0, 0))
     data = os.pread(fh.fileno(), length, offset)
     if len(data) != length:
         raise ValueError(f"truncated map output: {fh.name}")
     return data
-
-
-def _unlink(path: Path) -> int:
-    """Unlink a file; the bytes freed (0 when it was already gone)."""
-    try:
-        freed = path.stat().st_size
-        path.unlink()
-        return freed
-    except FileNotFoundError:
-        return 0
 
 
 class _Segment:
@@ -464,9 +465,9 @@ class NodeStore:
     (``<root>/nodeNNN/...``) byte-for-byte, while a chain id moves every
     file under ``<root>/nodeNNN/chains/<chain>/...`` so concurrent
     chains sharing one worker pool can never collide on a
-    ``(job, task)`` or ``(job, partition, split)`` path.
+    ``(job, task)`` or ``(job, partition, split)`` section.
 
-    A store is the one writer of its node's map segments; the ones it has
+    A store is the one writer of its node's segments; the ones it has
     open are shared with its :meth:`for_chain` views, keyed by path like
     the memory tier, and closed by :meth:`close` or with their file."""
 
@@ -505,16 +506,16 @@ class NodeStore:
     def map_segment_path(self, job: int) -> Path:
         return self.dir / "map" / f"job{job}.seg"
 
-    def piece_path(self, job: int, partition: int, split_index: int,
-                   n_splits: int) -> Path:
-        return (self.dir / "reduce" / f"job{job}" / f"part{partition}"
-                / f"s{split_index}of{n_splits}.bin")
+    def reduce_segment_path(self, job: int) -> Path:
+        return self.dir / "reduce" / f"job{job}.seg"
 
-    # -- map segments ---------------------------------------------------
+    # -- segments -------------------------------------------------------
     def _segment(self, path: Path, create: bool = False
                  ) -> Optional[_Segment]:
-        """The segment at ``path``, opened on first use (``None`` when
-        there is no such file and ``create`` is not set)."""
+        """The segment at ``path``, opened for appending on first use
+        (``None`` when there is no such file and ``create`` is not set).
+        Only the segment's writer opens it: opening truncates what looks
+        like a torn tail, so a reader goes through :meth:`_load`."""
         with self._segments_lock:
             seg = self._segments.get(str(path))
             if seg is None and (create or path.exists()):
@@ -530,71 +531,34 @@ class NodeStore:
             with seg.lock:
                 seg.fh.close()
 
-    def _drop_segment(self, job: int) -> int:
-        """Evict, close and unlink one job's segment; the bytes freed."""
-        path = self.map_segment_path(job)
+    def _drop_segment(self, path: Path) -> int:
+        """Evict, close and unlink one segment; the bytes freed (0 when
+        there was none)."""
         if self.memory is not None:
             self.memory.invalidate_prefix(f"{path}#")
         self._close_segments(str(path))
-        return _unlink(path)
-
-    # -- writes ---------------------------------------------------------
-    @staticmethod
-    def _write_atomic(path: Path, *chunks: bytes) -> None:
-        # the tmp name carries pid + thread id: a multi-slot worker may
-        # execute a re-dispatched duplicate of a task concurrently with
-        # the original attempt, and two writers sharing one tmp path
-        # could interleave into a torn rename
-        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
-            fh = open(tmp, "wb")
+            freed = path.stat().st_size
+            path.unlink()
         except FileNotFoundError:
-            # first write into the directory, or a sweep / ``drop_job``
-            # removed it since: "exists" is never cached
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fh = open(tmp, "wb")
-        with fh:
-            fh.writelines(chunks)
-            fh.flush()
-            # the disk tier is the durability story recovery depends on:
-            # fsync before the rename so the committed name can never
-            # point at data the page cache lost in a host crash
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        # The one tolerated crash window: dying *between* the write and
-        # the rename leaves a stale ``*.tmp`` the committed name never
-        # points at — the commit message is only sent after the rename,
-        # so the coordinator treats the task as never-completed and
-        # recomputes it; the orphan tmp is swept with its job directory.
+            return 0
+        return freed
 
-    def _commit(self, path: Path, data: bytes) -> None:
-        """Write-through commit: durable file first, then pin the bytes
-        hot in the memory tier (commit order matters — a reader must
-        never see a memory entry whose disk copy could still be lost to
-        a ``SIGKILL``)."""
-        self._write_atomic(path, data)
-        if self.memory is not None:
-            self.memory.put(str(path), data)
-
-    def write_map_slices(self, job: int, task_id: int,
-                         origin: Optional[tuple[int, int]],
-                         slices: dict[int, tuple[int, bytes]]
-                         ) -> dict[int, int]:
-        """Persist one mapper's encoded per-partition shuffle slices
-        (partition -> ``(record count, bytes)``) as one section appended
-        to the job's segment — one fsync, all slices or none, published
-        in the index only then — and pin each slice hot under
-        ``<segment>#<task>#<partition>``; returns the per-partition
-        record counts (the commit message payload)."""
-        path = self.map_segment_path(job)
+    def _append(self, path: Path, key: int,
+                origin: Optional[tuple[int, int]],
+                slices: dict[int, tuple[int, bytes]]) -> None:
+        """Append one section — ``key``'s slices, partition -> ``(record
+        count, bytes)`` — to the segment at ``path``: one fsync, all
+        slices or none, published in the index only then, and each slice
+        pinned hot under ``<segment>#<key>#<partition>``."""
         slots, offset = {}, 0
         for partition, (count, data) in slices.items():
             slots[partition] = (offset, len(data), count)
             offset += len(data)
         index = b"".join(_INDEX_SLOT.pack(p, *slot)
                          for p, slot in slots.items())
-        head = (_SECTION.pack(_INDEX_HEAD.size + len(index) + offset, task_id)
-                + _INDEX_HEAD.pack(len(index), task_id, *(origin or (-1, -1)))
+        head = (_SECTION.pack(_INDEX_HEAD.size + len(index) + offset, key)
+                + _INDEX_HEAD.pack(len(index), key, *(origin or (-1, -1)))
                 + index)
         seg = self._segment(path, create=True)
         with seg.lock:
@@ -603,13 +567,66 @@ class NodeStore:
             seg.fh.flush()
             seg.size = base + offset
         # the disk tier is the durability story recovery depends on: the
-        # section is published, and ``map-done`` sent, only once durable
+        # section is published, and its ``map-done`` / ``reduce-done`` /
+        # ``replica-done`` sent, only once durable
         os.fsync(seg.fh.fileno())
-        seg.index[task_id] = (origin, {p: (base + at, length, count) for
-                                       p, (at, length, count) in slots.items()})
+        seg.index[key] = (origin, {p: (base + at, length, count) for
+                                   p, (at, length, count) in slots.items()})
         if self.memory is not None:
             for partition, (_, data) in slices.items():
-                self.memory.put(f"{path}#{task_id}#{partition}", data)
+                self.memory.put(f"{path}#{key}#{partition}", data)
+
+    def _load(self, path: Path, key: int, partition: int) -> bytes:
+        """One slice of ``key``'s live section: the memory tier, the open
+        segment, else a read-only scan.  ``KeyError`` when ``key`` has no
+        live section, ``FileNotFoundError`` when there is no segment."""
+        def load() -> bytes:
+            seg = self._segments.get(str(path))
+            if seg is None:
+                with open(path, "rb") as fh:
+                    return _read_slot(fh, _scan_segment(fh)[0], key,
+                                      partition)
+            with seg.lock:
+                if seg.fh.closed:
+                    raise KeyError(key)
+                return _read_slot(seg.fh, seg.index, key, partition)
+
+        if self.memory is None:
+            return load()
+        pinned = f"{path}#{key}#{partition}"
+        data = self.memory.get(pinned)
+        if data is None:  # spilled, or never pinned: reload on access
+            data = load()
+            self.memory.put(pinned, data)
+        return data
+
+    def _tombstone(self, path: Path, key: int) -> int:
+        """Hide ``key``'s live section behind a bodiless one; returns the
+        bytes it hid (0, and no tombstone, when nothing was live)."""
+        if self.memory is not None:
+            self.memory.invalidate_prefix(f"{path}#{key}#")
+        seg = self._segment(path)
+        if seg is None:
+            return 0
+        with seg.lock:
+            live = seg.index.pop(key, None)
+            if live is None:
+                return 0
+            seg.fh.write(_SECTION.pack(0, key))
+            seg.fh.flush()
+            seg.size += _SECTION.size
+        return sum(length for _, length, _ in live[1].values())
+
+    # -- writes ---------------------------------------------------------
+    def write_map_slices(self, job: int, task_id: int,
+                         origin: Optional[tuple[int, int]],
+                         slices: dict[int, tuple[int, bytes]]
+                         ) -> dict[int, int]:
+        """Persist one mapper's encoded per-partition shuffle slices
+        (partition -> ``(record count, bytes)``) as one section of the
+        job's map segment; returns the per-partition record counts (the
+        commit message payload)."""
+        self._append(self.map_segment_path(job), task_id, origin, slices)
         return {p: count for p, (count, _) in slices.items()}
 
     def write_map_output(self, job: int, task_id: int,
@@ -628,117 +645,76 @@ class NodeStore:
 
     def write_piece_bytes(self, job: int, partition: int, split_index: int,
                           n_splits: int, data: bytes) -> None:
-        """Persist an already-encoded piece verbatim (replica writes: the
-        bytes arrive over the shuffle transport from the primary holder
-        and must land byte-identical, behind the same atomic rename)."""
-        self._commit(self.piece_path(job, partition, split_index, n_splits),
-                     data)
+        """Persist an encoded piece verbatim — a reducer's output, or a
+        replica whose bytes arrive from the primary holder and must land
+        byte-identical — as one section of the job's reduce segment."""
+        rows = _frame_rows(data)
+        count = len(rows) if rows is not None \
+            else sum(1 for _ in iter_record_frames(data))
+        self._append(self.reduce_segment_path(job),
+                     piece_key(partition, split_index, n_splits), None,
+                     {partition: (count, data)})
 
     # -- reads ----------------------------------------------------------
-    def _read_through(self, key: str, load) -> bytes:
-        """Serve ``key`` from the memory tier; a spilled (or never
-        pinned) entry reloads from its file on access."""
-        if self.memory is None:
-            return load()
-        data = self.memory.get(key)
-        if data is None:
-            data = load()
-            self.memory.put(key, data)
-        return data
-
     def read_map_slice(self, job: int, task_id: int, partition: int) -> bytes:
         """A mapper's slice for one partition (empty when the mapper
         produced no record for it, or has no live output here)."""
-        path = self.map_segment_path(job)
-
-        def load() -> bytes:
-            seg = self._segments.get(str(path))
-            if seg is None:
-                # not open here (another store's, a dead incarnation's):
-                # the disk is the truth
-                with open(path, "rb") as fh:
-                    return _read_slot(fh, _scan_segment(fh)[0], task_id,
-                                      partition)
-            with seg.lock:
-                if seg.fh.closed:
-                    raise KeyError(task_id)
-                return _read_slot(seg.fh, seg.index, task_id, partition)
-
         try:
-            return self._read_through(f"{path}#{task_id}#{partition}", load)
+            return self._load(self.map_segment_path(job), task_id, partition)
         except (FileNotFoundError, KeyError):
             return b""
 
     def read_piece(self, job: int, partition: int, split_index: int,
                    n_splits: int) -> bytes:
-        path = self.piece_path(job, partition, split_index, n_splits)
-        return self._read_through(str(path), path.read_bytes)
+        """One stored piece; ``FileNotFoundError`` when it has no live
+        section here (never written, dropped, or swept)."""
+        try:
+            return self._load(self.reduce_segment_path(job),
+                              piece_key(partition, split_index, n_splits),
+                              partition)
+        except KeyError:
+            raise FileNotFoundError(
+                f"no piece {(job, partition, split_index, n_splits)} "
+                f"in {self.dir}") from None
 
     # -- invalidation ---------------------------------------------------
     def drop_map_output(self, job: int, task_id: int) -> None:
         """Delete one persisted map output (the Fig. 5 guard): append
         its tombstone, which hides every earlier section of the task."""
-        path = self.map_segment_path(job)
-        if self.memory is not None:
-            self.memory.invalidate_prefix(f"{path}#{task_id}#")
-        seg = self._segment(path)
-        if seg is not None and seg.index.pop(task_id, None):
-            with seg.lock:
-                seg.fh.write(_SECTION.pack(0, task_id))
-                seg.fh.flush()
-                seg.size += _SECTION.size
+        self._tombstone(self.map_segment_path(job), task_id)
 
     def drop_piece(self, job: int, partition: int, split_index: int,
                    n_splits: int) -> int:
         """Delete one committed reduce piece (the losing speculative
         attempt's output — the winner's copy on another node is the one
-        the registry references).  Returns the bytes freed; missing file
-        (the loser never wrote, or was already swept) frees nothing."""
-        path = self.piece_path(job, partition, split_index, n_splits)
-        if self.memory is not None:
-            self.memory.invalidate(str(path))
-        return _unlink(path)
-
-    def _rm_tree(self, directory: Path) -> int:
-        """Delete a subtree bottom-up with real ``os.unlink``s; returns
-        the bytes freed.  The memory tier drops the subtree's entries
-        and its open segments close first, so a concurrent reader can
-        never be served bytes whose backing files are gone."""
-        prefix = f"{directory}{os.sep}"  # "job1/" is no prefix of "job10/"
-        if self.memory is not None:
-            self.memory.invalidate_prefix(prefix)
-        self._close_segments(prefix)
-        freed = 0
-        for parent, _, files in os.walk(directory, topdown=False):
-            for path in (os.path.join(parent, name) for name in files):
-                freed += os.lstat(path).st_size
-                os.unlink(path)
-            os.rmdir(parent)
-        return freed
+        the registry references) by its tombstone.  Returns the bytes
+        it hid; a piece never written, or already swept, hides nothing."""
+        return self._tombstone(self.reduce_segment_path(job),
+                               piece_key(partition, split_index, n_splits))
 
     def drop_job(self, job: int) -> int:
-        """Delete every file of one job — its map segment and reducer
+        """Delete one job's two segments, its map outputs and its reducer
         pieces (orphan sweep before an OPTIMISTIC rerun).  Returns the
         bytes freed."""
-        return (self._drop_segment(job)
-                + self._rm_tree(self.dir / "reduce" / f"job{job}"))
+        return (self._drop_segment(self.map_segment_path(job))
+                + self._drop_segment(self.reduce_segment_path(job)))
 
     def sweep_chain(self, keep_reduce_jobs: Iterable[int]) -> int:
-        """Close-time hygiene for a finished chain's namespace: delete
-        every map segment and every reduce job **not** in
-        ``keep_reduce_jobs`` (the jobs the cross-run cache registered),
-        then remove the namespace dir if nothing is left.  Returns the
-        bytes freed."""
+        """Close-time hygiene for a finished chain's namespace: close its
+        segments, delete every map segment and the reduce segment of
+        every job **not** in ``keep_reduce_jobs`` (the jobs the cross-run
+        cache registered), then remove the namespace dir if nothing is
+        left.  Returns the bytes freed."""
         if self.chain is None:
             raise ValueError("sweep_chain only applies to chain "
                              "namespaces")
-        keep = set(keep_reduce_jobs)
-        freed = self._rm_tree(self.dir / "map")
-        for directory in sorted((self.dir / "reduce").glob("job*")):
-            if directory.name[3:].isdigit() \
-                    and int(directory.name[3:]) not in keep:
-                freed += self._rm_tree(directory)
-        for directory in (self.dir / "reduce", self.dir):
+        self.close()
+        keep = {f"job{job}" for job in keep_reduce_jobs}
+        freed = sum(self._drop_segment(path) for path in (
+            *self.dir.glob("map/job*.seg"),
+            *(path for path in self.dir.glob("reduce/job*.seg")
+              if path.stem not in keep)))
+        for directory in (self.dir / "map", self.dir / "reduce", self.dir):
             try:
                 directory.rmdir()
             except OSError:
@@ -753,8 +729,9 @@ class NodeStore:
         need not be a contiguous index range (the data behind an anchor
         sits safely in its replicated output).  Returns the bytes
         freed."""
-        return (sum(self._drop_segment(job) for job in set(map_jobs))
-                + sum(self._rm_tree(self.dir / "reduce" / f"job{job}")
+        return (sum(self._drop_segment(self.map_segment_path(job))
+                    for job in set(map_jobs))
+                + sum(self._drop_segment(self.reduce_segment_path(job))
                       for job in set(piece_jobs)))
 
 

@@ -268,25 +268,19 @@ class _Worker:
             return
         if cmd["op"] == "chain-close":
             # drop the finished chain's in-memory state (its params,
-            # store view and open map segments, and memoized input);
-            # files stay on disk — the coordinator side has already read
-            # the final output
+            # store view and memoized input) — the coordinator side has
+            # already read the final output — then close and sweep its
+            # namespace's segments, sparing the reduce jobs the cross-run
+            # cache registered.  Fire-and-forget: there is no event
+            # stream left to report on, and a filesystem race must not
+            # take down the command loop.
             chain = cmd["chain"]
             self._chains.pop(chain, None)
             self._stores.pop(chain, None)
-            self.store.for_chain(chain).close()
             with self._inputs_lock:
                 self._inputs.pop(chain, None)
-            return
-        if cmd["op"] == "chain-sweep":
-            # close-time hygiene: delete the finished chain's namespace
-            # files, sparing the reduce jobs the cross-run cache
-            # registered.  Fire-and-forget — the chain is already closed,
-            # so there is no event stream left to report on, and a
-            # filesystem race must not take down the command loop.
-            swept_chain, keep = cmd["chain"], set(cmd.get("keep", ()))
             try:
-                self.store.for_chain(swept_chain).sweep_chain(keep)
+                self.store.for_chain(chain).sweep_chain(cmd.get("keep", ()))
             except OSError:
                 pass
             return

@@ -11,12 +11,16 @@ checksum stays byte-identical to a cold run.
 """
 
 import functools
+import inspect
 import json
+import logging
 import time
 
 import pytest
 
 from repro.localexec import LocalCluster, LocalJobConfig
+from repro.localexec.records import Record
+from repro.runtime import cache as cache_mod
 from repro.runtime.cache import (
     CacheRegistry,
     chain_fingerprints,
@@ -27,10 +31,12 @@ from repro.runtime.coordinator import RuntimeConfig
 from repro.runtime.recovery import JobGraph, adoptable_closure
 from repro.runtime.service import ChainService
 from repro.runtime.storage import (
+    FRAME_HEADER,
     ClusterRegistry,
     NodeStore,
     PieceEntry,
     chain_checksum,
+    encode_records,
 )
 
 CHAIN3 = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
@@ -90,6 +96,23 @@ def test_fingerprints_track_node_count_but_not_blocking():
 
 def test_udf_identity_is_stable():
     assert udf_identity() == udf_identity()
+
+
+def test_udf_source_is_read_once_not_per_fingerprint(monkeypatch):
+    """``getsource`` re-reads the source file: hashing it on every
+    ``chain_fingerprints`` call (twice per served chain) cost ~14 ms and
+    fingerprinted the file on disk rather than the code loaded."""
+    calls = []
+
+    def counted(fn):
+        calls.append(fn)
+        return real(fn)
+
+    real = inspect.getsource
+    monkeypatch.setattr(cache_mod.inspect, "getsource", counted)
+    first = chain_fingerprints(CHAIN3, 4)
+    assert chain_fingerprints(CHAIN5, 4)[:3] == first
+    assert len(calls) <= 17  # each UDF's source at most once, not twice
 
 
 @pytest.mark.parametrize("name", ["generate_batch", "map_batch",
@@ -174,18 +197,29 @@ def test_adoptable_prefix_contiguity():
 
 
 # -------------------------------------------------------- registry (unit)
+def _payload(fill: bytes, size: int) -> bytes:
+    """One framed record, ``size`` bytes encoded."""
+    return encode_records([Record(0, fill * (size - FRAME_HEADER))])
+
+
 def _seed_chain_files(root, chain_id: str, jobs, n_partitions: int = 2,
-                      payload: bytes = b"x" * 64) -> ClusterRegistry:
-    """Write synthetic piece files for ``jobs`` under ``chain_id``'s
-    namespace (partition p on node p) and return a matching registry."""
+                      payload: bytes = _payload(b"x", 64)
+                      ) -> ClusterRegistry:
+    """Write synthetic pieces for ``jobs`` under ``chain_id``'s namespace
+    (partition p on node p) and return a matching registry."""
     registry = ClusterRegistry()
     for job in jobs:
         for partition in range(n_partitions):
-            NodeStore(root, partition, chain=chain_id).write_piece_bytes(
-                job, partition, 0, 1, payload)
+            store = NodeStore(root, partition, chain=chain_id)
+            store.write_piece_bytes(job, partition, 0, 1, payload)
+            store.close()
             registry.add_piece(PieceEntry(job, partition, 0, 1,
-                                          partition, 4))
+                                          partition, 1))
     return registry
+
+
+def _segment(root, node: int, chain: str, job: int):
+    return NodeStore(root, node, chain=chain).reduce_segment_path(job)
 
 
 def test_registry_admit_adopt_roundtrip(tmp_path):
@@ -232,17 +266,36 @@ def test_registry_persistence_and_disk_rescan(tmp_path):
     assert reloaded.load() == 2
     assert reloaded.adopt(fps, "c0002") and reloaded.hits == 2
 
-    # delete one of job 2's files out-of-band: the rescan must drop the
-    # entry (and only it)
-    victim = NodeStore(tmp_path, 0, chain="c0001").piece_path(2, 0, 0, 1)
-    victim.unlink()
+    # cut one of job 2's pieces short out-of-band: the rescan must drop
+    # the entry (and only it), and unlink its segments
+    victim = _segment(tmp_path, 0, "c0001", 2)
+    victim.write_bytes(victim.read_bytes()[:-1])
     rescanned = CacheRegistry(tmp_path, budget_bytes=1 << 20)
     assert rescanned.load() == 1
     assert [e.job for e in rescanned.adopt(fps, "c0003")] == [1]
+    assert not _segment(tmp_path, 1, "c0001", 2).exists()
+    assert _segment(tmp_path, 1, "c0001", 1).exists()
+
+
+def test_registry_of_another_format_loads_empty(tmp_path, caplog):
+    """Version 1 rows point at one ``.bin`` file per piece: a registry
+    of another version is not trusted, whatever its rows say."""
+    registry = _seed_chain_files(tmp_path, "c0001", jobs=[1])
+    CacheRegistry(tmp_path, budget_bytes=1 << 20).admit(
+        ["fp-a"], "c0001", registry)
+    path = tmp_path / "cache_registry.json"
+    state = json.loads(path.read_text())
+    assert state["version"] == 2 and state["entries"]
+    path.write_text(json.dumps({**state, "version": 1}))
+    reloaded = CacheRegistry(tmp_path, budget_bytes=1 << 20)
+    with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
+        assert reloaded.load() == 0
+    assert "format version 1" in caplog.text
+    assert reloaded.adopt(["fp-a"], "c0002") == []
 
 
 def test_registry_lru_eviction_unlinks_files(tmp_path):
-    payload = b"y" * 100
+    payload = _payload(b"y", 100)
     registry = _seed_chain_files(tmp_path, "c0001", jobs=[1, 2, 3],
                                  payload=payload)
     # room for two entries of 200B each
@@ -251,15 +304,14 @@ def test_registry_lru_eviction_unlinks_files(tmp_path):
     assert cache.evictions == 1
     survivors = {e.job for e in cache.entries.values()}
     assert survivors == {2, 3}  # oldest-admitted (job 1) evicted first
-    assert not NodeStore(tmp_path, 0, chain="c0001").piece_path(
-        1, 0, 0, 1).exists()
+    assert not _segment(tmp_path, 0, "c0001", 1).exists()
     # the eviction is persisted
     reloaded = CacheRegistry(tmp_path, budget_bytes=450)
     assert reloaded.load() == 2
 
 
 def test_registry_eviction_never_touches_pinned_entries(tmp_path):
-    payload = b"z" * 100
+    payload = _payload(b"z", 100)
     registry = _seed_chain_files(tmp_path, "cA", jobs=[1], payload=payload)
     cache = CacheRegistry(tmp_path, budget_bytes=250)
     cache.admit(["fp-a"], "cA", registry)
@@ -269,8 +321,7 @@ def test_registry_eviction_never_touches_pinned_entries(tmp_path):
     cache.admit(["fp-a", "fp-c"], "cC", registry2)
     # over budget, but the pinned entry survives; its files are intact
     assert "fp-a" in cache.entries
-    assert NodeStore(tmp_path, 0, chain="cA").piece_path(
-        1, 0, 0, 1).exists()
+    assert _segment(tmp_path, 0, "cA", 1).exists()
     cache.release("cB")
     # unpinned now: the next admission pass may evict it
     cache.admit(["fp-a", "fp-c"], "cC", registry2)
@@ -284,11 +335,10 @@ def test_registry_death_dooms_pinned_drops_unpinned(tmp_path):
     cache.adopt(["fp-a"], "cB")           # pin job 1 only
     assert cache.on_death(0) == 2         # node 0 held a piece of both
     assert not cache.entries
-    # unpinned job 2: its surviving node-1 file is gone immediately
-    assert not NodeStore(tmp_path, 1, chain="cA").piece_path(
-        2, 1, 0, 1).exists()
+    # unpinned job 2: its surviving node-1 segment is gone immediately
+    assert not _segment(tmp_path, 1, "cA", 2).exists()
     # pinned job 1: survivors stay on disk until the adopter releases
-    pinned_file = NodeStore(tmp_path, 1, chain="cA").piece_path(1, 1, 0, 1)
+    pinned_file = _segment(tmp_path, 1, "cA", 1)
     assert pinned_file.exists()
     cache.release("cB")
     assert not pinned_file.exists()
@@ -319,9 +369,9 @@ def test_invalidation_prunes_only_the_entry_namespace(tmp_path):
     _seed_chain_files(tmp_path, "cB", jobs=[1])
     cache = CacheRegistry(tmp_path, budget_bytes=1 << 20)
     cache.admit(["fp-a"], "cA", registry)
-    # one file vanishes out-of-band: adoption invalidates the entry and
-    # unlinks its survivor, pruning cA's now-empty namespace dirs
-    NodeStore(tmp_path, 0, chain="cA").piece_path(1, 0, 0, 1).unlink()
+    # one segment vanishes out-of-band: adoption invalidates the entry
+    # and unlinks its survivor, pruning cA's now-empty namespace dirs
+    _segment(tmp_path, 0, "cA", 1).unlink()
     assert cache.adopt(["fp-a"], "cC") == []
     assert cache.stats()["invalidated"] == 1
     for node in (tmp_path / "node000", tmp_path / "node001"):
@@ -336,7 +386,10 @@ def test_rescan_counts_and_persists_dropped_entries(tmp_path):
     cache.admit(["fp-a", "fp-b"], "c0001", registry)
     assert cache.stats()["rescan_invalidated"] == 0
 
-    NodeStore(tmp_path, 0, chain="c0001").piece_path(2, 0, 0, 1).unlink()
+    # a tombstone hides one of job 2's pieces: its section is gone
+    store = NodeStore(tmp_path, 0, chain="c0001")
+    assert store.drop_piece(2, 0, 0, 1) == 64
+    store.close()
     rescanned = CacheRegistry(tmp_path, budget_bytes=1 << 20)
     assert rescanned.load() == 1
     stats = rescanned.stats()
@@ -359,16 +412,20 @@ def test_scan_chain_sequence(tmp_path):
 def test_sweep_chain_keeps_only_cached_reduce_jobs(tmp_path):
     store = NodeStore(tmp_path, 0, chain="c0001")
     store.write_map_output(1, 0, None, {0: []})
-    store.write_piece_bytes(1, 0, 0, 1, b"one")
-    store.write_piece_bytes(2, 0, 0, 1, b"two")
+    store.write_piece(1, 0, 0, 1, [Record(1, b"one")])
+    store.write_piece(2, 0, 0, 1, [Record(2, b"two")])
+    store.write_piece(20, 0, 0, 1, [Record(20, b"twenty")])
     freed = store.sweep_chain(keep_reduce_jobs={2})
     assert freed > 0
     assert not (store.dir / "map").exists()
-    assert not store.piece_path(1, 0, 0, 1).exists()
-    assert store.piece_path(2, 0, 0, 1).exists()
+    assert sorted(p.name for p in store.dir.rglob("*")) == [
+        "job2.seg", "reduce"]  # job 20 is not job 2
+    assert store._segments == {}  # every handle closed
+    assert NodeStore(tmp_path, 0, chain="c0001").read_piece(
+        2, 0, 0, 1) == encode_records([Record(2, b"two")])
     # nothing kept: the namespace dir itself goes away
     other = NodeStore(tmp_path, 1, chain="c0009")
-    other.write_piece_bytes(1, 0, 0, 1, b"gone")
+    other.write_piece(1, 0, 0, 1, [Record(1, b"gone")])
     other.sweep_chain(keep_reduce_jobs=())
     assert not other.dir.exists()
 
@@ -536,6 +593,6 @@ def test_cache_registry_file_is_valid_json(tmp_path):
         job = svc.submit(CHAIN3)
         svc.wait(job.id, timeout=60)
     state = json.loads((wd / "cache_registry.json").read_text())
-    assert state["version"] == 1
+    assert state["version"] == 2  # pieces as segment sections
     assert len(state["entries"]) == 3
     assert state["counters"]["misses"] == 3

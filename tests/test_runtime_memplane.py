@@ -26,7 +26,8 @@ from repro.runtime.storage import (
     encode_records,
     filter_split,
     filter_split_spans,
-    scan_map_segment,
+    piece_key,
+    scan_segment,
 )
 from repro.runtime.transport import (
     PeerPool,
@@ -45,22 +46,24 @@ from tests.test_runtime_process import (  # noqa: F401 - shared harness
 
 
 # ------------------------------------------------------------- MemoryTier
-def test_memory_tier_write_through_and_hit(tmp_path):
-    store = NodeStore(tmp_path, 0, memory=MemoryTier(1 << 20))
+def test_memory_tier_write_through_and_hit(stores, tmp_path):
+    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
     records = [Record(7, b"x" * 10), Record(9, b"y" * 4)]
     store.write_piece(2, 1, 0, 1, records)
-    path = store.piece_path(2, 1, 0, 1)
-    assert path.read_bytes() == encode_records(records)  # disk tier first
-    # the read is served from RAM: deleting the file behind the tier's
-    # back proves no disk access happens on a hit
-    path.unlink()
+    # disk tier first: a store without the tier reads it from the file
+    assert NodeStore(tmp_path, 0).read_piece(2, 1, 0, 1) == \
+        encode_records(records)
+    # the read is served from RAM: closing and deleting the segment
+    # behind the tier's back proves no disk access happens on a hit
+    store.close()
+    store.reduce_segment_path(2).unlink()
     assert decode_records(store.read_piece(2, 1, 0, 1)) == records
     assert store.memory.hits >= 1
 
 
-def test_memory_tier_lru_spill_and_reload(tmp_path):
+def test_memory_tier_lru_spill_and_reload(stores, tmp_path):
     tier = MemoryTier(100)
-    store = NodeStore(tmp_path, 0, memory=tier)
+    store = stores(tmp_path, 0, memory=tier)
     a = [Record(1, b"a" * 30)]  # 42 encoded bytes each (12B header)
     b = [Record(2, b"b" * 30)]
     c = [Record(3, b"c" * 30)]
@@ -69,7 +72,7 @@ def test_memory_tier_lru_spill_and_reload(tmp_path):
     store.write_piece(1, 2, 0, 1, c)  # over budget: LRU (a) spills
     assert tier.spills >= 1
     assert tier.bytes <= tier.budget
-    # the spilled piece reloads from its durable file, byte-identical
+    # the spilled piece reloads from its durable section, byte-identical
     assert decode_records(store.read_piece(1, 0, 0, 1)) == a
 
 
@@ -91,28 +94,31 @@ def test_memory_tier_invalidate_prefix():
     assert tier.bytes == 3
 
 
-def test_drops_and_sweeps_evict_memory_entries(tmp_path):
+def test_drops_and_sweeps_evict_memory_entries(stores, tmp_path):
     tier = MemoryTier(1 << 20)
-    store = NodeStore(tmp_path, 0, memory=tier)
+    store = stores(tmp_path, 0, memory=tier)
     store.write_map_output(1, 0, None, {0: [Record(5, b"v")]})
     store.write_piece(1, 0, 0, 1, [Record(5, b"w")])
+    pinned = f"{store.reduce_segment_path(1)}#{piece_key(0, 0, 1)}#0"
+    assert tier.get(pinned) == encode_records([Record(5, b"w")])
     store.drop_map_output(1, 0)
     assert tier.get(f"{store.map_segment_path(1)}#0#0") is None
-    assert scan_map_segment(store.map_segment_path(1)) == {}
+    assert scan_segment(store.map_segment_path(1)) == {}
     store.drop_job(1)
     assert not store.map_segment_path(1).exists()
-    assert tier.get(str(store.piece_path(1, 0, 0, 1))) is None
+    assert not store.reduce_segment_path(1).exists()
+    assert tier.get(pinned) is None
     assert tier.bytes == 0
 
 
-def test_memory_tier_shared_across_chain_namespaces(tmp_path):
+def test_memory_tier_shared_across_chain_namespaces(stores, tmp_path):
     tier = MemoryTier(1 << 20)
-    base = NodeStore(tmp_path, 0, memory=tier)
+    base = stores(tmp_path, 0, memory=tier)
     chained = base.for_chain("c1")
     assert chained.memory is tier
     chained.write_piece(1, 0, 0, 1, [Record(1, b"v")])
     base.write_piece(1, 0, 0, 1, [Record(1, b"other")])
-    # path-keyed entries never collide across namespaces
+    # segment-keyed entries never collide across namespaces
     assert decode_records(chained.read_piece(1, 0, 0, 1)) == \
         [Record(1, b"v")]
     assert decode_records(base.read_piece(1, 0, 0, 1)) == \
@@ -233,11 +239,15 @@ def test_shuffle_server_sendmsg_path_roundtrip(stores, tmp_path):
         server.close()
 
 
-def test_write_atomic_leaves_no_tmp_litter(tmp_path):
-    store = NodeStore(tmp_path, 0)
+def test_write_atomic_leaves_no_tmp_litter(stores, tmp_path):
+    """A piece is a section appended to its job's reduce segment: no
+    temp file, no per-partition directory, nothing but the segment."""
+    store = stores(tmp_path, 0)
     store.write_piece(1, 0, 0, 1, [Record(1, b"v")])
-    leftovers = [p for p in (tmp_path / "node000").rglob("*.tmp")]
-    assert leftovers == []
+    store.write_piece(1, 3, 1, 2, [Record(2, b"w")])
+    assert sorted(str(p.relative_to(store.dir))
+                  for p in store.dir.rglob("*")) == ["reduce",
+                                                     "reduce/job1.seg"]
 
 
 # ----------------------------------------------------------- accounting

@@ -31,7 +31,8 @@ from repro.runtime.storage import (
     chain_checksum,
     decode_records,
     encode_records,
-    scan_map_segment,
+    piece_key,
+    scan_segment,
 )
 from repro.localexec.records import generate_records
 
@@ -118,8 +119,8 @@ def instants(tracer, name):
 def on_disk_orphans(coord, jobs):
     """Outputs of ``jobs`` on *surviving* nodes' disks that the registry
     does not account for (every live map section must be its task's
-    registered output, every piece file some entry's primary copy or a
-    registered replica)."""
+    registered output, every live piece section some entry's primary
+    copy or a registered replica)."""
     orphans = []
     reg = coord.chain_run.registry
     workdir = coord.pool.workdir
@@ -127,18 +128,20 @@ def on_disk_orphans(coord, jobs):
         store = NodeStore(workdir, node)
         for segment in sorted(store.dir.glob("map/job*.seg")):
             job = int(segment.stem[3:])
-            for task in sorted(scan_map_segment(segment)):
+            for task in sorted(scan_segment(segment)):
                 entry = reg.map_outputs.get((job, task))
                 if job in jobs and (entry is None or entry.node != node):
                     orphans.append(
                         f"{segment.relative_to(workdir)}#{task}")
-        for path in sorted(store.dir.glob("reduce/job*/part*/*.bin")):
-            job = int(path.parent.parent.name[3:])
-            partition = int(path.parent.name[4:])
-            split, n_splits = map(int, path.stem[1:].split("of"))
-            if job in jobs and node not in reg.holders(job, partition,
-                                                       split, n_splits):
-                orphans.append(str(path.relative_to(workdir)))
+        for segment in sorted(store.dir.glob("reduce/job*.seg")):
+            job = int(segment.stem[3:])
+            held = {piece_key(*key[1:]) for key, holders
+                    in reg.replicas.items() if key[0] == job
+                    and node in holders}
+            for key in sorted(scan_segment(segment)):
+                if job in jobs and key not in held:
+                    orphans.append(
+                        f"{segment.relative_to(workdir)}#{key}")
     return orphans
 
 
@@ -160,8 +163,8 @@ def test_chain_checksum_ignores_piece_boundaries_and_order():
     assert chain_checksum({0: records[:-1]}) != chain_checksum(whole)
 
 
-def test_node_store_atomic_write_and_drop(tmp_path):
-    store = NodeStore(tmp_path, 3)
+def test_node_store_atomic_write_and_drop(stores, tmp_path):
+    store = stores(tmp_path, 3)
     records = generate_records(8, seed=2)
     counts = store.write_map_output(2, 7, (1, 0), {0: records, 1: []})
     assert counts == {0: 8, 1: 0}
@@ -173,7 +176,15 @@ def test_node_store_atomic_write_and_drop(tmp_path):
 
     store.write_piece(1, 0, 1, 2, records)
     assert decode_records(store.read_piece(1, 0, 1, 2)) == records
-    assert not list(store.dir.rglob("*.tmp"))
+    assert store.drop_piece(1, 0, 1, 2) == len(encode_records(records))
+    assert store.drop_piece(1, 0, 1, 2) == 0  # idempotent
+    for reader in (store, NodeStore(tmp_path, 3)):
+        with pytest.raises(FileNotFoundError):
+            reader.read_piece(1, 0, 1, 2)
+        with pytest.raises(FileNotFoundError):
+            reader.read_piece(1, 0, 0, 2)  # never written
+    assert sorted(p.name for p in store.dir.rglob("*")) == [
+        "job1.seg", "job2.seg", "map", "reduce"]  # no tmp, no part dirs
 
 
 def test_registry_files_damage_for_committed_jobs_only():
@@ -271,8 +282,8 @@ def test_registry_reclaim_through_forgets_metadata():
     assert reg.damaged_jobs() == []
 
 
-def test_node_store_drop_job_and_reclaim(tmp_path):
-    store = NodeStore(tmp_path, 0)
+def test_node_store_drop_job_and_reclaim(stores, tmp_path):
+    store = stores(tmp_path, 0)
     records = generate_records(8, seed=3)
     for job in (1, 2, 3):
         store.write_map_output(job, 0, None, {0: records})
@@ -282,11 +293,11 @@ def test_node_store_drop_job_and_reclaim(tmp_path):
     # in the reclaimed sets: gone; outside them: untouched
     assert not store.map_segment_path(1).exists()
     assert not store.map_segment_path(2).exists()
-    assert sorted(scan_map_segment(store.map_segment_path(3))) == [0]
-    assert not (store.dir / "reduce" / "job1").exists()
+    assert sorted(scan_segment(store.map_segment_path(3))) == [0]
+    assert not store.reduce_segment_path(1).exists()
     assert store.read_piece(2, 0, 0, 1) == encode_records(records)
     assert store.drop_job(2) > 0
-    assert not (store.dir / "reduce" / "job2").exists()
+    assert not store.reduce_segment_path(2).exists()
     assert store.drop_job(2) == 0  # idempotent on swept jobs
 
 
@@ -691,11 +702,11 @@ def test_hybrid_reclaim_frees_files_behind_the_anchor(tmp_path):
             for job in (1, 2, 3):
                 assert not store.map_segment_path(job).exists()
             for job in (1, 2):
-                assert not (store.dir / "reduce" / f"job{job}").exists()
+                assert not store.reduce_segment_path(job).exists()
         # at/after the last intact anchor: never touched
         assert any(s.map_segment_path(4).exists() for s in stores)
-        assert any((s.dir / "reduce" / "job4").is_dir() for s in stores)
-        assert any((s.dir / "reduce" / "job5").is_dir() for s in stores)
+        assert any(s.reduce_segment_path(4).exists() for s in stores)
+        assert any(s.reduce_segment_path(5).exists() for s in stores)
 
 
 @pytest.mark.slow

@@ -37,7 +37,7 @@ from repro.runtime.storage import (
     decode_records,
     encode_records,
     filter_split,
-    scan_map_segment,
+    scan_segment,
 )
 from repro.runtime.transport import (
     FetchError,
@@ -647,33 +647,60 @@ def test_epoch_bump_cancels_the_queue_through_a_real_pipe(
         sections.append(task)
         pos += 16 + body
     assert pos == len(data) and sections == committed + [n]
-    assert sorted(scan_map_segment(files[0])) == sorted(sections)
+    assert sorted(scan_segment(files[0])) == sorted(sections)
 
 
 def test_map_done_is_never_sent_before_the_sections_fsync_returned(
         tmp_path, monkeypatch):
-    """Commit after durable, on the wire: while a map task's fsync is
-    held the worker stays silent; ``map-done`` follows its return."""
-    entered, release = threading.Event(), threading.Event()
+    """Commit after durable, on the wire: while a task's section fsync is
+    held the worker stays silent; its ``map-done``, ``reduce-done`` or
+    ``replica-done`` follows the fsync's return."""
+    records = generate_records(8, seed=1)
+    holder = NodeStore(tmp_path / "holder", 1)  # a replica's primary
+    holder.write_piece(1, 0, 0, 1, records)
+    holder.close()
+    server = ShuffleServer(NodeStore(tmp_path / "holder", 1), timeout=5.0)
+    tasks = {
+        "map-done": {"op": "map", "job": 1, "task": 0, "origin": None,
+                     "n_partitions": 2, "source": ("input", 0, 0, 8)},
+        "reduce-done": {"op": "reduce", "job": 1, "partition": 0,
+                        "split": 0, "n_splits": 1, "sources": [(0, 0)]},
+        "replica-done": {"op": "replicate", "job": 1, "partition": 0,
+                         "split": 0, "n_splits": 1, "source": 1,
+                         "target": 0, "source_chain": None},
+    }
     real_fsync = os.fsync
-
-    def held(fd):
-        entered.set()
-        assert release.wait(10.0)
-        real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", held)
     try:
-        with _piped_worker(tmp_path) as (_, cmd_send, evt_recv):
-            _send_epoch(cmd_send, 0, [0])
-            assert entered.wait(10.0)
-            t_end = time.monotonic() + 0.2
-            while evt_recv.poll(max(0.0, t_end - time.monotonic())):
-                assert evt_recv.recv().kind == "hb"
-            release.set()
-            assert _events_until(evt_recv, 1)[0].kind == "map-done"
+        for done, cmd in tasks.items():
+            root = tmp_path / done
+            seeded = NodeStore(root, 0)  # the reducer's input
+            seeded.write_map_output(1, 0, None, {0: records})
+            seeded.close()
+            entered, release = threading.Event(), threading.Event()
+
+            def held(fd):
+                entered.set()
+                assert release.wait(10.0)
+                real_fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", held)
+            try:
+                with _piped_worker(root) as (_, cmd_send, evt_recv):
+                    cmd_send.send({"op": "ports", "epoch": 0,
+                                   "ports": {1: server.port}})
+                    cmd_send.send({**cmd, "key": (done,), "epoch": 0,
+                                   "chain": None})
+                    assert entered.wait(10.0)
+                    t_end = time.monotonic() + 0.2
+                    while evt_recv.poll(max(0.0, t_end - time.monotonic())):
+                        assert evt_recv.recv().kind == "hb"
+                    release.set()
+                    assert _events_until(evt_recv, 1)[0].kind == done
+            finally:
+                release.set()
+                monkeypatch.undo()
     finally:
-        release.set()
+        server.close()
 
 
 def test_respawned_worker_appends_behind_the_dead_incarnations_sections(
@@ -696,7 +723,7 @@ def test_respawned_worker_appends_behind_the_dead_incarnations_sections(
     with open(segment, "ab") as fh:  # ... mid-append
         fh.write(struct.pack(">Qq", 4096, 2) + b"half a section")
     run(tmp_path / "svc", [1, 2])   # its replacement
-    assert sorted(scan_map_segment(segment)) == [0, 1, 2]
+    assert sorted(scan_segment(segment)) == [0, 1, 2]
     assert segment.stat().st_size > whole + 30
     ref, respawned = (NodeStore(tmp_path / name, 0)
                       for name in ("ref", "svc"))
@@ -851,7 +878,7 @@ def test_an_epoch_bump_between_commits_of_a_run_commits_nothing_further(
         assert [(e.kind, e.key[2]) for e in worker.evt.sent] == \
             [("map-done", task) for task in range(durable)] + \
             [("task-failed", task) for task in range(durable, n)]
-        assert sorted(scan_map_segment(
+        assert sorted(scan_segment(
             worker.store.map_segment_path(1))) == list(range(durable))
     finally:
         worker.close()
@@ -875,7 +902,7 @@ def test_a_fetch_error_on_a_looked_ahead_block_fails_only_its_task(
             [("task-failed" if task == lost else "map-done", task)
              for task in range(n)]
         assert worker.evt.sent[lost].result == "source 7 is gone"
-        assert sorted(scan_map_segment(
+        assert sorted(scan_segment(
             worker.store.map_segment_path(1))) == [0, 1, 3]
     finally:
         worker.close()

@@ -2,15 +2,17 @@
 
 Three promises, each pinned here without starting a worker: a record
 *range* decodes exactly like a slice of the full decode (and a torn
-frame in or ahead of the range still raises); a map output is one
-indexed section appended to its job's segment behind one fsync, and
-published only then — all of its slices or none, never a short one, and
-nothing the section headers on disk do not say; and the final checksum
+frame in or ahead of the range still raises); a map output or a reduce
+piece is one indexed section appended to its job's segment behind one
+fsync, and published only then — all of its slices or none, never a
+short one, and nothing the section headers on disk do not say (one set
+of tests drives both kinds of section); and the final checksum
 hashed from stored bytes equals the decode-sort-encode definition on
 every sink shape (one piece, split pieces, a cache-adopted donor piece).
 """
 
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -37,7 +39,8 @@ from repro.runtime.storage import (
     iter_record_frames,
     iter_records,
     partition_columns,
-    scan_map_segment,
+    piece_key,
+    scan_segment,
 )
 from tests.test_localexec import to_records
 
@@ -217,6 +220,103 @@ def _files(store):
                   for p in store.dir.rglob("*") if p.is_file())
 
 
+class MapOutputs:
+    """Map outputs as the segment tests drive them: key ``k`` is task
+    ``k``'s output, three slices of ``_slices(seed)``."""
+
+    slices = 3
+
+    @staticmethod
+    def path(store, job=1):
+        return store.map_segment_path(job)
+
+    @staticmethod
+    def key(k):
+        return k
+
+    @staticmethod
+    def write(store, k, seed, job=1):
+        store.write_map_output(job, k, None, _slices(seed))
+
+    @staticmethod
+    def read(store, k, job=1):
+        """The output's bytes, ``None`` when it has no live section."""
+        return b"".join(store.read_map_slice(job, k, p)
+                        for p in range(4)) or None
+
+    @staticmethod
+    def expected(seed):
+        return b"".join(_encoded(seed).values())
+
+    @staticmethod
+    def drop(store, k, job=1):
+        store.drop_map_output(job, k)
+
+    @staticmethod
+    def reclaim(store, job):
+        return store.reclaim_job_sets({job}, ())
+
+    #: the same read in a fresh interpreter (``store`` is set up there)
+    read_code = "b''.join(store.read_map_slice(2, 7, p) for p in range(4))"
+
+
+class Pieces:
+    """Reduce pieces: key ``k`` is the unsplit piece of partition ``k``,
+    one slice of ``_slices(seed)``'s records."""
+
+    slices = 1
+
+    @staticmethod
+    def path(store, job=1):
+        return store.reduce_segment_path(job)
+
+    @staticmethod
+    def key(k):
+        return piece_key(k, 0, 1)
+
+    @staticmethod
+    def write(store, k, seed, job=1):
+        store.write_piece(job, k, 0, 1, Pieces.records(seed))
+
+    @staticmethod
+    def read(store, k, job=1):
+        try:
+            return store.read_piece(job, k, 0, 1)
+        except FileNotFoundError:
+            return None
+
+    @staticmethod
+    def records(seed):
+        return sorted(r for rs in _slices(seed).values() for r in rs)
+
+    @staticmethod
+    def expected(seed):
+        return encode_records(Pieces.records(seed))
+
+    @staticmethod
+    def drop(store, k, job=1):
+        store.drop_piece(job, k, 0, 1)
+
+    @staticmethod
+    def reclaim(store, job):
+        return store.reclaim_job_sets((), {job})
+
+    read_code = "store.read_piece(2, 7, 0, 1)"
+
+
+#: both kinds of section: one set of tests for their one format
+KINDS = (MapOutputs, Pieces)
+
+
+def _section_bytes(kind, tmp_path, k, seed):
+    """The bytes one write of ``kind`` appends, made in a scratch
+    store."""
+    scratch = NodeStore(tmp_path / f"scratch-{kind.__name__}-{k}", 0)
+    kind.write(scratch, k, seed)
+    scratch.close()
+    return kind.path(scratch).read_bytes()
+
+
 def test_map_output_is_one_fsync_and_one_file(stores, tmp_path, monkeypatch):
     """A job's map outputs are one file.  Its first task creates it;
     every later task is one append and one fsync — nothing is opened,
@@ -251,11 +351,50 @@ def test_map_output_is_one_fsync_and_one_file(stores, tmp_path, monkeypatch):
             encode_records(records)
     assert store.read_map_slice(3, 1000007, 2) == b""  # no such slice
     assert store.read_map_slice(3, 5, 3) == _encoded(seed=5)[3]
-    index = scan_map_segment(store.map_segment_path(3))
+    index = scan_segment(store.map_segment_path(3))
     assert sorted(index) == [4, 5, 1000007]
     origin, slots = index[1000007]
     assert origin == (2, 5)
     assert {p: count for p, (_, _, count) in slots.items()} == counts
+
+
+def test_a_piece_is_one_section_of_its_jobs_reduce_segment(
+        stores, tmp_path, monkeypatch):
+    """A reduce piece, primary or replica, is a map output's section
+    with one slot: keyed by its packed signature, no origin, its record
+    count in the slot.  One append and one fsync — nothing renamed, no
+    directory per partition."""
+    calls = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: calls.append("fsync") or real_fsync(fd))
+    monkeypatch.setattr(os, "replace", lambda *a: calls.append("replace"))
+    store = stores(tmp_path, 0)
+    records = Pieces.records(3)
+    data = encode_records(records)
+    store.write_piece_bytes(2, 5, 1, 3, data)       # a replica's bytes
+    store.write_piece(2, 6, 0, 1, records[:7])     # a reducer's records
+    assert calls == ["fsync", "fsync"]
+    monkeypatch.undo()
+    assert _files(store) == ["reduce/job2.seg"]
+    key = piece_key(5, 1, 3)
+    slot = storage._INDEX_SLOT.pack(5, 0, len(data), len(records))
+    head = (storage._SECTION.pack(storage._INDEX_HEAD.size + len(slot)
+                                  + len(data), key)
+            + storage._INDEX_HEAD.pack(len(slot), key, -1, -1) + slot)
+    assert store.reduce_segment_path(2).read_bytes().startswith(head + data)
+    index = scan_segment(store.reduce_segment_path(2))
+    assert sorted(index) == sorted([key, piece_key(6, 0, 1)])
+    assert index[key] == (None, {5: (len(head), len(data), len(records))})
+    assert index[piece_key(6, 0, 1)][1][6][2] == 7
+    for reader in (store, NodeStore(tmp_path, 0)):
+        assert reader.read_piece(2, 5, 1, 3) == data
+        with pytest.raises(FileNotFoundError):
+            reader.read_piece(2, 5, 0, 3)  # another split: no section
+        with pytest.raises(FileNotFoundError):
+            reader.read_piece(9, 5, 1, 3)  # another job: no segment
+    with pytest.raises(struct.error):  # no signature overflows the key
+        piece_key(0, 0, 1 << 16)
 
 
 def test_map_output_index_roundtrips_no_origin_and_empty_slices(stores,
@@ -263,12 +402,14 @@ def test_map_output_index_roundtrips_no_origin_and_empty_slices(stores,
     store = stores(tmp_path, 0)
     assert store.write_map_output(1, 0, None, {0: [], 2: []}) == {0: 0, 2: 0}
     assert store.write_map_output(1, 1, None, {}) == {}  # a block of nothing
-    index = scan_map_segment(store.map_segment_path(1))
+    store.write_piece(1, 4, 0, 1, [])  # a partition no key routed to
+    index = scan_segment(store.map_segment_path(1))
     assert index[0][0] is None and sorted(index[0][1]) == [0, 2]
     assert index[1] == (None, {})  # an empty section is no tombstone
     for reader in (store, stores(tmp_path, 0)):
         assert reader.read_map_slice(1, 0, 0) == b""
         assert reader.read_map_slice(1, 1, 0) == b""
+        assert reader.read_piece(1, 4, 0, 1) == b""
 
 
 def test_reader_during_a_held_fsync_does_not_see_the_section(
@@ -277,67 +418,62 @@ def test_reader_during_a_held_fsync_does_not_see_the_section(
     reader of the same store gets "no such output" for it — without
     waiting for the disk, and without that answer sticking — and still
     reads what was committed before."""
-    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
-    store.write_map_output(1, 0, None, _slices())
-    entered, release = threading.Event(), threading.Event()
     real_fsync = os.fsync
+    for kind in KINDS:
+        store = stores(tmp_path / kind.__name__, 0,
+                       memory=MemoryTier(1 << 20))
+        kind.write(store, 0, seed=3)
+        entered, release = threading.Event(), threading.Event()
 
-    def held(fd):
-        entered.set()
-        assert release.wait(10.0)
-        real_fsync(fd)
+        def held(fd):
+            entered.set()
+            assert release.wait(10.0)
+            real_fsync(fd)
 
-    monkeypatch.setattr(os, "fsync", held)
-    writer = threading.Thread(
-        target=store.write_map_output, args=(1, 4, None, _slices(seed=4)))
-    writer.start()
-    try:
-        assert entered.wait(10.0)
-        for _ in range(2):
-            assert all(store.read_map_slice(1, 4, p) == b""
-                       for p in range(4))
-        assert store.memory.stats()["entries"] == 3  # task 0's, all
-        store.memory.invalidate_prefix("")  # ... and from the disk tier
-        assert store.read_map_slice(1, 0, 3) == _encoded()[3]
-    finally:
-        release.set()
-        writer.join(10.0)
-    assert not writer.is_alive()
-    assert {p: store.read_map_slice(1, 4, p) for p in (0, 1, 3)} == \
-        _encoded(seed=4)
+        monkeypatch.setattr(os, "fsync", held)
+        writer = threading.Thread(target=kind.write, args=(store, 4, 4))
+        writer.start()
+        try:
+            assert entered.wait(10.0)
+            for _ in range(2):
+                assert kind.read(store, 4) is None
+            # key 0's slices, all
+            assert store.memory.stats()["entries"] == kind.slices
+            store.memory.invalidate_prefix("")  # ... and from the disk
+            assert kind.read(store, 0) == kind.expected(3)
+        finally:
+            release.set()
+            writer.join(10.0)
+        monkeypatch.undo()
+        assert not writer.is_alive()
+        assert kind.read(store, 4) == kind.expected(4)
 
 
 def test_crash_between_write_and_publish_commits_nothing(stores, tmp_path,
                                                          monkeypatch):
-    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
-
     def crash(fd):
         raise KeyboardInterrupt("SIGKILL stand-in")
 
-    monkeypatch.setattr(os, "fsync", crash)
-    with pytest.raises(KeyboardInterrupt):
-        store.write_map_output(1, 4, None, _slices())
-    monkeypatch.undo()
-    # nothing published, nothing pinned hot: the only trace is a section
-    # no commit message ever named, which the recomputed task supersedes
-    # (the later section wins) and the job's sweep removes
-    assert store.memory.stats()["entries"] == 0
-    assert all(store.read_map_slice(1, 4, p) == b"" for p in range(4))
-    assert _files(store) == ["map/job1.seg"]
-    store.write_map_output(1, 4, None, _slices(seed=9))
-    for reader in (store, stores(tmp_path, 0)):
-        assert reader.read_map_slice(1, 4, 0) == _encoded(seed=9)[0]
-    store.drop_job(1)
-    assert _files(store) == []
-
-
-def _section_bytes(tmp_path, task, seed):
-    """The bytes one ``write_map_output`` appends, made in a scratch
-    store."""
-    scratch = NodeStore(tmp_path / f"scratch{task}", 0)
-    scratch.write_map_output(1, task, None, _slices(seed))
-    scratch.close()
-    return scratch.map_segment_path(1).read_bytes()
+    for kind in KINDS:
+        store = stores(tmp_path / kind.__name__, 0,
+                       memory=MemoryTier(1 << 20))
+        monkeypatch.setattr(os, "fsync", crash)
+        with pytest.raises(KeyboardInterrupt):
+            kind.write(store, 4, seed=3)
+        monkeypatch.undo()
+        # nothing published, nothing pinned hot: the only trace is a
+        # section no commit message ever named, which the recomputed
+        # task supersedes (the later section wins) and the job's sweep
+        # removes
+        assert store.memory.stats()["entries"] == 0
+        assert kind.read(store, 4) is None
+        assert _files(store) == [str(kind.path(store).relative_to(
+            store.dir))]
+        kind.write(store, 4, seed=9)
+        for reader in (store, stores(tmp_path / kind.__name__, 0)):
+            assert kind.read(reader, 4) == kind.expected(9)
+        store.drop_job(1)
+        assert _files(store) == []
 
 
 def test_torn_tail_is_invisible_and_the_next_writer_truncates_it(stores,
@@ -346,105 +482,107 @@ def test_torn_tail_is_invisible_and_the_next_writer_truncates_it(stores,
     complete ones.  No scan sees it, and the dead incarnation's
     successor cuts it off before it appends, so its own sections stay
     reachable."""
-    first = stores(tmp_path, 0)
-    first.write_map_output(1, 0, None, _slices(seed=0))
-    first.write_map_output(1, 1, None, _slices(seed=1))
-    first.close()
-    path = first.map_segment_path(1)
-    whole = path.stat().st_size
-    section = _section_bytes(tmp_path, 2, seed=2)
-    for cut in (1, 15, 16, 40, len(section) // 2, len(section) - 1):
-        with open(path, "r+b") as fh:
-            fh.truncate(whole)
-            fh.seek(whole)
-            fh.write(section[:cut])
-        assert sorted(scan_map_segment(path)) == [0, 1]
-        assert stores(tmp_path, 0).read_map_slice(1, 2, 0) == b""
-    successor = stores(tmp_path, 0)
-    successor.write_map_output(1, 3, None, _slices(seed=3))
-    assert sorted(scan_map_segment(path)) == [0, 1, 3]
-    assert path.stat().st_size == whole + len(
-        _section_bytes(tmp_path, 3, seed=3))
-    for task in (0, 1, 3):
-        assert successor.read_map_slice(1, task, 1) == _encoded(task)[1]
+    for kind in KINDS:
+        root = tmp_path / kind.__name__
+        first = stores(root, 0)
+        kind.write(first, 0, seed=0)
+        kind.write(first, 1, seed=1)
+        first.close()
+        path = kind.path(first)
+        whole = path.stat().st_size
+        section = _section_bytes(kind, tmp_path, 2, seed=2)
+        for cut in (1, 15, 16, 40, len(section) // 2, len(section) - 1):
+            with open(path, "r+b") as fh:
+                fh.truncate(whole)
+                fh.seek(whole)
+                fh.write(section[:cut])
+            assert sorted(scan_segment(path)) == [kind.key(0), kind.key(1)]
+            assert kind.read(stores(root, 0), 2) is None
+        successor = stores(root, 0)
+        kind.write(successor, 3, seed=3)
+        assert sorted(scan_segment(path)) == [kind.key(k) for k in (0, 1, 3)]
+        assert path.stat().st_size == whole + len(
+            _section_bytes(kind, tmp_path, 3, seed=3))
+        for k in (0, 1, 3):
+            assert kind.read(successor, k) == kind.expected(k)
 
 
 def test_tombstone_hides_a_task_and_a_rewrite_unhides_it(stores, tmp_path):
-    store = stores(tmp_path, 0, memory=MemoryTier(1 << 20))
-    path = store.map_segment_path(1)
-    store.write_map_output(1, 5, None, _slices(seed=5))
-    store.write_map_output(1, 6, None, _slices(seed=6))
-    store.drop_map_output(1, 5)
-    store.drop_map_output(1, 5)   # idempotent: one tombstone, not two
-    store.drop_map_output(1, 99)  # ... and none for a task never written
-    store.drop_map_output(7, 0)   # ... nor a segment for a job never run
-    assert _files(store) == ["map/job1.seg"]
-    size = path.stat().st_size
-    assert sorted(scan_map_segment(path)) == [6]
-    for reader in (store, stores(tmp_path, 0)):
-        assert reader.read_map_slice(1, 5, 0) == b""
-        assert reader.read_map_slice(1, 6, 0) == _encoded(seed=6)[0]
-    store.write_map_output(1, 5, None, _slices(seed=8))  # the recompute
-    assert sorted(scan_map_segment(path)) == [5, 6]
-    for reader in (store, stores(tmp_path, 0)):
-        assert reader.read_map_slice(1, 5, 0) == _encoded(seed=8)[0]
-    # append-only throughout: nothing before the tombstone moved
-    assert path.stat().st_size == size + len(
-        _section_bytes(tmp_path, 5, seed=8))
+    for kind in KINDS:
+        root = tmp_path / kind.__name__
+        store = stores(root, 0, memory=MemoryTier(1 << 20))
+        path = kind.path(store)
+        kind.write(store, 5, seed=5)
+        kind.write(store, 6, seed=6)
+        kind.drop(store, 5)
+        kind.drop(store, 5)   # idempotent: one tombstone, not two
+        kind.drop(store, 99)  # ... and none for a key never written
+        kind.drop(store, 0, job=7)  # ... nor a segment for a job never run
+        assert _files(store) == [str(path.relative_to(store.dir))]
+        size = path.stat().st_size
+        assert sorted(scan_segment(path)) == [kind.key(6)]
+        for reader in (store, stores(root, 0)):
+            assert kind.read(reader, 5) is None
+            assert kind.read(reader, 6) == kind.expected(6)
+        kind.write(store, 5, seed=8)  # the recompute
+        assert sorted(scan_segment(path)) == [kind.key(5), kind.key(6)]
+        for reader in (store, stores(root, 0)):
+            assert kind.read(reader, 5) == kind.expected(8)
+        # append-only throughout: nothing before the tombstone moved
+        assert path.stat().st_size == size + len(
+            _section_bytes(kind, tmp_path, 5, seed=8))
 
 
 def test_a_second_store_and_a_second_process_read_what_the_first_wrote(
         stores, tmp_path):
     """Disk is the truth and the index a cache: a store that never saw
     the writes — in this process or another — scans the segment."""
-    stores(tmp_path, 0, chain="c0001").write_map_output(
-        2, 7, (1, 3), _slices())
-    second = stores(tmp_path, 0).for_chain("c0001")
-    assert {p: second.read_map_slice(2, 7, p) for p in (0, 1, 3)} == \
-        _encoded()
-    code = ("import sys; from repro.runtime.storage import NodeStore; "
-            "store = NodeStore(sys.argv[1], 0, chain='c0001'); "
-            "sys.stdout.buffer.write(b''.join("
-            "store.read_map_slice(2, 7, p) for p in range(4)))")
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, timeout=60, check=True)
-    assert done.stdout == b"".join(_encoded().values())
+    for kind in KINDS:
+        root = tmp_path / kind.__name__
+        kind.write(stores(root, 0, chain="c0001"), 7, seed=3, job=2)
+        second = stores(root, 0).for_chain("c0001")
+        assert kind.read(second, 7, job=2) == kind.expected(3)
+        code = ("import sys; from repro.runtime.storage import NodeStore; "
+                "store = NodeStore(sys.argv[1], 0, chain='c0001'); "
+                f"sys.stdout.buffer.write({kind.read_code})")
+        done = subprocess.run([sys.executable, "-c", code, str(root)],
+                              capture_output=True, timeout=60, check=True)
+        assert done.stdout == kind.expected(3)
 
 
 def test_concurrent_appends_scan_to_intact_sections(stores, tmp_path):
     """Two slot threads appending to one segment: sections never
     interleave, every one is published, and the bytes are intact."""
-    store = stores(tmp_path, 0)
-    payloads = {task: _encoded(seed=task % 7) for task in range(400)}
-    errors = []
+    for kind in KINDS:
+        root = tmp_path / kind.__name__
+        store = stores(root, 0)
+        errors = []
 
-    def slot(tasks):
+        def slot(keys):
+            try:
+                for k in keys:
+                    kind.write(store, k, seed=k % 7)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for task in tasks:
-                store.write_map_slices(
-                    1, task, None,
-                    {p: (1, data) for p, data in payloads[task].items()})
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=slot, args=(range(i, 400, 2),))
-                   for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors and not any(t.is_alive() for t in threads)
-    assert sorted(scan_map_segment(store.map_segment_path(1))) == \
-        list(range(400))
-    for reader in (store, stores(tmp_path, 0)):
-        for task in (0, 1, 199, 398, 399):
-            assert {p: reader.read_map_slice(1, task, p)
-                    for p in (0, 1, 3)} == payloads[task]
+            threads = [threading.Thread(target=slot,
+                                        args=(range(i, 400, 2),))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert sorted(scan_segment(kind.path(store))) == \
+            [kind.key(k) for k in range(400)]
+        for reader in (store, stores(root, 0)):
+            for k in (0, 1, 199, 398, 399):
+                assert kind.read(reader, k) == kind.expected(k % 7)
 
 
 def test_torn_or_corrupt_map_output_raises_instead_of_serving_short(
@@ -453,7 +591,7 @@ def test_torn_or_corrupt_map_output_raises_instead_of_serving_short(
     store.write_map_output(1, 0, (1, 2), _slices())
     path = store.map_segment_path(1)
     whole = path.read_bytes()
-    slots = scan_map_segment(path)[0][1]
+    slots = scan_segment(path)[0][1]
     slot_bytes = int.from_bytes(whole[16:20], "big")
     index_end = 16 + 4 + 3 * 8 + slot_bytes
     assert slot_bytes == 3 * 24  # three slices, one slot each
@@ -487,7 +625,7 @@ def test_torn_or_corrupt_map_output_raises_instead_of_serving_short(
              "truncated map output")):
         path.write_bytes(lie)
         with pytest.raises(ValueError, match=message):
-            scan_map_segment(path)
+            scan_segment(path)
         with pytest.raises(ValueError, match=message):
             stores(tmp_path, 0).read_map_slice(1, 0, 0)
     path.write_bytes(whole)
@@ -519,38 +657,43 @@ def test_drops_evict_every_slice_entry_and_unlink_the_file(stores, tmp_path,
                                                            drop):
     """Every way an output goes away evicts exactly its slices; the ways
     a *job* goes away also close the segment's handle and unlink it, and
-    a later write starts a fresh segment."""
-    tier = MemoryTier(1 << 20)
-    store = stores(tmp_path, 0, chain="c0001", memory=tier)
-    path = store.map_segment_path(1)
-    store.write_map_output(1, 1, None, _slices())
-    store.write_map_output(1, 10, None, _slices(seed=4))  # "#1" prefix
-    assert tier.stats()["entries"] == 6
-    segment = store._segments[str(path)]
-    if drop == "map-output":
-        store.drop_map_output(1, 1)
-        assert sorted(tier._entries) == sorted(  # task 10 is not task 1*
-            f"{path}#10#{p}" for p in (0, 1, 3))
-        assert store.read_map_slice(1, 10, 0) == _encoded(seed=4)[0]
-        store.drop_map_output(1, 10)
-        assert scan_map_segment(path) == {} and not segment.fh.closed
-    else:
-        if drop == "job":
-            assert store.drop_job(1) > 0
-        elif drop == "reclaim":
-            assert store.reclaim_job_sets({1}, ()) > 0
+    a later write starts a fresh segment.  (``map-output`` is the
+    one-output drop: a map output's or a piece's tombstone.)"""
+    for kind in KINDS:
+        tier = MemoryTier(1 << 20)
+        root = tmp_path / kind.__name__
+        store = stores(root, 0, chain="c0001", memory=tier)
+        path = kind.path(store)
+        kind.write(store, 1, seed=3)
+        kind.write(store, 10, seed=4)  # "#1" prefix
+        assert tier.stats()["entries"] == 2 * kind.slices
+        segment = store._segments[str(path)]
+        if drop == "map-output":
+            kind.drop(store, 1)
+            assert len(tier._entries) == kind.slices and all(  # 10 != 1*
+                key.startswith(f"{path}#{kind.key(10)}#")
+                for key in tier._entries)
+            assert kind.read(store, 10) == kind.expected(4)
+            kind.drop(store, 10)
+            assert scan_segment(path) == {} and not segment.fh.closed
         else:
-            assert store.sweep_chain(keep_reduce_jobs=()) > 0
-        assert segment.fh.closed and not path.exists()
-        assert store._segments == {}
-    assert tier.stats()["entries"] == 0 and tier.bytes == 0
-    assert store.read_map_slice(1, 1, 0) == b""
-    assert store.read_map_slice(1, 10, 0) == b""
-    store.write_map_output(1, 2, None, _slices(seed=2))
-    assert sorted(scan_map_segment(path)) == [2]
-    assert store.read_map_slice(1, 2, 3) == _encoded(seed=2)[3]
-    if drop != "map-output":
-        assert path.stat().st_size == len(_section_bytes(tmp_path, 2, 2))
+            if drop == "job":
+                assert store.drop_job(1) > 0
+            elif drop == "reclaim":
+                assert kind.reclaim(store, 1) > 0
+            else:
+                assert store.sweep_chain(keep_reduce_jobs=()) > 0
+            assert segment.fh.closed and not path.exists()
+            assert store._segments == {}
+        assert tier.stats()["entries"] == 0 and tier.bytes == 0
+        assert kind.read(store, 1) is None
+        assert kind.read(store, 10) is None
+        kind.write(store, 2, seed=2)
+        assert sorted(scan_segment(path)) == [kind.key(2)]
+        assert kind.read(store, 2) == kind.expected(2)
+        if drop != "map-output":
+            assert path.stat().st_size == len(
+                _section_bytes(kind, tmp_path, 2, 2))
 
 
 @pytest.mark.parametrize("drop", ["job", "reclaim"])
@@ -576,7 +719,7 @@ def test_dropping_job_1_leaves_jobs_10_and_11_hot(stores, tmp_path, drop):
     assert tier.misses == misses  # served from RAM, not reloaded
     assert _files(store) == sorted(
         name for job in (10, 11)
-        for name in (f"map/job{job}.seg", f"reduce/job{job}/part0/s0of1.bin"))
+        for name in (f"map/job{job}.seg", f"reduce/job{job}.seg"))
 
 
 # ------------------------------------------------------- checksum from bytes
@@ -598,7 +741,8 @@ def _reduced(partition, n=30):
     return sorted({r.key: r for r in records}.values())
 
 
-def test_checksum_from_bytes_equals_the_decoded_definition(tmp_path):
+def test_checksum_from_bytes_equals_the_decoded_definition(stores,
+                                                           tmp_path):
     run, workdir = _finished_run(tmp_path)
     # partition 0: one piece; 1: two split pieces on different nodes;
     # 2: one piece adopted from a donor chain's namespace
@@ -607,12 +751,12 @@ def test_checksum_from_bytes_equals_the_decoded_definition(tmp_path):
         if partition == 1:
             for split in range(2):
                 part = [r for r in records if split_of(r.key, 2) == split]
-                NodeStore(workdir, split).write_piece(2, 1, split, 2, part)
+                stores(workdir, split).write_piece(2, 1, split, 2, part)
                 run.registry.add_piece(PieceEntry(
                     2, 1, split, 2, node=split, n_records=len(part)))
             continue
         chain = "c0007" if partition == 2 else None
-        NodeStore(workdir, partition, chain=chain).write_piece(
+        stores(workdir, partition, chain=chain).write_piece(
             2, partition, 0, 1, records)
         run.registry.add_piece(PieceEntry(
             2, partition, 0, 1, node=partition, n_records=len(records),
@@ -620,8 +764,9 @@ def test_checksum_from_bytes_equals_the_decoded_definition(tmp_path):
     output = run.final_output()
     assert output == {p: _reduced(p) for p in range(3)}
     assert run.checksum() == chain_checksum(output)
-    # the bytes path is not blind: one flipped stored byte shows
-    path = NodeStore(workdir, 0).piece_path(2, 0, 0, 1)
+    # the bytes path is not blind: one flipped stored byte (the last
+    # value byte of node 0's last piece section) shows
+    path = NodeStore(workdir, 0).reduce_segment_path(2)
     data = bytearray(path.read_bytes())
     data[-1] ^= 1
     path.write_bytes(bytes(data))

@@ -7,7 +7,8 @@ is acknowledged — for ``--bytes`` of payload, on the filesystem under
 ``each``    one tmp file + fsync + rename per commit (the old layout)
 ``batch5``  five tmp files written, then five fsyncs, then five renames
 ``one5``    five commits' payloads in one tmp file, one fsync, one rename
-``append``  one append + fsync to an already-open file per commit
+``append``  one append + fsync to an already-open file per commit (the
+            layout now, map outputs and reduce pieces alike)
 
 Prints wall and CPU milliseconds **per commit** with 1 and with 4
 processes committing at once (each in its own directory), and how much
