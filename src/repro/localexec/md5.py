@@ -130,57 +130,91 @@ def md5_rows(values: np.ndarray, tick=None) -> np.ndarray:
     return _digest_chunks(values, words, tick)
 
 
-_E8, _E16 = np.uint64(10 ** 8), np.uint64(10 ** 16)
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+def _digit_words() -> np.ndarray:
+    """``b"%04d" % i`` for every ``i < 10 000`` as one little-endian
+    ``uint32``: a table lookup writes four digits of a text."""
+    return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), "<u4")
 
 
-def _decimal(numbers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the decimal text of a ``uint64`` column left-justified into
-    the zeroed ``uint8[n, 20]`` block ``out``; returns the digit counts.
-    ``astype("S20")`` formats row by row; this peels one digit off the
-    whole column at a time."""
-    n = len(numbers)
-    high = numbers // _E16  # 4 digits, then two 8-digit chunks: all uint32
-    rest = numbers - high * _E16
-    mid = rest // _E8
-    chunks = ((rest - mid * _E8, 8), (mid, 8), (high, 4))
-    right = np.empty((20, n), np.uint8)  # one row per digit, units last
-    quotient, tens = np.empty(n, np.uint32), np.empty(n, np.uint32)
-    row = 20
-    for chunk, width in chunks:
-        chunk = chunk.astype(np.uint32)
-        for _ in range(width):
-            row -= 1
-            np.floor_divide(chunk, 10, out=quotient)
-            np.multiply(quotient, 10, out=tens)
-            np.subtract(chunk, tens, out=right[row], casting="unsafe")
-            chunk, quotient = quotient, chunk
-    right += ord("0")
-    counts = np.searchsorted(_POW10, numbers, side="right") + 1
-    for length in np.flatnonzero(np.bincount(counts, minlength=21)):
-        rows = np.flatnonzero(counts == length)
-        out[rows, :length] = right[20 - length:, rows].T
+_DIGITS = _digit_words()
+
+
+def _digit_counts(numbers: np.ndarray) -> np.ndarray:
+    """The decimal digit count of every number of a ``uint64`` column as
+    ``uint8``: one comparison per count between the column's least and
+    its greatest."""
+    low = len(b"%d" % numbers.min())
+    counts = np.full(len(numbers), low, np.uint8)
+    for digits in range(low, len(b"%d" % numbers.max())):
+        counts += numbers >= np.uint64(10 ** digits)
     return counts
+
+
+def _place(numbers: np.ndarray, shift: np.ndarray, mark: int, groups: int,
+           out: np.ndarray) -> None:
+    """Write the texts of ``numbers`` into ``out``: row ``w`` is message
+    word ``w`` counted from the one the head ends in, one column per text
+    (the head's bytes left zero).  Every text's 0x80 marker falls into
+    word ``mark``, its row's ``shift`` bits in, and has at most
+    ``groups`` times four digits.  The table gives the digits as whole
+    words, four at a time, most significant first and padded with ``0``s
+    in front; a text is those words funnel-shifted by its ``shift``, the
+    marker the byte behind its last digit."""
+    digits = np.empty(len(numbers), np.intp)
+    word = np.empty(len(numbers), np.uint32)
+    back = 32 - shift
+    out[mark:] = 0
+    top = mark + 1 - groups  # the word the first group ends in
+    for row in range(mark, top - 1, -1):  # four digits a word, units first
+        if row > top:
+            quotient = numbers // 10000
+            np.subtract(numbers, quotient * 10000, out=digits.view(np.uint64))
+            numbers = quotient
+        else:
+            digits[:] = numbers
+        # ``clip``: a row whose marker is in another word is written over
+        # by the caller
+        np.take(_DIGITS, digits, out=word, mode="clip")
+        out[row] |= word >> back
+        if row:
+            np.left_shift(word, shift, out=out[row - 1])
+    out[mark] |= np.left_shift(np.uint32(0x80), shift)
 
 
 def md5_text(head: bytes, numbers: np.ndarray, tick=None) -> np.ndarray:
     """MD5 of ``head + b"%d" % number`` for every number of a ``uint64``
     column (``len(head) <= TEXT_HEAD_MAX``: always one block); ``tick``
     as in :func:`md5_rows`."""
-    at = len(head)
-    lo = at // 4  # words before it are all head: the same in every row
+    lo, at = divmod(len(head), 4)  # head words ahead of ``lo``: constants
     constant = np.frombuffer(head[:4 * lo], "<u4").tolist()
-    rest = np.frombuffer(head[4 * lo:], np.uint8)
+    partial = int.from_bytes(head[4 * lo:], "little")
+    keep = ~((1 << 8 * at) - 1) & 0xFFFFFFFF  # word ``lo`` less the head
 
     def words(chunk: np.ndarray) -> list:
-        padded = np.zeros((len(chunk), 24), np.uint8)
-        padded[:, :len(rest)] = rest
-        end = len(rest) + _decimal(chunk, padded[:, len(rest):len(rest) + 20])
-        padded[np.arange(len(chunk)), end] = 0x80
-        # words past the longest text of the chunk are zero in every row
-        varying = _columns(padded[:, :4 * (int(end.max(initial=0)) // 4 + 1)])
-        bits = ((end + 4 * lo) * 8).astype(np.uint32)
-        return (constant + varying + [0] * (14 - lo - len(varying))
+        counts = _digit_counts(chunk)
+        ends = counts + np.uint8(at)  # the marker's byte from word ``lo``
+        marks, shift = ends >> 2, (ends & 3).astype(np.uint32) << 3
+        present = range(int(marks.min()), int(marks.max()) + 1)
+        # the groups of four digits of the longest text of each marker word
+        longest = int(counts.max())
+        groups = {mark: -(-min(4 * mark + 3 - at, longest) // 4)
+                  for mark in present}
+        varying = np.empty((present[-1] + 1, len(chunk)), np.uint32)
+        sizes = [np.count_nonzero(marks == mark) for mark in present]
+        most = present[int(np.argmax(sizes))]
+        # the commonest marker word over whole columns first, then the
+        # rows of every other one over it
+        _place(chunk, shift, most, groups[most], varying)
+        for mark, size in zip(present, sizes):
+            if size and mark != most:
+                rows = np.flatnonzero(marks == mark)
+                out = np.empty((len(varying), size), np.uint32)
+                _place(chunk[rows], shift[rows], mark, groups[mark], out)
+                varying[:, rows] = out
+        varying[0] &= np.uint32(keep)
+        varying[0] |= np.uint32(partial)
+        bits = (counts + np.uint32(len(head))) << 3
+        return (constant + list(varying) + [0] * (14 - lo - len(varying))
                 + [bits, 0])
 
     return _digest_chunks(numbers, words, tick)

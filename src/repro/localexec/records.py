@@ -117,9 +117,9 @@ def split_of(key: int, n_splits: int) -> int:
 
 # ------------------------------------------------------------- column batches
 def _be_column(raw: np.ndarray) -> np.ndarray:
-    """An ``n x w`` matrix of big-endian integers as ``uint64[n]``."""
-    return np.ascontiguousarray(raw).view(
-        f">u{raw.shape[1]}").ravel().astype(np.uint64)
+    """An ``n x w`` matrix of big-endian integers, each row contiguous, as
+    ``uint64[n]``."""
+    return raw.view(f">u{raw.shape[1]}")[:, 0].astype(np.uint64)
 
 
 def _be_bytes(column, width: int) -> np.ndarray:
@@ -173,7 +173,7 @@ def generate_batch(n: int, seed: int, value_size: int = 16, start: int = 0
     material = _digests(np.arange(start, start + n, dtype=np.uint64),
                         head=b"%d:" % seed)
     return (_be_column(material[:, :4]),
-            np.tile(material, (1, value_size // 16 + 1))[:, :value_size])
+            np.tile(material, (1, -(-value_size // 16)))[:, :value_size])
 
 
 def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int,
@@ -191,7 +191,9 @@ def map_batch(keys: np.ndarray, values: np.ndarray, job_index: int,
             dtype=object)
     out = np.empty((len(values), 10 + min(6, values.shape[1])), np.uint8)
     out[:, :8] = _digests(values, tick=tick)[:, :8]
-    out[:, 8:10] = _be_bytes(values.sum(axis=1, dtype=np.uint64), 2)
+    # byte sums in uint16: it wraps at 2^16, and the low 16 bits are all
+    # a value keeps of them
+    out[:, 8:10] = _be_bytes(np.einsum("ij->i", values, dtype=np.uint16), 2)
     out[:, 10:] = values[:, :6]
     return new_keys, out
 
@@ -223,7 +225,7 @@ def reduce_batch(keys: np.ndarray, values: np.ndarray
         # no key repeats — every chain job from the second on: each
         # value is its group's blob, digested as the column it is
         digests = _digests(values)
-        sums = values.sum(axis=1, dtype=np.uint64)
+        sums = np.einsum("ij->i", values, dtype=np.uint16)
         lengths = [values.shape[1]]  # one length, broadcast
     else:
         # the groups of one (all but a few keys of job 1) still go as a
@@ -236,7 +238,8 @@ def reduce_batch(keys: np.ndarray, values: np.ndarray
         digests[several] = _digests(group_blobs(
             values[np.repeat(several, sizes)], ends - sizes[several],
             sizes[several]))
-        sums = np.add.reduceat(values.sum(axis=1, dtype=np.uint64), starts)
+        sums = np.add.reduceat(
+            np.einsum("ij->i", values, dtype=np.uint16), starts)
         lengths = sizes * values.shape[1]
     out = np.empty((len(starts), 14), np.uint8)
     out[:, :8] = digests[:, :8]

@@ -86,8 +86,8 @@ def udf_identity() -> str:
         _records_mod.reduce_batch, _records_mod._digests,
         _records_mod._be_column, _records_mod._be_bytes,
         _records_mod._rows, _md5_mod.md5_rows, _md5_mod.md5_text,
-        _md5_mod._decimal, _md5_mod._compress,
-        _md5_mod._digest_chunks, _md5_mod._columns))
+        _md5_mod._digit_words, _md5_mod._digit_counts, _md5_mod._place,
+        _md5_mod._compress, _md5_mod._digest_chunks, _md5_mod._columns))
 
 
 @functools.lru_cache(maxsize=8)

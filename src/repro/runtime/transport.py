@@ -395,8 +395,11 @@ class PeerPool:
                 with peer.lock:
                     sock = peer.sock
                     if sock is None:
-                        sock = socket.create_connection(
-                            ("127.0.0.1", port), timeout=self.timeout)
+                        # not ``create_connection``: its ``getaddrinfo``
+                        # imports the idna codec on a worker's first fetch
+                        sock = socket.socket()
+                        sock.settimeout(self.timeout)
+                        sock.connect(("127.0.0.1", port))
                         _no_delay(sock)
                         peer.sock = sock
                     sock.sendall(_LEN.pack(len(payload)) + payload)

@@ -336,6 +336,25 @@ def test_md5_text_is_hashlib_at_every_head_length(at):
     assert_md5_text_is_hashlib(head, numbers[numbers < 1000])
 
 
+def test_md5_text_is_hashlib_when_the_commonest_count_comes_last(
+        monkeypatch):
+    """A pass builds the texts whose marker falls into its commonest word
+    over whole columns, then writes the other rows over them.  Rare rows
+    — every digit count 1..20, 0, each 10^k - 1 and 10^k, 2^64 - 1 —
+    shuffled, then a run of 19-digit ones with pass edges inside it, at
+    every head length (every start of the digits in a word)."""
+    rng = np.random.default_rng(33)
+    rare = rng.permutation(np.array(
+        [int("18446744073709551615"[:k]) for k in range(1, 21)]
+        + [0, 2**64 - 1] + [10**k - 1 for k in range(1, 20)]
+        + [10**k for k in range(1, 20)], np.uint64))
+    numbers = np.concatenate(
+        [rare, rng.integers(10**18, 10**19, 150, dtype=np.uint64)])
+    monkeypatch.setattr(md5_mod, "_CHUNK", 64)  # three passes of 70 rows
+    for at in range(TEXT_HEAD_MAX + 1):
+        assert_md5_text_is_hashlib(bytes(range(0x41, 0x41 + at)), numbers)
+
+
 # one row either side of a kernel pass, and of the row counts where the
 # equal passes go from one to two and from two to three
 @pytest.mark.parametrize("n, passes, chunk", [

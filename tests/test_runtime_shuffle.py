@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -119,6 +120,23 @@ def test_peer_pool_reuses_one_connection(tmp_path):
     finally:
         pool.close()
         server.close()
+
+
+def test_a_first_fetch_resolves_no_host_name(tmp_path):
+    """The peer is a loopback address: connecting must not go through
+    ``getaddrinfo``, whose first call imports the ``idna`` codec — ~3 ms
+    of CPU in every freshly forked worker."""
+    _piece_store(tmp_path)
+    code = ("import sys; from repro.runtime.storage import NodeStore; "
+            "from repro.runtime.transport import PeerPool, ShuffleServer; "
+            "server = ShuffleServer(NodeStore(sys.argv[1], 0)); "
+            "pool = PeerPool(); "
+            "assert pool.fetch_piece(server.port, 1, 0, 0, 1); "
+            "print('encodings.idna' in sys.modules); "
+            "pool.close(); server.close()")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, timeout=60, check=True)
+    assert done.stdout.split() == [b"False"]
 
 
 def test_shuffle_sockets_disable_nagle_on_both_ends(tmp_path):

@@ -17,10 +17,20 @@ of each copy's best CPU time of ``--reps`` (CPU, as more copies than
 cores wait their turn); every cell's digests are asserted equal to
 ``hashlib``'s.
 
+``--stages`` splits one kernel pass (15 000 rows, as the spine's map
+runs and reduce partitions make them) into its two stages: microseconds
+per row of building the message words and of ``_compress``, in CPU time
+(best of ``--reps`` each), for ``md5_rows`` on 16-byte and 64-byte rows
+and for ``md5_text`` on the three kinds of number the chain job formats
+(row numbers, 32-bit and 64-bit keys), with the minor page faults of a
+pass once the allocator is warm (median); every cell's digests are
+asserted equal to ``hashlib``'s.
+
 Usage::
 
     PYTHONPATH=src python tools/md5_crossover.py [--reps 9]
     PYTHONPATH=src python tools/md5_crossover.py --passes [--procs 4]
+    PYTHONPATH=src python tools/md5_crossover.py --stages [--reps 9]
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import multiprocessing
+import resource
 import statistics
 import time
 
@@ -118,6 +129,60 @@ def passes(reps: int, procs: int) -> None:
         print(f"| {rows} | " + " | ".join(f"{c:.4f}" for c in cells) + " |")
 
 
+STAGE_ROWS = 15000
+
+
+def stages(reps: int) -> None:
+    """Print the stage table (see the module docstring)."""
+    rng = np.random.default_rng(0)
+    inputs = {}
+    for length in (16, 64):
+        column = rng.integers(0, 256, (STAGE_ROWS, length), dtype=np.uint8)
+        inputs[f"`md5_rows`, {length} B"] = (
+            md5.md5_rows, column, [bytes(row) for row in column])
+    for label, numbers in (
+            ("row numbers", np.arange(STAGE_ROWS, dtype=np.uint64) + 30000),
+            ("32-bit keys", rng.integers(0, 2 ** 32, STAGE_ROWS, np.uint64)),
+            ("64-bit keys", rng.integers(0, 2 ** 64, STAGE_ROWS, np.uint64))):
+        inputs[f"`md5_text`, {label}"] = (
+            lambda column: md5.md5_text(b"2:", column), numbers,
+            [b"2:%d" % number for number in numbers.tolist()])
+    compress, spent = md5._compress, [0.0]
+
+    def timed(*args):
+        t0 = time.process_time()
+        try:
+            return compress(*args)
+        finally:
+            spent[0] += time.process_time() - t0
+
+    md5._compress = timed
+    print("| messages | build µs/row | `_compress` µs/row | build share "
+          "| minor faults per pass |")
+    print("|---|---:|---:|---:|---:|")
+    for label, (digest, column, messages) in inputs.items():
+        want = b"".join(hashlib.md5(message).digest() for message in messages)
+        digest(column)  # the allocator's steady state, as in a worker
+        builds, compresses, faults = [], [], []
+        for _ in range(reps):
+            spent[0] = 0.0
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.process_time()
+            got = digest(column)
+            total = time.process_time() - t0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+            builds.append(total - spent[0])
+            compresses.append(spent[0])
+            assert got.tobytes() == want, label
+        build, hashed = min(builds), min(compresses)
+        print(f"| {label} | {build / STAGE_ROWS * 1e6:.4f} "
+              f"| {hashed / STAGE_ROWS * 1e6:.4f} "
+              f"| {build / (build + hashed):.0%} "
+              f"| {statistics.median(faults):g} |")
+    md5._compress = compress
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=9)
@@ -125,9 +190,14 @@ def main() -> None:
                         help="sweep the kernel's pass size instead")
     parser.add_argument("--procs", type=int, default=4,
                         help="copies of the --passes sweep run at once")
+    parser.add_argument("--stages", action="store_true",
+                        help="split a pass into message building and "
+                             "compression instead")
     args = parser.parse_args()
     if args.passes:
         return passes(args.reps, args.procs)
+    if args.stages:
+        return stages(args.reps)
     reps = args.reps
     rng = np.random.default_rng(0)
     shipped = records.MD5_KERNEL_MIN_ROWS, records.MD5_KERNEL_MAX_BLOCKS
