@@ -167,28 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help='planned fault events, e.g. "kill@job1+5", '
                         '"kill@job2:node=3; kill@job2+0.5", or a '
                         'straggler "slow@2:10" (node 2 runs 10x slow; '
-                        'the process backend throttles the live worker; '
-                        'the inproc backend kills at the job boundary '
-                        'and takes fail-stop only)')
+                        'the process backend throttles the live worker '
+                        'and, once it is suspected slow, copies its '
+                        'outputs to a healthy peer so its later death '
+                        'cascades nothing; the inproc backend kills at '
+                        'the job boundary and takes fail-stop only)')
     p.add_argument("--speculation", action="store_true",
                    help="launch backup attempts for tail tasks on idle "
                         "slots; first commit wins, the loser's partial "
                         "output is swept (process backend)")
-    p.add_argument("--speculation-slowdown", type=float, default=2.0,
-                   metavar="X",
-                   help="a tail task older than X times the batch's "
-                        "median committed wall earns a backup attempt")
-    p.add_argument("--pre-replicate", action="store_true",
-                   help="eagerly copy outputs held by a suspected-slow "
-                        "node to a healthy peer so its later death "
-                        "cascades nothing (process backend)")
-    p.add_argument("--suspect-ratio", type=float, default=3.0,
-                   metavar="R",
-                   help="suspect a node slow when its commit rate times "
-                        "R sits below the fleet median")
-    p.add_argument("--suspect-window", type=float, default=1.0,
-                   metavar="SECS",
-                   help="trailing window for progress-rate suspicion")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="RNG seed picking unpinned kill victims")
     p.add_argument("--fault-scale", type=float, default=1.0,
@@ -249,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "node so the pool does not bleed capacity")
     p.add_argument("--speculation", action="store_true",
                    help="default straggler speculation for submitted "
-                        "chains (overridable per submission)")
-    p.add_argument("--pre-replicate", action="store_true",
-                   help="default straggler pre-replication for "
-                        "submitted chains")
+                        "chains (overridable per submission); "
+                        "pre-replication off a suspected-slow node is "
+                        "always on")
     p.add_argument("--heartbeat-interval", type=float, default=0.05)
     p.add_argument("--heartbeat-expiry", type=float, default=0.0)
     p.add_argument("--cache-budget", type=int, default=64, metavar="MiB",
@@ -292,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("rcmp", "optimistic", "repl2", "repl3",
                             "hybrid"))
     p.add_argument("--speculation", action="store_true",
-                   help="straggler speculation for this chain")
-    p.add_argument("--pre-replicate", action="store_true",
-                   help="straggler pre-replication for this chain")
+                   help="straggler speculation for this chain "
+                        "(pre-replication is always on)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-cache", action="store_true",
                    help="opt this chain out of the cross-run result "
@@ -423,10 +408,6 @@ def _exec_process(args, chain, model, tracer):
                                task_slots=args.task_slots,
                                memory_budget=args.memory_budget * (1 << 20),
                                speculation=args.speculation,
-                               speculation_slowdown=args.speculation_slowdown,
-                               pre_replicate=args.pre_replicate,
-                               suspect_ratio=args.suspect_ratio,
-                               suspect_window=args.suspect_window,
                                **kwargs)
         workctx = (nullcontext(args.workdir) if args.workdir
                    else tempfile.TemporaryDirectory(prefix="rcmp-exec-"))
@@ -459,10 +440,10 @@ def _exec_inproc(args, chain, model, tracer):
         raise SystemExit("rcmp-repro: the inproc backend recovers with "
                          "rcmp only; use --backend process for "
                          f"--strategy {args.strategy}")
-    if args.speculation or args.pre_replicate:
-        raise SystemExit("rcmp-repro: speculation and pre-replication "
-                         "run real backup attempts on worker processes; "
-                         "use --backend process")
+    if args.speculation:
+        raise SystemExit("rcmp-repro: speculation runs real backup "
+                         "attempts on worker processes; use --backend "
+                         "process")
     by_job = {}
     if model is not None:
         if model.stochastic:
@@ -544,8 +525,7 @@ def _cmd_serve(args) -> int:
             heartbeat_expiry=args.heartbeat_expiry,
             task_slots=args.task_slots,
             memory_budget=args.memory_budget * (1 << 20),
-            speculation=args.speculation,
-            pre_replicate=args.pre_replicate)
+            speculation=args.speculation)
         faults = (MTBFKills(args.mtbf, seed=args.fault_seed,
                             min_alive=args.min_alive)
                   if args.mtbf is not None else None)
@@ -603,8 +583,6 @@ def _cmd_submit(args) -> int:
                                             for d in dependencies]
     if args.speculation:
         payload["overrides"]["speculation"] = True
-    if args.pre_replicate:
-        payload["overrides"]["pre_replicate"] = True
     if args.no_cache:
         payload["no_cache"] = True
     try:

@@ -100,7 +100,6 @@ from repro.runtime.recovery import (
     hybrid_reclaimable,
     is_hybrid_anchor,
     plan_job_recovery,
-    pre_replication_targets,
 )
 from repro.runtime.storage import (
     BlockSpec,
@@ -119,13 +118,20 @@ STRATEGIES = ("rcmp", "optimistic", "repl2", "repl3", "hybrid")
 #: intermediate-output replication factor per strategy (REPL-k baselines)
 _REPLICATION = {"repl2": 2, "repl3": 3}
 
+#: speculation (``ChainRun._maybe_speculate``): a tail task older than
+#: ``SPECULATION_SLOWDOWN x`` its batch's median committed task wall gets
+#: a backup attempt (Binocular/Hadoop semantics), but never one younger
+#: than ``SPECULATION_MIN_AGE`` seconds — millisecond tasks must not
+#: speculate on scheduler jitter
+SPECULATION_SLOWDOWN = 2.0
+SPECULATION_MIN_AGE = 0.05
+
 #: ``RuntimeConfig`` fields that shape the worker pool: consumed when the
 #: workers are forked or by the pool's own detectors, so a chain running
 #: on a shared pool (:mod:`repro.runtime.service`) cannot override them
 POOL_FIELDS = frozenset({
     "n_nodes", "task_slots", "memory_budget", "fetch_timeout",
     "heartbeat_interval", "heartbeat_expiry", "startup_timeout",
-    "suspect_window", "suspect_ratio", "suspect_min_commits",
 })
 
 #: hook callback: ``fn(event, **info)``; events: job-start, maps-done,
@@ -182,24 +188,6 @@ class RuntimeConfig:
     #: launch backup attempts for tail tasks on idle slots (first commit
     #: wins; the loser's partial output is swept)
     speculation: bool = False
-    #: a tail task older than ``slowdown x`` the phase's median committed
-    #: task wall gets a backup attempt (Binocular/Hadoop semantics; must
-    #: exceed 1)
-    speculation_slowdown: float = 2.0
-    #: absolute age floor before any backup launches (seconds) — keeps
-    #: millisecond tasks from speculating on scheduler jitter
-    speculation_min_age: float = 0.05
-    #: eagerly replicate committed outputs held by suspected-slow nodes
-    #: to a healthy peer, so their later death cascades nothing
-    pre_replicate: bool = False
-    #: trailing window (seconds) anchoring the fleet's task-duration
-    #: baseline for progress-rate suspicion
-    suspect_window: float = 1.0
-    #: suspected when a node's oldest in-flight task is older than
-    #: ratio x the fleet's median committed task duration
-    suspect_ratio: float = 3.0
-    #: fleet commits inside the window before any suspicion verdict
-    suspect_min_commits: int = 3
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -249,27 +237,13 @@ class RuntimeConfig:
                 or self.memory_budget < 0:
             raise ValueError("memory_budget must be a non-negative "
                              "byte count (0 disables the memory tier)")
-        if self.speculation_slowdown <= 1:
-            raise ValueError("speculation_slowdown must be > 1 (a backup "
-                             "at 1x would duplicate every task)")
-        if self.speculation_min_age < 0:
-            raise ValueError("speculation_min_age must be >= 0")
-        if self.suspect_window <= 0:
-            raise ValueError("suspect_window must be positive")
-        if self.suspect_ratio <= 1:
-            raise ValueError("suspect_ratio must be > 1")
-        if self.suspect_min_commits < 1:
-            raise ValueError("suspect_min_commits must be >= 1")
-        if self.n_nodes == 1:
-            # nowhere to place a backup or a pre-replica: warn and no-op
-            # instead of queuing copies behind the only (possibly slow)
-            # node — see also the idle-slot check in backup placement
-            for knob in ("speculation", "pre_replicate"):
-                if getattr(self, knob):
-                    warnings.warn(
-                        f"{knob} disabled: a 1-node cluster has no "
-                        "healthy peer to run it on", stacklevel=2)
-                    object.__setattr__(self, knob, False)
+        if self.n_nodes == 1 and self.speculation:
+            # nowhere to place a backup: warn and no-op instead of
+            # queuing it behind the only (possibly slow) node — see also
+            # the idle-slot check in backup placement
+            warnings.warn("speculation disabled: a 1-node cluster has no "
+                          "healthy peer to run it on", stacklevel=2)
+            object.__setattr__(self, "speculation", False)
         # reuses the simulator's detector semantics (and its validation)
         self.detector  # noqa: B018 -- construct to validate
 
@@ -481,13 +455,10 @@ class WorkerPool:
         #: detection never reads this — suspicion is progress-rate based)
         self.throttled: dict[int, float] = {}
         #: progress-rate suspicion: *suspected-slow*, distinct from dead
-        self.progress = ProgressRateTracker(
-            window=config.suspect_window, ratio=config.suspect_ratio,
-            min_commits=config.suspect_min_commits)
-        #: nodes suspected at any point while alive — sticky, because a
-        #: straggler's live verdict clears the moment its queue drains at
-        #: a phase boundary, yet its committed outputs stay at risk
-        self.suspected_recent: set[int] = set()
+        self.progress = ProgressRateTracker()
+        #: alive node -> monotonic time of its latest suspected verdict
+        #: (rebound, never mutated: chain threads read it concurrently)
+        self.suspected_at: dict[int, float] = {}
         self._suspected: set[int] = set()
         self._suspected_at = 0.0
         self._links: dict[int, _Link] = {}
@@ -546,14 +517,12 @@ class WorkerPool:
             raise
 
     def _fork_worker(self, node: int) -> _Link:
-        chain = self.config.chain
         cmd_recv, cmd_send = self._ctx.Pipe(duplex=False)
         evt_recv, evt_send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
             args=(node, str(self.workdir), cmd_recv, evt_send,
-                  self.config.heartbeat_interval, chain.seed,
-                  chain.records_per_node, chain.value_size,
+                  self.config.heartbeat_interval,
                   self.config.worker_options()),
             name=f"rcmp-worker-{node}", daemon=True)
         proc.start()
@@ -668,8 +637,8 @@ class WorkerPool:
                 self.kill_node(victim)
         if self._started:
             # keep the suspicion verdict fresh (cached ~0.05s) even when
-            # nothing else polls it — detection is always on; only its
-            # consumers (speculation, pre-replication) are opt-in
+            # nothing else polls it: pre-replication reads it after every
+            # wave, speculation (opt-in) on every dispatch tick
             self.suspected_slow()
         conns = {link.evt: node for node, link in self._links.items()
                  if (node in self.alive or node in self._respawning)
@@ -749,7 +718,7 @@ class WorkerPool:
         if now - self._suspected_at < 0.05:
             return self._suspected
         current = self.progress.suspects(now, self.alive)
-        for node in current - self.suspected_recent:
+        for node in current - self.suspected_at.keys():
             self.tracer.instant("cascade", "suspected-slow", node=node,
                                 rate=self.progress.rate(node, now))
         for node in self._suspected - current:
@@ -758,10 +727,17 @@ class WorkerPool:
             if self.progress.load(node) > 0:
                 self.tracer.instant("cascade", "suspicion-cleared",
                                     node=node)
-        self.suspected_recent = self.suspected_recent | current
+        if current:
+            self.suspected_at = {**self.suspected_at,
+                                 **dict.fromkeys(current, now)}
         self._suspected = current
         self._suspected_at = now
         return current
+
+    def suspected_since(self, t0: float) -> set[int]:
+        """The alive nodes suspected slow at any verdict since ``t0``."""
+        self.suspected_slow()  # refresh the verdict
+        return {n for n, t in self.suspected_at.items() if t >= t0}
 
     # -------------------------------------------------------------- failure
     def kill_node(self, node: int) -> None:
@@ -798,7 +774,8 @@ class WorkerPool:
         self.progress.forget(node)
         self.progress.clear_outstanding()  # epoch bump cancelled the rest
         self._suspected = self._suspected - {node}
-        self.suspected_recent = self.suspected_recent - {node}
+        self.suspected_at = {n: t for n, t in self.suspected_at.items()
+                             if n != node}
         self.throttled.pop(node, None)
         link = self._links[node]
         link.closed = True
@@ -880,6 +857,13 @@ class ChainRun:
         self.fault_plan = fault_plan
         self.registry = ClusterRegistry()
         self.graph = config.graph
+        #: suspicion is sticky per chain: a node suspected at any verdict
+        #: since this moment stays suspected for the chain's lifetime,
+        #: because a straggler's live verdict clears the moment its queue
+        #: drains at a phase boundary, yet its committed outputs stay at
+        #: risk — and no longer, so one transient suspicion does not tax
+        #: every later chain of a resident service
+        self.started = time.monotonic()
         #: committed jobs — a *set*, not a high-water mark: independent
         #: DAG branches complete out of index order
         self.done_jobs: set[int] = set()
@@ -1083,8 +1067,7 @@ class ChainRun:
                     if self.config.is_anchor(job) \
                             and self.config.hybrid_reclaim:
                         self._reclaim_behind(job)
-            if self.config.pre_replicate:
-                self._pre_replicate_suspected()
+            self._pre_replicate_suspected()
             outcome = "ok"
         finally:
             for span in spans.values():
@@ -1096,20 +1079,29 @@ class ChainRun:
             self.hooks("job-commit", job=job, kind=kind)
 
     # ---------------------------------------------------------- replication
-    def _replica_commands(self, entries) -> dict:
-        """Replication commands bringing each piece up to its job's
-        target holder count: each missing copy is fetched from the
-        primary holder by the target node over the shuffle transport."""
+    def _replica_commands(self, entries,
+                          copies: Optional[int] = None) -> dict:
+        """Replication commands bringing each piece up to ``copies``
+        holders (default: its job's target): each missing copy is
+        fetched from the primary holder by the target node over the
+        shuffle transport.  Targets round-robin over the healthy
+        non-holders so copies spread instead of piling onto one peer;
+        only when none is left does a suspected-slow non-holder take
+        one — any second copy beats none."""
         alive = sorted(self.pool.alive)
+        suspected = self.pool.suspected_since(self.started)
         cmds = {}
         rr = 0
         for entry in entries:
-            want = min(self.registry.replicated_jobs.get(
+            want = min(copies or self.registry.replicated_jobs.get(
                 entry.job, self.config.replication_for(entry.job)),
                 len(alive))
             holders = self.registry.holders(*entry.key)
-            candidates = [n for n in alive if n not in holders]
+            healthy = [n for n in alive
+                       if n not in holders and n not in suspected]
+            slow = [n for n in alive if n not in holders and n in suspected]
             for _ in range(want - len(holders)):
+                candidates = healthy or slow
                 if not candidates:
                     break
                 node = candidates.pop(rr % len(candidates))
@@ -1367,6 +1359,9 @@ class ChainRun:
                       blocks: list[BlockSpec]) -> dict:
         chain = self.config.chain
         alive = sorted(self.pool.alive)
+        # a block of chain input names what regenerates it, so a worker
+        # needs no per-chain state to run any chain's map
+        chain_input = (chain.seed, chain.records_per_node, chain.value_size)
         cmds = {}
         for block in blocks:
             node = self.map_assignment(job, block.task_id, block.node)
@@ -1374,11 +1369,12 @@ class ChainRun:
                 # re-home a dead node's blocks across *all* survivors
                 # (paper §IV: recompute on every surviving node)
                 node = alive[block.task_id % len(alive)]
-            cmds[("map", job, block.task_id)] = (node, {
-                "op": "map", "job": job, "task": block.task_id,
-                "origin": block.origin, "source": block.source,
-                "n_partitions": chain.n_partitions,
-            })
+            cmd = {"op": "map", "job": job, "task": block.task_id,
+                   "origin": block.origin, "source": block.source,
+                   "n_partitions": chain.n_partitions}
+            if block.source[0] == "input":
+                cmd["input"] = chain_input
+            cmds[("map", job, block.task_id)] = (node, cmd)
         return cmds
 
     def _reduce_command(self, job: int, partition: int, split_index: int,
@@ -1539,15 +1535,14 @@ class ChainRun:
         """Launch backup attempts for tail tasks on idle healthy slots.
 
         A task earns a backup when its original sits on a suspected-slow
-        node and is older than ``speculation_min_age``, or — with half
-        the batch committed — when its age exceeds ``slowdown x`` the
-        batch's median committed wall (Hadoop/LATE semantics).  First
-        commit wins through the normal completion path; this only adds
-        attempts, it never cancels one."""
+        node and is older than ``SPECULATION_MIN_AGE``, or — with half
+        the batch committed — when its age exceeds ``SPECULATION_SLOWDOWN
+        x`` the batch's median committed wall (Hadoop/LATE semantics).
+        First commit wins through the normal completion path; this only
+        adds attempts, it never cancels one."""
         if len(self.pool.alive) < 2:
             return
-        suspected = self.pool.suspected_slow() | \
-            self.pool.suspected_recent
+        suspected = self.pool.suspected_since(self.started)
         done = total - len(outstanding)
         median = sorted(durations)[len(durations) // 2] \
             if durations else None
@@ -1555,10 +1550,10 @@ class ChainRun:
             if key in backups or key[0] not in ("map", "reduce"):
                 continue
             if node in suspected:
-                threshold = self.config.speculation_min_age
+                threshold = SPECULATION_MIN_AGE
             elif median is not None and done * 2 >= total:
-                threshold = max(self.config.speculation_min_age,
-                                self.config.speculation_slowdown * median)
+                threshold = max(SPECULATION_MIN_AGE,
+                                SPECULATION_SLOWDOWN * median)
             else:
                 continue
             age = now - dispatched_at.get(key, now)
@@ -1680,26 +1675,14 @@ class ChainRun:
         replica promotion makes the death cascade nothing.  One-shot:
         the job is not marked replication-tracked, so the background
         re-replication invariant is untouched."""
-        self.pool.suspected_slow()  # refresh the sticky verdict
-        suspected = self.pool.suspected_recent & self.pool.alive
+        suspected = self.pool.suspected_since(self.started)
         if not suspected or len(self.pool.alive) < 2:
             return
         entries = [e for job_pieces in self.registry.pieces.values()
                    for plist in job_pieces.values() for e in plist
                    if e.node in suspected
                    and len(self.registry.holders(*e.key)) < 2]
-        if not entries:
-            return
-        targets = pre_replication_targets(
-            [(e.key, self.registry.holders(*e.key)) for e in entries],
-            suspected, self.pool.alive)
-        cmds = {}
-        for entry in entries:
-            target = targets.get(entry.key)
-            if target is None:
-                continue
-            cmds[("replicate", *entry.key, target)] = (
-                target, self._replicate_command(entry, target))
+        cmds = self._replica_commands(entries, copies=2)
         if not cmds:
             return
         self.tracer.instant("cascade", "pre-replicate",

@@ -373,29 +373,3 @@ def consumer_invalidations(consumer_map_entries: Iterable[tuple[int, object]],
             doomed.append(task_id)
     return doomed
 
-
-def pre_replication_targets(entries: Iterable[tuple[tuple, set]],
-                            suspected: set,
-                            alive: Iterable[int]) -> dict:
-    """Placement for straggler pre-replication: piece key -> target node.
-
-    ``entries`` pairs each at-risk piece key with its current holder
-    set; targets round-robin over the healthy (alive, not suspected)
-    non-holders so the eager copies spread instead of piling onto one
-    peer.  When every non-holder is itself suspected, any alive
-    non-holder is still better than leaving the sole copy on the
-    straggler.  Pure policy — both the live coordinator and tests call
-    it with synthetic inputs."""
-    alive_sorted = sorted(alive)
-    healthy = [n for n in alive_sorted if n not in suspected]
-    targets: dict = {}
-    rr = 0
-    for key, holders in entries:
-        candidates = [n for n in healthy if n not in holders]
-        if not candidates:
-            candidates = [n for n in alive_sorted if n not in holders]
-        if not candidates:
-            continue
-        targets[key] = candidates[rr % len(candidates)]
-        rr += 1
-    return targets

@@ -287,7 +287,6 @@ class ChainService:
             job.run = ChainRun(job.config, self.pool,
                                chain_id=job.id, tracer=self.tracer)
             job.inbox = job.run.attach_inbox()
-            self._open_chain(job)
             self._adopt_cached_prefix(job)
             threading.Thread(target=self._drive, args=(job,),
                              name=f"chain-{job.id}", daemon=True).start()
@@ -327,19 +326,6 @@ class ChainService:
             running_by.get(j.tenant, 0),
             self._tenant_admitted.get(j.tenant, 0),
             j.order))
-
-    def _open_chain(self, job: ChainJob, nodes: Optional[list[int]]
-                    = None) -> None:
-        """Broadcast the chain's input parameters to the workers (every
-        link, so a task placed anywhere finds the chain open).  Pipe
-        order guarantees the open precedes any of the chain's tasks."""
-        chain = job.config.chain
-        cmd = {"op": "chain-open", "chain": job.id, "seed": chain.seed,
-               "records_per_node": chain.records_per_node,
-               "value_size": chain.value_size}
-        for node in (nodes if nodes is not None
-                     else sorted(self.pool._links)):
-            self.pool.send(node, dict(cmd))
 
     def _close_chain(self, job: ChainJob) -> None:
         """One ``chain-close`` per worker drops the chain's caches, then
@@ -389,11 +375,10 @@ class ChainService:
             running = list(self._running.values())
         for job in running:
             job.run.notify_death(node)
-        if self.replace_dead and self.pool.respawn(node) is not None:
-            # replacement workers start blank: re-open every live chain
-            # (commands queue in the pipe until the worker is up)
-            for job in running:
-                self._open_chain(job, nodes=[node])
+        if self.replace_dead:
+            # a replacement starts blank and needs nothing more: every
+            # command carries what it takes to run
+            self.pool.respawn(node)
 
     def _drive(self, job: ChainJob) -> None:
         """One chain's thread: run the state machine to completion."""

@@ -98,8 +98,7 @@ DEFAULT_OPTIONS = {
 
 
 def worker_main(node: int, root: str, cmd_conn, evt_conn,
-                heartbeat_interval: float, seed: int,
-                records_per_node: int, value_size: int,
+                heartbeat_interval: float,
                 options: Optional[dict] = None) -> None:
     opts = dict(DEFAULT_OPTIONS)
     opts.update(options or {})
@@ -114,8 +113,7 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
                                      throttle=throttle)
     transport.start_heartbeat(evt, node, heartbeat_interval)
     evt.send(protocol.ready(node, server.port, os.getpid()))
-    worker = _Worker(node, store, evt, seed, records_per_node, value_size,
-                     opts, throttle=throttle)
+    worker = _Worker(node, store, evt, opts, throttle=throttle)
     commands: queue.SimpleQueue = queue.SimpleQueue()
     threading.Thread(target=_intake, args=(cmd_conn, worker, commands),
                      name="intake", daemon=True).start()
@@ -184,8 +182,7 @@ class _Worker:
     """Task execution against one node's store."""
 
     def __init__(self, node: int, store: NodeStore,
-                 evt: transport.LockedConnection, seed: int,
-                 records_per_node: int, value_size: int,
+                 evt: transport.LockedConnection,
                  options: Optional[dict] = None,
                  throttle: Optional[transport.Throttle] = None):
         opts = dict(DEFAULT_OPTIONS)
@@ -195,15 +192,6 @@ class _Worker:
         self.throttle = throttle or transport.Throttle()
         self.store = store
         self.evt = evt
-        self.seed = seed
-        self.records_per_node = records_per_node
-        self.value_size = value_size
-        #: chain id -> (seed, records_per_node, value_size); the fork
-        #: arguments register the default (single-chain) namespace, and
-        #: the service's chain-open commands add one entry per admitted
-        #: chain
-        self._chains: dict = {
-            None: (seed, records_per_node, value_size)}
         self._stores: dict = {None: store, store.chain: store}
         self.pool = transport.PeerPool(timeout=opts["fetch_timeout"])
         slots = max(1, int(opts["task_slots"]))
@@ -259,23 +247,15 @@ class _Worker:
             # immediately, even for tasks already on slot threads)
             self.throttle.set(cmd["factor"])
             return
-        if cmd["op"] == "chain-open":
-            # service mode: register an admitted chain's input parameters
-            # so any slot can regenerate its chain input; pipe ordering
-            # guarantees this lands before the chain's first task
-            self._chains[cmd["chain"]] = (
-                cmd["seed"], cmd["records_per_node"], cmd["value_size"])
-            return
         if cmd["op"] == "chain-close":
-            # drop the finished chain's in-memory state (its params,
-            # store view and memoized input) — the coordinator side has
+            # drop the finished chain's in-memory state (its store view
+            # and memoized input) — the coordinator side has
             # already read the final output — then close and sweep its
             # namespace's segments, sparing the reduce jobs the cross-run
             # cache registered.  Fire-and-forget: there is no event
             # stream left to report on, and a filesystem race must not
             # take down the command loop.
             chain = cmd["chain"]
-            self._chains.pop(chain, None)
             self._stores.pop(chain, None)
             with self._inputs_lock:
                 self._inputs.pop(chain, None)
@@ -371,19 +351,17 @@ class _Worker:
         return store
 
     # -- input ----------------------------------------------------------
-    def _input_block(self, chain, node: int, start: int,
+    def _input_block(self, cmd: dict, chain, node: int, start: int,
                      count: int) -> tuple:
         """Rows ``start..start + count`` of ``node``'s chain input.  The
-        input is a pure function of the chain's seed (the paper's
-        randomly generated binary data), so a re-homed mapper needs no
-        fetch for job 1 and regenerates just its block; a node's *own*
-        input is generated once, like ``LocalCluster._make_input``, and
-        memoized per chain as its ``(keys, values)`` columns."""
-        params = self._chains.get(chain)
-        if params is None:
-            raise RuntimeError(
-                f"chain {chain!r} is not open on node {self.node}")
-        seed, records_per_node, value_size = params
+        input is a pure function of the chain's ``(seed,
+        records_per_node, value_size)``, which the map command carries
+        as ``input`` (the paper's randomly generated binary data), so a
+        re-homed mapper needs no fetch for a root job and regenerates
+        just its block; a node's *own* input is generated once, like
+        ``LocalCluster._make_input``, and memoized per chain as its
+        ``(keys, values)`` columns."""
+        seed, records_per_node, value_size = cmd["input"]
         seed = seed * 1000 + node
         if node != self.node:
             return generate_batch(count, seed, value_size, start=start)
@@ -402,7 +380,7 @@ class _Worker:
         node's own store (memory tier first), never a socket."""
         source = cmd["source"]
         if source[0] == "input":
-            return *self._input_block(chain, *source[1:]), 0, 0
+            return *self._input_block(cmd, chain, *source[1:]), 0, 0
         (_, job, partition, split_index, n_splits, node, start,
          count) = source[:8]
         # a 9th element names the namespace the piece lives in — a donor

@@ -22,6 +22,7 @@ import pytest
 from repro.faults import FaultModel
 from repro.localexec import LocalCluster, LocalJobConfig
 from repro.obs import RecordingTracer
+from repro.runtime import coordinator as coord_mod
 from repro.runtime.coordinator import Coordinator, RuntimeConfig
 from repro.runtime.storage import (
     ClusterRegistry,
@@ -92,10 +93,7 @@ def run_process_chain(tmp_path, chain=CHAIN, n_nodes=4, hooks=None,
                       "fig5_guard", "hybrid_interval", "hybrid_replication",
                       "hybrid_reclaim", "task_slots",
                       "fetch_timeout", "io_timeout",
-                      "startup_timeout", "speculation",
-                      "speculation_slowdown", "speculation_min_age",
-                      "pre_replicate", "suspect_window", "suspect_ratio",
-                      "suspect_min_commits", "memory_budget")
+                      "startup_timeout", "speculation", "memory_budget")
                      if k in kwargs}
     config = RuntimeConfig(n_nodes=n_nodes, chain=chain, **config_kwargs)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,
@@ -584,7 +582,7 @@ def test_differential_matrix_replicated_strategies(tmp_path, seed,
 @pytest.mark.slow
 @pytest.mark.parametrize("strategy", ["rcmp", "optimistic", "repl2",
                                       "hybrid"])
-def test_differential_matrix_straggler(tmp_path, strategy):
+def test_differential_matrix_straggler(tmp_path, monkeypatch, strategy):
     """The straggler column of the acceptance matrix: one 10x-throttled
     node with speculation and pre-replication on must still reproduce
     the failure-free in-process checksum byte-for-byte under every
@@ -592,10 +590,10 @@ def test_differential_matrix_straggler(tmp_path, strategy):
     lost or cascade-recovered."""
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
                            records_per_block=16, split_ratio=2, seed=0)
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     report = run_process_chain(
         tmp_path, chain=chain, strategy=strategy,
-        task_slots=2, speculation=True, pre_replicate=True,
-        speculation_min_age=0.02,
+        task_slots=2, speculation=True,
         fault_model=FaultModel.parse("slow@1:10"))
     assert report.checksum == reference_checksum(chain)
     assert report.deaths == []  # slow is never dead

@@ -244,9 +244,7 @@ def test_submit_validates_at_submission_time(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("n_nodes", 8), ("task_slots", 4), ("memory_budget", 0),
     ("fetch_timeout", 1.0), ("heartbeat_interval", 0.5),
-    ("heartbeat_expiry", 1.0), ("startup_timeout", 5.0),
-    ("suspect_window", 2.0), ("suspect_ratio", 9.0),
-    ("suspect_min_commits", 9)])
+    ("heartbeat_expiry", 1.0), ("startup_timeout", 5.0)])
 def test_submit_refuses_pool_shape_overrides(tmp_path, field, value):
     """Regression: pool-shape fields were silently applied to the
     chain's config (``n_nodes`` silently dropped) although the workers

@@ -209,8 +209,8 @@ class _EventSink:
 
 def _make_worker(tmp_path, node=99):
     store = NodeStore(tmp_path, node)
-    return _Worker(node, store, _EventSink(), seed=0, records_per_node=8,
-                   value_size=8, options={"fetch_timeout": 0.3})
+    return _Worker(node, store, _EventSink(),
+                   options={"fetch_timeout": 0.3})
 
 
 def test_fetch_merge_dead_source_raises_without_hanging(tmp_path):
@@ -569,6 +569,11 @@ def _events_until(evt_recv, n, timeout=10.0):
     return events
 
 
+#: the chain input ``(seed, records_per_node, value_size)`` the map
+#: commands sent to a piped worker name
+_PIPED_INPUT = (0, 64, 16)
+
+
 @contextlib.contextmanager
 def _piped_worker(tmp_path, **options):
     """``worker_main`` for node 0 on a thread of this process, wired to
@@ -578,8 +583,7 @@ def _piped_worker(tmp_path, **options):
     evt_recv, evt_send = multiprocessing.Pipe(duplex=False)
     main = threading.Thread(
         target=worker_mod.worker_main, daemon=True,
-        args=(0, str(tmp_path), cmd_recv, evt_send, 60.0, 0, 64, 16,
-              options))
+        args=(0, str(tmp_path), cmd_recv, evt_send, 60.0, options))
     main.start()
     try:
         assert _events_until(evt_recv, 1)[0].kind == "ready"
@@ -597,6 +601,7 @@ def _send_epoch(cmd_send, epoch, tasks):
         cmd_send.send({"op": "map", "job": 1, "task": task, "origin": None,
                        "n_partitions": 2,
                        "source": ("input", 0, task * 8, 8),
+                       "input": _PIPED_INPUT,
                        "key": ("map", 1, task), "epoch": epoch,
                        "chain": None})
 
@@ -680,7 +685,8 @@ def test_map_done_is_never_sent_before_the_sections_fsync_returned(
     server = ShuffleServer(NodeStore(tmp_path / "holder", 1), timeout=5.0)
     tasks = {
         "map-done": {"op": "map", "job": 1, "task": 0, "origin": None,
-                     "n_partitions": 2, "source": ("input", 0, 0, 8)},
+                     "n_partitions": 2, "source": ("input", 0, 0, 8),
+                     "input": _PIPED_INPUT},
         "reduce-done": {"op": "reduce", "job": 1, "partition": 0,
                         "split": 0, "n_splits": 1, "sources": [(0, 0)]},
         "replica-done": {"op": "replicate", "job": 1, "partition": 0,
@@ -781,18 +787,19 @@ def test_epoch_stream_answers_every_task_once_and_in_epoch_order(tmp_path):
 
 
 # ------------------------------------- compute as a run, commit as tasks
-def _map_commands(tasks, rows, epoch=0):
-    """Job-1 map commands over consecutive ``rows``-row input blocks."""
+def _map_commands(tasks, rows, epoch=0, seed=3):
+    """Job-1 map commands over consecutive ``rows``-row input blocks of
+    a ``len(tasks) x rows``-record chain input."""
+    chain_input = (seed, rows * len(tasks), 16)
     return [{"op": "map", "job": 1, "task": task, "origin": None,
              "n_partitions": 2, "source": ("input", 0, task * rows, rows),
+             "input": chain_input,
              "key": ("map", 1, task), "epoch": epoch, "chain": None}
             for task in tasks]
 
 
-def _run_worker(root, rows, n_tasks):
-    store = NodeStore(root, 0)
-    return _Worker(0, store, _EventSink(), seed=3,
-                   records_per_node=rows * n_tasks, value_size=16)
+def _run_worker(root):
+    return _Worker(0, NodeStore(root, 0), _EventSink())
 
 
 def _dispatch_as_one_run(worker, cmds):
@@ -818,8 +825,7 @@ def test_a_run_of_map_commands_commits_what_single_tasks_commit(
     results = {}
     for name in ("single", "run"):
         store = NodeStore(tmp_path / name, 0)
-        worker = _Worker(0, store, _EventSink(), seed=3,
-                         records_per_node=rows * n, value_size=16,
+        worker = _Worker(0, store, _EventSink(),
                          options={"task_slots": task_slots})
         try:
             cmds = _map_commands(range(n), rows)
@@ -852,7 +858,7 @@ def test_an_epoch_bump_inside_a_run_stops_it_within_one_pass(
     not start another kernel chunk, nothing is written, and every task of
     the run answers ``cancelled`` on its own."""
     n, rows, calls = 4, md5_mod._CHUNK, []
-    worker = _run_worker(tmp_path, rows, n)
+    worker = _run_worker(tmp_path)
     real = md5_mod._compress
 
     def bump_then_compress(n_rows, words):
@@ -860,10 +866,11 @@ def test_an_epoch_bump_inside_a_run_stops_it_within_one_pass(
         worker.hear(1)
         return real(n_rows, words)
 
+    cmds = _map_commands(range(n), rows)
     try:
-        worker._input_block(None, 0, 0, 1)  # generated before the spy
+        worker._input_block(cmds[0], None, 0, 0, 1)  # generated before
         monkeypatch.setattr(md5_mod, "_compress", bump_then_compress)
-        _dispatch_as_one_run(worker, _map_commands(range(n), rows))
+        _dispatch_as_one_run(worker, cmds)
         # one kernel pass of the key digest's four, then the check: not
         # the other three, and none of the value digest's
         assert calls == [rows]
@@ -881,7 +888,7 @@ def test_an_epoch_bump_between_commits_of_a_run_commits_nothing_further(
     already durable answer ``map-done`` and the rest ``cancelled`` — and
     the mapped-ahead columns go with the run."""
     n, durable = 5, 2
-    worker = _run_worker(tmp_path, 8, n)
+    worker = _run_worker(tmp_path)
     real = NodeStore.write_map_slices
 
     def write_then_bump(store, job, task, *rest):
@@ -905,7 +912,7 @@ def test_an_epoch_bump_between_commits_of_a_run_commits_nothing_further(
 def test_a_fetch_error_on_a_looked_ahead_block_fails_only_its_task(
         tmp_path, monkeypatch):
     n, lost = 4, 2
-    worker = _run_worker(tmp_path, 8, n)
+    worker = _run_worker(tmp_path)
     real = _Worker._block_columns
 
     def block_columns(self, cmd, *rest):
@@ -929,7 +936,7 @@ def test_a_fetch_error_on_a_looked_ahead_block_fails_only_its_task(
 def test_a_run_ends_where_chain_job_or_epoch_change(tmp_path, monkeypatch):
     """Only contiguous map commands of one chain, job and epoch compute
     together; whatever follows stays queued for the command loop."""
-    worker = _run_worker(tmp_path, 8, 8)
+    worker = _run_worker(tmp_path)
     runs = []
     monkeypatch.setattr(worker, "execute_run",
                         lambda run: runs.append([c["task"] for c in run]))

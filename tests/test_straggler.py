@@ -2,15 +2,18 @@
 
 Unit coverage for the ``slow`` fault grammar, the :class:`LiveFaultPlan`
 throttle deadlines, the :class:`ProgressRateTracker` suspicion policy,
-the pre-replication placement helper and the analyze-time speculation
-table; plus end-to-end process-runtime scenarios under the ``slow``
-marker (CI's ``runtime-smoke`` job): a 10x straggler under tight
-heartbeats is never declared dead, backups win races through the
-first-commit-wins overlay, losers' partial output is swept, and
-pre-replication leaves no sole-copy piece on a suspected node.
+replica placement around suspected nodes and the analyze-time
+speculation table; plus end-to-end process-runtime scenarios under the
+``slow`` marker (CI's ``runtime-smoke`` job): a 10x straggler under
+tight heartbeats is never declared dead, backups win races through the
+first-commit-wins overlay, losers' partial output is swept,
+pre-replication — always on — leaves no sole-copy piece on a suspected
+node, and a suspicion raised in one service chain does not reach the
+next.
 """
 
 import collections
+import functools
 import json
 import time
 import warnings
@@ -26,6 +29,7 @@ from repro.faults import FaultInjector, FaultModel
 from repro.faults.detector import ProgressRateTracker
 from repro.localexec import LocalJobConfig
 from repro.obs import RecordingTracer
+from repro.runtime import coordinator as coord_mod
 from repro.runtime.coordinator import (
     ChainRun,
     Coordinator,
@@ -33,10 +37,9 @@ from repro.runtime.coordinator import (
     RuntimeConfig,
 )
 from repro.runtime.faults import LiveFaultPlan
-from repro.runtime.recovery import pre_replication_targets
 from repro.runtime import worker as worker_mod
 from repro.runtime.service import DONE, ChainService
-from repro.runtime.storage import NodeStore
+from repro.runtime.storage import NodeStore, PieceEntry
 from repro.runtime.transport import Throttle
 from repro.simcore import SeedSequenceRegistry, Simulator
 from repro.workloads.chain import build_chain
@@ -45,6 +48,7 @@ from tests.test_runtime_process import (
     on_disk_orphans,
     reference_checksum,
     run_process_chain,
+    spans,
 )
 from tests.test_runtime_shuffle import _EventSink, _map_commands
 
@@ -222,24 +226,10 @@ def test_progress_tracker_validates_knobs(kw):
 
 
 # ------------------------------------------------------------ config
-@pytest.mark.parametrize("kw", [
-    dict(speculation_slowdown=1.0),
-    dict(speculation_min_age=-0.1),
-    dict(suspect_window=0.0),
-    dict(suspect_ratio=1.0),
-    dict(suspect_min_commits=0),
-])
-def test_runtime_config_validates_straggler_knobs(kw):
-    with pytest.raises(ValueError):
-        RuntimeConfig(n_nodes=2, chain=SMALL, **kw)
-
-
 def test_one_node_cluster_warns_and_disables_speculation():
     with pytest.warns(UserWarning, match="no healthy peer"):
-        config = RuntimeConfig(n_nodes=1, chain=SMALL,
-                               speculation=True, pre_replicate=True)
+        config = RuntimeConfig(n_nodes=1, chain=SMALL, speculation=True)
     assert config.speculation is False
-    assert config.pre_replicate is False
 
 
 # ------------------------------------------------------------ throttle
@@ -283,11 +273,10 @@ def test_a_throttled_run_stretches_every_commit_not_the_first(
         def pace(self, elapsed):
             charged.append(elapsed)
 
-    worker = worker_mod._Worker(
-        0, NodeStore(tmp_path, 0), _EventSink(), seed=0,
-        records_per_node=n * rows, value_size=16, throttle=Recorder(10.0))
+    worker = worker_mod._Worker(0, NodeStore(tmp_path, 0), _EventSink(),
+                                throttle=Recorder(10.0))
     try:
-        cmds = _map_commands(range(n), rows)
+        cmds = _map_commands(range(n), rows, seed=0)
         worker.dispatch(cmds[0], collections.deque(cmds[1:]))
     finally:
         worker.close()
@@ -298,24 +287,64 @@ def test_a_throttled_run_stretches_every_commit_not_the_first(
 
 
 # ------------------------------------------------------- placement policy
-def test_pre_replication_targets_prefer_healthy_non_holders():
-    entries = [((1, p, 0, 1), {1}) for p in range(4)]
-    targets = pre_replication_targets(entries, suspected={1},
-                                      alive={0, 1, 2, 3})
+def _placement_run(tmp_path, n_nodes=4, strategy="rcmp", suspected=(),
+                   holders=((1,),) * 4):
+    """A never-started coordinator's chain run holding one job-1 piece
+    per partition on ``holders[partition]``, with ``suspected`` nodes
+    suspected since the chain started."""
+    config = RuntimeConfig(n_nodes=n_nodes, chain=SMALL, strategy=strategy)
+    run = Coordinator(config, tmp_path / "cluster").chain_run
+    run.pool.suspected_at = dict.fromkeys(suspected, time.monotonic())
+    for partition, (primary, *replicas) in enumerate(holders):
+        run.registry.add_piece(PieceEntry(1, partition, 0, 1, primary, 8))
+        for node in replicas:
+            run.registry.add_replica(1, partition, 0, 1, node)
+    entries = [plist[0] for plist in run.registry.pieces[1].values()]
+    return run, entries
+
+
+def _targets(cmds):
+    return {key[1:5]: node for key, (node, _) in cmds.items()}
+
+
+def test_pre_replication_targets_prefer_healthy_non_holders(tmp_path):
+    run, entries = _placement_run(tmp_path, suspected={1})
+    targets = _targets(run._replica_commands(entries, copies=2))
     # round-robin over the healthy non-holders, never the straggler
-    assert set(targets) == {key for key, _ in entries}
+    assert set(targets) == {entry.key for entry in entries}
     assert sorted(set(targets.values())) == [0, 2, 3]
 
 
-def test_pre_replication_targets_fall_back_to_suspected_peers():
+def test_pre_replication_targets_fall_back_to_suspected_peers(tmp_path):
     # every non-holder is itself suspected: any second copy still beats
     # leaving the sole replica on the straggler
-    targets = pre_replication_targets([(("k",), {1})], suspected={1, 2},
-                                      alive={1, 2})
-    assert targets == {("k",): 2}
+    run, entries = _placement_run(tmp_path, n_nodes=2, suspected={0, 1},
+                                  holders=[(1,)])
+    assert _targets(run._replica_commands(entries, copies=2)) == \
+        {(1, 0, 0, 1): 0}
     # ... but a fully-held piece has nowhere to go
-    assert pre_replication_targets([(("k",), {1, 2})], suspected={1},
-                                   alive={1, 2}) == {}
+    run, entries = _placement_run(tmp_path / "full", n_nodes=2,
+                                  suspected={1}, holders=[(0, 1)])
+    assert run._replica_commands(entries, copies=2) == {}
+
+
+def test_repl2_placement_without_suspicion_is_unchanged(tmp_path):
+    """No suspected node: REPL-2 targets are the round-robin over the
+    alive non-holders they always were (the placement before
+    pre-replication shared the planner, spelled out by hand)."""
+    holders = [(p % 4,) for p in range(8)]
+    run, entries = _placement_run(tmp_path, strategy="repl2",
+                                  holders=holders)
+    expected, rr = {}, 0
+    for entry in entries:
+        candidates = [n for n in range(4) if n != entry.node]
+        expected[entry.key] = candidates[rr % len(candidates)]
+        rr += 1
+    assert _targets(run._replica_commands(entries)) == expected
+    # a suspected node only changes placement once one is suspected
+    run, entries = _placement_run(tmp_path / "s", strategy="repl2",
+                                  holders=holders, suspected={2})
+    assert 2 not in _targets(run._replica_commands(entries)).values()
 
 
 # ------------------------------------------------------------ simulator
@@ -423,11 +452,12 @@ def test_slow_is_never_dead_under_tight_heartbeats(tmp_path):
 
 
 @pytest.mark.slow
-def test_speculation_backs_up_straggler_tasks(tmp_path):
+def test_speculation_backs_up_straggler_tasks(tmp_path, monkeypatch):
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     tracer = RecordingTracer()
     report = run_process_chain(
         tmp_path, chain=SMALL, n_nodes=4, tracer=tracer,
-        task_slots=2, speculation=True, speculation_min_age=0.02,
+        task_slots=2, speculation=True,
         fault_model=FaultModel.parse("slow@1:10"))
     assert report.checksum == reference_checksum(SMALL, 4)
     assert report.deaths == []
@@ -446,15 +476,16 @@ def test_speculation_backs_up_straggler_tasks(tmp_path):
 
 
 @pytest.mark.slow
-def test_first_commit_wins_and_losers_are_swept(tmp_path):
+def test_first_commit_wins_and_losers_are_swept(tmp_path, monkeypatch):
     """Duplicate completions from the slow original are ignored by the
     epoch/attempt guard and the loser's partial output is dropped: after
     the run no surviving disk holds a file the registry disowns."""
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
                            records_per_block=16, split_ratio=2, seed=0)
     tracer = RecordingTracer()
     config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
-                           speculation=True, speculation_min_age=0.02)
+                           speculation=True)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,
                      fault_model=FaultModel.parse("slow@1:10")) as coord:
         report = coord.run_chain()
@@ -476,15 +507,17 @@ def test_first_commit_wins_and_losers_are_swept(tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("strategy", ["rcmp", "optimistic", "repl2",
                                       "hybrid"])
-def test_straggler_whose_node_dies_mid_attempt(tmp_path, strategy):
+def test_straggler_whose_node_dies_mid_attempt(tmp_path, monkeypatch,
+                                               strategy):
     """slow composes with kill: the straggler is finally lost for real
     and normal recovery takes over — pending losers on the dead node are
     pruned instead of waited on."""
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
                            records_per_block=16, split_ratio=2, seed=0)
     report = run_process_chain(
         tmp_path, chain=chain, n_nodes=4, task_slots=2, strategy=strategy,
-        speculation=True, speculation_min_age=0.02,
+        speculation=True,
         fault_model=FaultModel.parse("slow@1:10; kill@job3+0:node=1"))
     assert report.checksum == reference_checksum(chain, 4)
     assert [node for _, node in report.deaths] == [1]
@@ -509,9 +542,10 @@ def test_cancelled_loser_originals_do_not_stall_the_chain_end(
         drains.append((time.monotonic() - t0, deadline))
 
     monkeypatch.setattr(ChainRun, "_drain_spec_losers", timed_drain)
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     tracer = RecordingTracer()
     config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
-                           speculation=True, speculation_min_age=0.02)
+                           speculation=True)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,
                      fault_model=FaultModel.parse(
                          "slow@1:20; kill@job2+0:node=2")) as coord:
@@ -530,19 +564,22 @@ def test_cancelled_loser_originals_do_not_stall_the_chain_end(
 
 
 @pytest.mark.slow
-def test_pre_replication_leaves_no_sole_copy_on_the_straggler(tmp_path):
-    """With pre-replication on (speculation off, so the throttled node
-    keeps committing its own pieces), every piece the straggler holds
-    gains a healthy second holder — its later death costs nothing.
+def test_pre_replication_leaves_no_sole_copy_on_the_straggler(
+        tmp_path, monkeypatch):
+    """With pre-replication (always on; speculation off, so the
+    throttled node keeps committing its own pieces), every piece the
+    straggler holds gains a healthy second holder — its later death
+    costs nothing.
 
     The chain is deliberately heavier than SMALL: suspicion samples
     commit rates on pump ticks, so the straggler's lag must dwarf the
     detector's 50 ms poll granularity to fire deterministically."""
+    monkeypatch.setattr(coord_mod, "ProgressRateTracker", functools.partial(
+        coord_mod.ProgressRateTracker, window=2.0))
     chain = LocalJobConfig(n_jobs=2, n_partitions=4, records_per_node=192,
                            records_per_block=16, split_ratio=2, seed=0)
     tracer = RecordingTracer()
-    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
-                           pre_replicate=True, suspect_window=2.0)
+    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,
                      fault_model=FaultModel.parse("slow@1:10")) as coord:
         report = coord.run_chain()
@@ -560,6 +597,68 @@ def test_pre_replication_leaves_no_sole_copy_on_the_straggler(tmp_path):
             assert len(holders) >= 2, entry.key
             assert holders - {1}, entry.key
     assert instants(tracer, "pre-replicate")
+
+
+#: the shape pre-replication was judged on (EXPERIMENTS.md): 3 jobs x 8
+#: partitions x 3 000 records/node in 300-record blocks, 64 B values
+JUDGED = LocalJobConfig(n_jobs=3, n_partitions=8, records_per_node=3000,
+                        records_per_block=300, value_size=64, seed=0)
+
+
+@pytest.mark.slow
+def test_default_config_recomputes_nothing_when_a_straggler_dies(tmp_path):
+    """No flag: a 10x straggler is suspected, its committed pieces gain a
+    healthy second holder, and its death at job 3's start promotes them
+    — the chain recomputes nothing and ends in the reference output."""
+    report = run_process_chain(
+        tmp_path, chain=JUDGED,
+        fault_model=FaultModel.parse("slow@1:10; kill@job3+0:node=1"))
+    assert report.checksum == reference_checksum(JUDGED, 4)
+    assert [node for _, node in report.deaths] == [1]
+    assert report.speculation["pre_replicated"] > 0
+    assert [kind for _, kind, _ in report.job_times] == ["run"] * 3
+
+
+@pytest.mark.slow
+def test_clean_chain_never_pre_replicates(tmp_path):
+    """Pre-replication is dormant wherever no node is slow: a clean rcmp
+    chain emits no ``pre-replicate`` instant and runs no replicate
+    task."""
+    tracer = RecordingTracer()
+    report = run_process_chain(tmp_path, tracer=tracer)
+    assert report.speculation["pre_replicated"] == 0
+    assert instants(tracer, "pre-replicate") == []
+    tasks = spans(tracer, "task")
+    assert tasks and not [e for e in tasks if "replicate" in e["name"]]
+
+
+@pytest.mark.slow
+def test_suspicion_is_sticky_per_chain_not_per_service(
+        tmp_path, monkeypatch):
+    """A node suspected while one service chain runs is pre-replicated
+    off and speculated against by that chain only: the next chain starts
+    with no suspect, so it copies nothing and launches no backup.  (Any
+    task on a suspected node would get a backup at once here: the age
+    floor is 0 and the slowdown rule is out of reach.)"""
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.0)
+    monkeypatch.setattr(coord_mod, "SPECULATION_SLOWDOWN", 1e9)
+    chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=64,
+                           records_per_block=16, seed=0)
+    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2)
+    with ChainService(config, tmp_path / "svc") as service:
+        progress = service.pool.progress
+        progress.suspects = lambda now, alive: {1} & alive
+        first = service.submit(chain=chain)
+        service.wait(first.id, timeout=60)
+        assert first.state == DONE, first.error
+        assert first.report.speculation["pre_replicated"] > 0
+        del progress.suspects  # node 1 recovers
+        second = service.submit(chain=chain, speculation=True)
+        service.wait(second.id, timeout=60)
+        assert second.state == DONE, second.error
+    assert second.report.checksum == reference_checksum(chain, 4)
+    assert second.report.speculation["pre_replicated"] == 0
+    assert second.report.speculation["attempts"] == 0
 
 
 @pytest.mark.slow
