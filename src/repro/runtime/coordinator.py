@@ -591,17 +591,20 @@ class WorkerPool:
         except CHANNEL_DOWN:
             link.closed = True  # death will be declared by the pump
 
-    def dispatch(self, node: int, cmd: dict) -> None:
-        """Send one task command, preceded — once per (link, epoch) —
-        by the peer-port broadcast.  Both sends happen under the link
-        lock so concurrent chain threads can neither interleave pipe
-        writes nor slip a task in front of its epoch's port map."""
+    def dispatch(self, node: int, cmd: dict | list[dict]) -> None:
+        """Send one task command — or a list of them, a node's share of
+        a batch, as one message — preceded, once per (link, epoch), by
+        the peer-port broadcast.  Both sends happen under the link lock
+        so concurrent chain threads can neither interleave pipe writes
+        nor slip a task in front of its epoch's port map."""
         link = self._links[node]
         with link.lock:
             self._send_ports(link)
             self._send_locked(link, cmd)
-        if cmd.get("op") in TASK_OPS and cmd.get("epoch") == self.epoch:
-            self.progress.record_dispatch(node, time.monotonic())
+        now = time.monotonic()
+        for one in cmd if isinstance(cmd, list) else [cmd]:
+            if one.get("op") in TASK_OPS and one.get("epoch") == self.epoch:
+                self.progress.record_dispatch(node, now)
 
     def _send_ports(self, link: _Link) -> None:
         """The once-per-epoch peer-port broadcast (under ``link.lock``)."""
@@ -625,14 +628,8 @@ class WorkerPool:
         (they re-join ``alive`` without an epoch bump)."""
         if check_faults and self.faults:
             # slow events first: a plan pairing slow@t and kill@t must
-            # throttle the victim before any same-tick kill lands.  MTBF
-            # arrival processes (service mode) have no throttle clock —
-            # hence the getattr duck-typing.
-            due_throttles = getattr(self.faults, "due_throttles", None)
-            if due_throttles is not None:
-                for node, factor in due_throttles(time.monotonic(),
-                                                  self.alive):
-                    self.throttle_node(node, factor)
+            # throttle the victim before any same-tick kill lands
+            self.deliver_throttles()
             for victim in self.faults.due(time.monotonic(), self.alive):
                 self.kill_node(victim)
         if self._started:
@@ -694,6 +691,17 @@ class WorkerPool:
         return dead
 
     # ------------------------------------------------------------ straggler
+    def deliver_throttles(self) -> None:
+        """Deliver every due ``slow@`` fault.  MTBF arrival processes
+        (service mode) have no throttle clock — hence the getattr
+        duck-typing; a :class:`LiveFaultPlan` drives only the
+        single-chain coordinator, whose one thread dispatches and pumps,
+        so its clock is never read from two threads."""
+        due_throttles = getattr(self.faults, "due_throttles", None)
+        if due_throttles is not None:
+            for node, factor in due_throttles(time.monotonic(), self.alive):
+                self.throttle_node(node, factor)
+
     def throttle_node(self, node: int, factor: float) -> None:
         """Deliver a ``slow@node:factor`` fault: the worker self-throttles
         its task loop and shuffle serving to 1/factor speed.  The node
@@ -794,9 +802,10 @@ class WorkerPool:
         silently cancel every chain's in-flight phase.  The dead
         worker's files are left on disk on purpose: each chain's
         registry dropped its entries at death (nothing references them
-        again — any re-used path is atomically overwritten first), and
-        the coordinator side may still be reading a completed chain's
-        final output from that directory."""
+        again — a recomputed output appends a later section, which wins
+        over the dead incarnation's), and the coordinator side may still
+        be reading a completed chain's final output from that
+        directory."""
         if node in self.alive or node in self._respawning:
             return None
         old = self._links.get(node)
@@ -1434,20 +1443,32 @@ class ChainRun:
         inline in single-chain mode, queued by the service router in
         service mode)."""
         self._raise_pending_death()
+        # a throttle due by now lands ahead of the batch: a node's share
+        # is one run, which a throttle queued behind it would miss whole
+        self.pool.deliver_throttles()
         commit = self._commit_table(on_piece, on_freed)
         outstanding: dict[tuple, tuple[int, dict]] = {}
         spans: dict[tuple, Any] = {}
         dispatched_at: dict[tuple, float] = {}
+        shares: dict[int, list[dict]] = {}
         for key, (node, cmd) in cmds.items():
-            cmd = dict(cmd, key=key, epoch=self.pool.epoch,
-                       chain=self.chain_id)
-            self.pool.dispatch(node, cmd)
-            outstanding[key] = (node, cmd)
-            dispatched_at[key] = time.monotonic()
-            if self.tracer.enabled:
-                spans[key] = self.tracer.span(
-                    "task", f"{phase}:{':'.join(map(str, key))}",
-                    tid=node, phase=phase)
+            outstanding[key] = (node, dict(cmd, key=key,
+                                           epoch=self.pool.epoch,
+                                           chain=self.chain_id))
+            shares.setdefault(node, []).append(outstanding[key][1])
+        for node, share in shares.items():
+            # a node's share is one message, so its worker sees the whole
+            # share at once: its map commands become one run (a share of
+            # one goes as the plain command, like every other dispatch)
+            self.pool.dispatch(node, share if len(share) > 1 else share[0])
+            now = time.monotonic()
+            for cmd in share:
+                key = cmd["key"]
+                dispatched_at[key] = now
+                if self.tracer.enabled:
+                    spans[key] = self.tracer.span(
+                        "task", f"{phase}:{':'.join(map(str, key))}",
+                        tid=node, phase=phase)
         if after_send is not None:
             after_send()
         attempts: dict[tuple, int] = {}

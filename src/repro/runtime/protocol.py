@@ -1,8 +1,10 @@
 """The control-plane wire protocol between coordinator and workers.
 
 **Commands** (coordinator -> worker, over the command pipe) are plain
-dicts with an ``op``.  ``ChainRun._run_tasks`` stamps every task command
-with three fields the worker echoes back verbatim:
+dicts with an ``op``; a pipe message is one command, or a list of them
+— a node's share of one ``ChainRun._run_tasks`` batch.  ``_run_tasks``
+stamps every task command with three fields the worker echoes back
+verbatim:
 
 * ``key`` — the task's identity in the dispatching batch, e.g.
   ``("map", job, task)``, ``("reduce", job, partition, split, n_splits)``,

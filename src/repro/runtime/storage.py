@@ -9,7 +9,8 @@ node loses when it dies)::
 
 Both are append-only segments of one format: a task commits by appending
 one section to a kept-open handle (no file created, renamed or unlinked
-per task).  A section is a header, then Hadoop's shape, a partition
+per task), and a run of map tasks makes its sections durable with one
+fsync.  A section is a header, then Hadoop's shape, a partition
 index in front of the slices (one fsync commits all of a section's
 slices or none)::
 
@@ -35,19 +36,21 @@ byte matrix — row = key (8) | L (4) | value (L) — and the workers never
 leave that shape: :func:`decode_columns` reshapes it into ``keys:
 uint64[n]`` plus the ``n x L`` value matrix without copying a value,
 :func:`encode_columns` is the inverse, :func:`filter_split_spans` routes
-by one mask over the key column, and :func:`partition_columns` by one
-stable sort of the routes and one encode, whose byte ranges are the
-slices.  Bytes that are no such matrix (ragged values, a torn frame)
-take the frame walk, with the same truncation errors.
+by one mask over the key column, and :func:`partition_run` a run of map
+tasks' output by one stable sort of the (task, partition) routes and one
+encode, whose byte ranges are the slices.  Bytes that are no such matrix
+(ragged values, a torn frame) take the frame walk, with the same
+truncation errors.
 
-A section is written by append + ``fsync`` and only then published in
-the index, so a ``SIGKILL`` mid-write can never surface torn bytes as a
-committed output — half a section is a torn tail every scan ignores and
-the segment's next writer truncates — and the coordinator only learns
-about an output from the worker's commit message, which is sent after the
-data is durable.  A store or process that does not write a segment (the
-coordinator's checksum, the cache, another chain's namespace) reads it
-by a read-only scan, never by opening it for appending.
+A section is written by append + ``fsync`` (one for a run of sections)
+and only then published in the index, so a ``SIGKILL`` mid-write can
+never surface torn bytes as a committed output — half a section is a
+torn tail every scan ignores and the segment's next writer truncates —
+and the coordinator only learns about an output from the worker's commit
+message, which is sent after the data is durable.  A store or process
+that does not write a segment (the coordinator's checksum, the cache,
+another chain's namespace) reads it by a read-only scan, never by
+opening it for appending.
 
 :class:`ClusterRegistry` is the coordinator-side metadata: which node
 persists which map output and which reducer piece — the same shape as
@@ -96,18 +99,37 @@ def _frame_dtype(length: int) -> np.dtype:
                      ("value", np.uint8, (length,))])
 
 
+#: rows a reordering encode gathers at a time: it never holds a
+#: reordered copy of a whole column
+_GATHER = 16_384
+
+
+def _frames(keys: np.ndarray, values: np.ndarray,
+            order: Optional[np.ndarray] = None) -> np.ndarray:
+    """An ``n x L`` value matrix's frames as ``n`` fixed-size rows: keys,
+    the constant length field and the values each land with a vectorized
+    column write into one preallocated buffer — rows in ``order`` when
+    given, gathered ``_GATHER`` at a time."""
+    out = np.empty(len(keys), _frame_dtype(values.shape[1]))
+    out["length"] = values.shape[1]
+    if order is None:
+        out["key"], out["value"] = keys, values
+        return out
+    for lo in range(0, len(order), _GATHER):
+        rows = order[lo:lo + _GATHER]
+        out["key"][lo:lo + _GATHER] = keys[rows]
+        out["value"][lo:lo + _GATHER] = values[rows]
+    return out
+
+
 def encode_columns(keys: np.ndarray, values: np.ndarray) -> bytes:
-    """Frame a column batch.  An ``n x L`` value matrix makes the frames
-    ``n`` fixed-size rows, so keys, the constant length field and the
-    values each land with one vectorized column write into one
-    preallocated buffer; a ragged (object) value column takes the
-    per-record loop."""
+    """Frame a column batch: an ``n x L`` value matrix as :func:`_frames`'
+    fixed-size rows, a ragged (object) value column by the per-record
+    loop."""
     if values.ndim == 1:
         return b"".join([_KEY.pack(key, len(value)) + value
                          for key, value in zip(keys.tolist(), values)])
-    out = np.empty(len(keys), _frame_dtype(values.shape[1]))
-    out["key"], out["length"], out["value"] = keys, values.shape[1], values
-    return out.tobytes()
+    return _frames(keys, values).tobytes()
 
 
 def encode_records(records: Iterable[Record]) -> bytes:
@@ -205,31 +227,42 @@ def decode_columns(data, start: int = 0, count: Optional[int] = None
                       for _, lo, hi in walked], dtype=object))
 
 
-def partition_columns(keys: np.ndarray, values: np.ndarray,
-                      n_partitions: int) -> dict[int, tuple[int, bytes]]:
-    """Route a column batch by ``partition_of``: partition -> (record
+def partition_run(keys: np.ndarray, values: np.ndarray, n_partitions: int,
+                  sizes: list[int]) -> list[dict[int, tuple[int, memoryview]]]:
+    """Route a run's column batch — consecutive tasks of ``sizes`` rows
+    each — by task and ``partition_of``: per task, partition -> (record
     count, encoded slice), ascending, batch order kept within a slice.
 
-    One stable sort of the routes — in the smallest unsigned dtype,
-    which numpy radix-sorts — and one encode of the reordered batch:
-    each slice is a byte range of that encoding."""
-    routes = partition_of(keys, n_partitions).astype(
-        np.min_scalar_type(n_partitions - 1))
+    One stable sort of the (task, partition) routes — in the smallest
+    unsigned dtype, which numpy radix-sorts — and one encode of the
+    reordered batch: each slice is a zero-copy byte range of that one
+    encoding, which lives as long as a slice does."""
+    n_routes = len(sizes) * n_partitions
+    dtype = np.min_scalar_type(n_routes - 1)
+    routes = partition_of(keys, n_partitions).astype(dtype)
+    if len(sizes) > 1:  # task i's routes start at i * n_partitions
+        routes += np.repeat(np.arange(0, n_routes, n_partitions,
+                                      dtype=dtype), sizes)
     order = np.argsort(routes, kind="stable")
     # bincount, not np.unique: unique's first call imports numpy.ma —
     # 12-15 ms of CPU in every freshly forked worker
-    counts = np.bincount(routes, minlength=n_partitions)
-    values = values[order]
-    data = encode_columns(keys[order], values)
+    counts = np.bincount(routes, minlength=n_routes)
     if values.ndim == 2:
-        ends = np.cumsum(counts) * (FRAME_HEADER + values.shape[1])
+        frames = _frames(keys, values, order)
+        data = memoryview(frames.view(np.uint8))
+        ends = np.cumsum(counts) * frames.itemsize
     else:  # ragged: each frame as long as its value
+        values = values[order]
+        data = memoryview(encode_columns(keys[order], values))
         ends = np.cumsum([0] + [FRAME_HEADER + len(value)
                                 for value in values])[np.cumsum(counts)]
     bounds = [0, *ends.tolist()]
-    return {partition: (int(counts[partition]),
-                        data[bounds[partition]:bounds[partition + 1]])
-            for partition in np.flatnonzero(counts).tolist()}
+    out: list[dict] = [{} for _ in sizes]
+    for route in np.flatnonzero(counts).tolist():
+        task, partition = divmod(route, n_partitions)
+        out[task][partition] = (int(counts[route]),
+                                data[bounds[route]:bounds[route + 1]])
+    return out
 
 
 def filter_split_spans(data, split_index: int, n_splits: int
@@ -456,6 +489,28 @@ class _Segment:
         if fh.seek(0, os.SEEK_END) > self.size:
             fh.truncate(self.size)  # a dead incarnation's torn tail
 
+    def append(self, key: int, origin: Optional[tuple[int, int]],
+               slices: dict[int, tuple[int, bytes]]) -> tuple:
+        """Write one section — ``key``'s slices, partition -> ``(record
+        count, bytes)`` — at the end, neither synced nor published;
+        returns its index entry."""
+        slots, offset = {}, 0
+        for partition, (count, data) in slices.items():
+            slots[partition] = (offset, len(data), count)
+            offset += len(data)
+        index = b"".join(_INDEX_SLOT.pack(p, *slot)
+                         for p, slot in slots.items())
+        head = (_SECTION.pack(_INDEX_HEAD.size + len(index) + offset, key)
+                + _INDEX_HEAD.pack(len(index), key, *(origin or (-1, -1)))
+                + index)
+        with self.lock:
+            base = self.size + len(head)
+            self.fh.writelines((head, *(data for _, data in slices.values())))
+            self.fh.flush()
+            self.size = base + offset
+        return origin, {p: (base + at, length, count)
+                        for p, (at, length, count) in slots.items()}
+
 
 class NodeStore:
     """One node's single-replica on-disk storage.
@@ -544,37 +599,41 @@ class NodeStore:
             return 0
         return freed
 
-    def _append(self, path: Path, key: int,
-                origin: Optional[tuple[int, int]],
-                slices: dict[int, tuple[int, bytes]]) -> None:
-        """Append one section — ``key``'s slices, partition -> ``(record
-        count, bytes)`` — to the segment at ``path``: one fsync, all
-        slices or none, published in the index only then, and each slice
-        pinned hot under ``<segment>#<key>#<partition>``."""
-        slots, offset = {}, 0
-        for partition, (count, data) in slices.items():
-            slots[partition] = (offset, len(data), count)
-            offset += len(data)
-        index = b"".join(_INDEX_SLOT.pack(p, *slot)
-                         for p, slot in slots.items())
-        head = (_SECTION.pack(_INDEX_HEAD.size + len(index) + offset, key)
-                + _INDEX_HEAD.pack(len(index), key, *(origin or (-1, -1)))
-                + index)
-        seg = self._segment(path, create=True)
-        with seg.lock:
-            base = seg.size + len(head)
-            seg.fh.writelines((head, *(data for _, data in slices.values())))
-            seg.fh.flush()
-            seg.size = base + offset
-        # the disk tier is the durability story recovery depends on: the
-        # section is published, and its ``map-done`` / ``reduce-done`` /
-        # ``replica-done`` sent, only once durable
-        os.fsync(seg.fh.fileno())
-        seg.index[key] = (origin, {p: (base + at, length, count) for
-                                   p, (at, length, count) in slots.items()})
-        if self.memory is not None:
-            for partition, (_, data) in slices.items():
-                self.memory.put(f"{path}#{key}#{partition}", data)
+    def _append(self, path: Path, sections: Iterable[tuple]) -> list[int]:
+        """Append a run of sections — ``(key, origin, slices)``, slices
+        partition -> ``(record count, bytes)`` — to the segment at
+        ``path``, each written as ``sections`` yields it (so a caller's
+        generator can re-check a condition right before each), then make
+        them all durable with one fsync, publish them in the index and pin
+        each slice hot under ``<segment>#<key>#<partition>``.  Whatever
+        was appended is synced and published even if drawing the next
+        section raises, so the index never lags the disk.  Returns the
+        keys appended, in order."""
+        seg, appended = None, []
+        try:
+            for key, origin, slices in sections:
+                # opened on the first section: a run that appends nothing
+                # (every task cancelled) creates no segment
+                seg = seg or self._segment(path, create=True)
+                appended.append((key, seg.append(key, origin, slices),
+                                 slices))
+        finally:
+            if appended:
+                # the disk tier is the durability story recovery depends
+                # on: a section is published, and its ``map-done`` /
+                # ``reduce-done`` / ``replica-done`` sent, only once durable
+                os.fsync(seg.fh.fileno())
+            for key, entry, slices in appended:
+                seg.index[key] = entry
+                if self.memory is not None:
+                    # a slice may be a view of its run's one buffer
+                    # (:func:`partition_run`): the tier pins a copy, so
+                    # the buffer goes with the run (``bytes`` of bytes
+                    # is the object itself)
+                    for partition, (_, data) in slices.items():
+                        self.memory.put(f"{path}#{key}#{partition}",
+                                        bytes(data))
+        return [key for key, _, _ in appended]
 
     def _load(self, path: Path, key: int, partition: int) -> bytes:
         """One slice of ``key``'s live section: the memory tier, the open
@@ -618,24 +677,23 @@ class NodeStore:
         return sum(length for _, length, _ in live[1].values())
 
     # -- writes ---------------------------------------------------------
-    def write_map_slices(self, job: int, task_id: int,
-                         origin: Optional[tuple[int, int]],
-                         slices: dict[int, tuple[int, bytes]]
-                         ) -> dict[int, int]:
-        """Persist one mapper's encoded per-partition shuffle slices
-        (partition -> ``(record count, bytes)``) as one section of the
-        job's map segment; returns the per-partition record counts (the
-        commit message payload)."""
-        self._append(self.map_segment_path(job), task_id, origin, slices)
-        return {p: count for p, (count, _) in slices.items()}
+    def write_map_run(self, job: int, sections: Iterable[tuple]
+                      ) -> list[int]:
+        """Persist a run of mappers' encoded per-partition shuffle slices
+        — ``(task id, origin, {partition: (record count, bytes)})`` each
+        — as sections of the job's map segment, committed by one fsync;
+        returns the task ids committed (:meth:`_append`)."""
+        return self._append(self.map_segment_path(job), sections)
 
     def write_map_output(self, job: int, task_id: int,
                          origin: Optional[tuple[int, int]],
                          slices: dict[int, list[Record]]) -> dict[int, int]:
-        """:meth:`write_map_slices` of per-partition record lists."""
-        return self.write_map_slices(job, task_id, origin, {
-            p: (len(records), encode_records(records))
-            for p, records in slices.items()})
+        """Persist one mapper's per-partition record lists as a run of
+        one; returns the per-partition record counts."""
+        encoded = {p: (len(records), encode_records(records))
+                   for p, records in slices.items()}
+        self.write_map_run(job, [(task_id, origin, encoded)])
+        return {p: count for p, (count, _) in encoded.items()}
 
     def write_piece(self, job: int, partition: int, split_index: int,
                     n_splits: int, records: list[Record]) -> int:
@@ -651,9 +709,9 @@ class NodeStore:
         rows = _frame_rows(data)
         count = len(rows) if rows is not None \
             else sum(1 for _ in iter_record_frames(data))
-        self._append(self.reduce_segment_path(job),
-                     piece_key(partition, split_index, n_splits), None,
-                     {partition: (count, data)})
+        self._append(self.reduce_segment_path(job), [(
+            piece_key(partition, split_index, n_splits), None,
+            {partition: (count, data)})])
 
     # -- reads ----------------------------------------------------------
     def read_map_slice(self, job: int, task_id: int, partition: int) -> bytes:

@@ -13,18 +13,22 @@ the main thread on purpose: on a slot thread the numpy buffers land in a
 second malloc arena (+1.8 MB peak RSS per worker, measured), while the
 intake allocates nothing but unpickled command dicts.
 
-The unit of *compute* is a run, the unit of *commit* a task: a map
-command takes with it the map commands of the same chain, job and epoch
-queued right behind it, and the map UDF runs over all their rows at once
-— the epoch re-checked before every pass of the MD5 kernel, about every
-16 384 rows — because the batch kernel's cost is per call and one
-3 000-row block pays it for too few rows.  Then every
-task partitions its own rows, re-checks its epoch, appends and fsyncs its
-own section and sends its own ``map-done``; a block that cannot be
-fetched fails its own task; the mapped-ahead columns live no longer than
-the run (one slot's, with ``task_slots > 1``).  A task keeps its
-data as columns — ``keys: uint64[n]`` plus an ``n x L`` value matrix —
-from the moment a block's or a shuffle response's bytes are decoded
+The unit of compute and of durability is a *run*, the unit of
+registration and reply a *task*.  The coordinator sends a node's share of
+a batch as one message, so the map commands of one chain, job and epoch
+arrive together and the first takes the rest with it.  The map UDF runs
+over all their rows at once — the epoch re-checked before every pass of
+the MD5 kernel, about every 16 384 rows — because the batch kernel's
+cost is per call and one 3 000-row block pays it for too few rows; the
+mapped columns are partitioned by one sort and one encode; each task's
+section is appended, its epoch re-checked right before (a cancelled task
+appends nothing); one fsync makes the run durable, and only then does
+every task answer, in task order: ``map-done``, or ``task-failed`` for a
+block that could not be fetched or a task the epoch cancelled.  The
+mapped-ahead columns live no longer than the run (one slot's, with
+``task_slots > 1``).  A task keeps its data as columns — ``keys:
+uint64[n]`` plus an ``n x L`` value matrix — from the moment a block's
+or a shuffle response's bytes are decoded
 (:func:`~repro.runtime.storage.decode_columns`) to the moment the output
 frames are written: map and reduce are the batch UDFs of
 :mod:`repro.localexec.records`, defined as byte-for-byte what the
@@ -52,8 +56,10 @@ busy, one rule cancels in both slot modes: a command older than the
 newest epoch on the wire is skipped when it is picked up — the whole
 queued share of a cancelled map phase falls through in microseconds —
 and the task *in flight* re-checks once right before its store write (a
-run of map tasks also before each kernel pass) and does not commit (no
-fsync'd bytes, no ``*-done`` event).
+run of map tasks before each kernel pass and each task's section) and
+does not commit (no fsync'd bytes, no ``*-done`` event).  A run already
+past its last check commits whole: per slot, the one run in flight is
+what a bump can come too late for.
 A skipped or aborted task answers ``task-failed`` / ``"cancelled"`` so a
 speculative race waiting on it settles; drops and reclaims of a
 cancelled epoch stay silent.  Before running the first command of a new
@@ -82,7 +88,7 @@ from repro.runtime.storage import (
     decode_columns,
     encode_columns,
     filter_split,
-    partition_columns,
+    partition_run,
 )
 
 #: multiprocessing.Process target — keep the signature pickle-friendly
@@ -121,9 +127,9 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
     try:
         while True:
             if not pending:
-                pending.append(commands.get())
+                pending.extend(commands.get())
             while not commands.empty():  # a map looks ahead in the arrived
-                pending.append(commands.get_nowait())
+                pending.extend(commands.get_nowait())
             cmd = pending.popleft()
             if cmd["op"] == "stop":
                 break
@@ -134,17 +140,21 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
 
 
 def _intake(cmd_conn, worker: "_Worker", commands) -> None:
-    """The command intake thread: read the pipe, note the newest epoch on
-    the wire, hand every command over in arrival order.  A closed pipe
-    (the coordinator is gone) ends the worker like a ``stop``."""
+    """The command intake thread: read the pipe — a message is one
+    command or a node's share of a batch, a list — note the newest epoch
+    on the wire, hand the commands over in arrival order, a message as
+    one item.  A closed pipe (the coordinator is gone) ends the worker
+    like a ``stop``."""
     while True:
         try:
-            cmd = cmd_conn.recv()
+            message = cmd_conn.recv()
         except transport.CHANNEL_DOWN:
-            cmd = {"op": "stop"}
-        worker.hear(cmd.get("epoch"))
-        commands.put(cmd)
-        if cmd["op"] == "stop":
+            message = {"op": "stop"}
+        cmds = message if isinstance(message, list) else [message]
+        for cmd in cmds:
+            worker.hear(cmd.get("epoch"))
+        commands.put(cmds)
+        if any(cmd["op"] == "stop" for cmd in cmds):
             return
 
 
@@ -278,23 +288,20 @@ class _Worker:
             self.execute_run(run)
 
     def execute_run(self, run: list) -> None:
-        """Execute one unit of compute — a lone command, or a run of map
-        commands of one chain, job and epoch — as units of commit: the
-        map UDF runs once over the run's rows, then every task checks,
-        commits and answers on its own."""
-        mapped = self._map_run(run) if run[0]["op"] == "map" else [None]
-        for cmd, outcome in zip(run, mapped):
-            self.execute(cmd, outcome)
+        """Execute one unit of compute and commit: a run of map commands
+        of one chain, job and epoch, or a lone command."""
+        if run[0]["op"] == "map":
+            self._map_run(run)
+        else:
+            self.execute(run[0])
 
-    def execute(self, cmd: dict, mapped=None) -> None:
+    def execute(self, cmd: dict) -> None:
         op = cmd.get("op")
         chain = cmd.get("chain")
         try:
             self._check_epoch(cmd)
             store = self._store(chain)
-            if op == "map":
-                self._map(cmd, store, mapped)
-            elif op == "reduce":
+            if op == "reduce":
                 self._reduce(cmd, chain, store)
             elif op == "replicate":
                 self._replicate(cmd, chain, store)
@@ -317,24 +324,30 @@ class _Worker:
                                                        piece_jobs))
             else:
                 raise ValueError(f"unknown op {op!r}")
-        except _Cancelled:
+        except Exception as exc:
+            self._fail(cmd, exc)
+
+    def _fail(self, cmd: dict, exc: Exception) -> None:
+        """Answer a command that did not commit."""
+        if isinstance(exc, _Cancelled):
             # skipped in the queue or aborted before its commit: nothing
             # was written.  A task still answers, so a speculative race
             # waiting on this attempt settles; drops and reclaims of a
             # cancelled epoch stay silent
-            if op in protocol.TASK_OPS:
+            if cmd.get("op") in protocol.TASK_OPS:
                 self.evt.send(protocol.reply("task-failed", self.node, cmd,
                                              self.pid, "cancelled"))
-        except transport.FetchError as exc:
+        elif isinstance(exc, transport.FetchError):
             self.evt.send(protocol.reply("task-failed", self.node, cmd,
                                          self.pid, str(exc)))
-        except Exception:
+        else:
             # a software bug, not a fetch casualty: stay alive and hand
             # the coordinator the traceback, so a deterministic error
             # surfaces as a diagnostic instead of reading as a node
             # death and cascading through recovery
-            self.evt.send(protocol.reply("task-error", self.node, cmd,
-                                         self.pid, traceback.format_exc()))
+            self.evt.send(protocol.reply(
+                "task-error", self.node, cmd, self.pid,
+                "".join(traceback.format_exception(exc))))
 
     def _done(self, cmd: dict, result=None, fetched: int = 0,
               local: int = 0) -> None:
@@ -423,61 +436,71 @@ class _Worker:
         return total
 
     # -- tasks -----------------------------------------------------------
-    def _map_run(self, run: list) -> list:
-        """Resolve a run's blocks and map all their rows in one column
-        pass.  One outcome per task: ``(keys, values, fetched, local,
-        seconds)`` — its resolve time plus its share of the pass, pro rata
-        by rows — or the exception it is to raise: its own block's (a
-        ``FetchError`` fails that task, not the run) or the pass's."""
+    def _map_run(self, run: list) -> None:
+        """A run of map commands as one unit of compute and commit:
+        resolve every task's block, map all their rows in one column pass
+        and partition the mapped columns with one sort and one encode;
+        then append a section per task, its epoch re-checked right before,
+        commit them all with one fsync, and answer every task in task
+        order.  A block that cannot be fetched fails only its own task; a
+        task the epoch cancelled appends nothing."""
+        started = time.perf_counter()
         chain, job = run[0].get("chain"), run[0]["job"]
-        outcomes: list = []
-        passes: dict = {}  # ragged and uniform value columns: one each
+        failed: dict[int, Exception] = {}   # task index -> its answer
+        traffic: dict[int, tuple] = {}      # -> (bytes fetched, local)
+        counts: dict[int, dict] = {}        # -> committed record counts
         try:
             self._check_epoch(run[0])
             store = self._store(chain)
-            for cmd in run:
-                started = time.perf_counter()
+            blocks: dict = {}
+            passes: dict = {}  # ragged and uniform value columns: one each
+            for i, cmd in enumerate(run):
                 try:
-                    block = self._block_columns(cmd, chain, store,
-                                                self._ports)
+                    keys, values, *traffic[i] = self._block_columns(
+                        cmd, chain, store, self._ports)
                 except Exception as exc:
-                    outcomes.append(exc)
+                    failed[i] = exc
                     continue
-                passes.setdefault(block[1].shape[1:], []).append(
-                    len(outcomes))
-                outcomes.append((*block, time.perf_counter() - started))
+                blocks[i] = keys, values
+                passes.setdefault(values.shape[1:], []).append(i)
+            slices: dict = {}
             for members in passes.values():
-                started = time.perf_counter()
-                # the epoch re-checked before every pass of the MD5 kernel,
-                # so a cancelled run stops within one
+                taken = [blocks.pop(i) for i in members]
+                # the epoch re-checked before every pass of the MD5
+                # kernel, so a cancelled run stops within one
                 keys, values = map_batch(*(
-                    np.concatenate([outcomes[i][column] for i in members])
+                    np.concatenate([block[column] for block in taken])
                     for column in (0, 1)), job,
                     lambda: self._check_epoch(run[0]))
-                per_row = (time.perf_counter() - started) / max(1, len(keys))
-                cuts = np.cumsum([len(outcomes[i][0]) for i in members])[:-1]
-                for i, task_keys, task_values in zip(
-                        members, np.split(keys, cuts), np.split(values, cuts)):
-                    *_, fetched, local, seconds = outcomes[i]
-                    outcomes[i] = (task_keys, task_values, fetched, local,
-                                   seconds + per_row * len(task_keys))
-        except Exception as exc:
-            return [exc] * len(run)
-        return outcomes
+                slices.update(zip(members, partition_run(
+                    keys, values, run[0]["n_partitions"],
+                    [len(block[0]) for block in taken])))
+                # the mapped columns go before the commit: the memory tier
+                # copies the slices out of the run's one frame buffer
+                del taken, keys, values
 
-    def _map(self, cmd: dict, store: NodeStore, mapped) -> None:
-        if isinstance(mapped, Exception):
-            raise mapped
-        keys, values, fetched, local, seconds = mapped
-        started = time.perf_counter()
-        slices = partition_columns(keys, values, cmd["n_partitions"])
-        self._check_epoch(cmd)
-        counts = store.write_map_slices(cmd["job"], cmd["task"],
-                                        cmd["origin"], slices)
-        # the throttle stretches the task *before* its commit event, so
-        # a slow node's commits land at 1/factor speed, not just its slot
-        self.throttle.pace(seconds + time.perf_counter() - started)
-        self._done(cmd, counts, fetched, local)
+            def sections():
+                for i in sorted(slices):
+                    try:
+                        self._check_epoch(run[i])
+                    except _Cancelled:
+                        return  # it and every later task: not a byte
+                    yield run[i]["task"], run[i]["origin"], slices[i]
+
+            # a slow node's run is stretched before its commit, so an
+            # epoch bump heard meanwhile still cancels it
+            self.throttle.pace(time.perf_counter() - started)
+            committed = set(store.write_map_run(job, sections()))
+            counts.update((i, {p: n for p, (n, _) in slices[i].items()})
+                          for i in slices if run[i]["task"] in committed)
+        except Exception as exc:
+            for i in range(len(run)):
+                failed.setdefault(i, exc)
+        for i, cmd in enumerate(run):
+            if i in counts:
+                self._done(cmd, counts[i], *traffic[i])
+            else:
+                self._fail(cmd, failed.get(i, _Cancelled()))
 
     def _reduce(self, cmd: dict, chain, store: NodeStore) -> None:
         started = time.perf_counter()
@@ -513,18 +536,18 @@ class _Worker:
                 for task_id in by_node[self.node]), split_index, n_splits))
         data = b"".join(landed)
         keys, values = reduce_batch(*decode_columns(data))
+        self.throttle.pace(time.perf_counter() - started)
         self._check_epoch(cmd)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 encode_columns(keys, values))
-        self.throttle.pace(time.perf_counter() - started)
         self._done(cmd, len(keys), fetched, len(data) - fetched)
 
     def _replicate(self, cmd: dict, chain, store: NodeStore) -> None:
         """Copy one stored piece from its primary holder to this node's
         disk (REPL-k / hybrid anchors): fetch the encoded bytes over the
-        shuffle transport and commit them behind the same atomic rename
-        as a locally computed piece — a SIGKILL mid-copy can never leave
-        a torn committed replica."""
+        shuffle transport and commit them as the same fsync'd section
+        append as a locally computed piece — a SIGKILL mid-copy leaves a
+        torn tail no scan reads, never a torn committed replica."""
         job, partition = cmd["job"], cmd["partition"]
         split_index, n_splits = cmd["split"], cmd["n_splits"]
         source = cmd["source"]
@@ -539,9 +562,9 @@ class _Worker:
         data = self.pool.fetch_piece(
             self._ports[source], job, partition, split_index, n_splits,
             chain=piece_chain)
+        self.throttle.pace(time.perf_counter() - started)
         self._check_epoch(cmd)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 data)
-        self.throttle.pace(time.perf_counter() - started)
         self._done(cmd, None, len(data))
 

@@ -13,6 +13,7 @@ record, a duplicated key, a stale Fig. 5 map output — changes the final
 checksum.
 """
 
+import collections
 import functools
 import os
 import time
@@ -838,18 +839,34 @@ def survivor_tmp_files(root, survivors):
             for name in names if name.endswith(".tmp")]
 
 
+def largest_map_share(chain: LocalJobConfig, jobs, n_nodes: int = 4) -> int:
+    """The most map tasks one node holds of any of ``jobs`` when nothing
+    has failed: the largest share of a map phase that travels to one
+    worker as one message and runs there as one run.  Upstream pieces
+    are uneven, so a share can exceed ``records_per_node /
+    records_per_block`` (the process runtime's registry enumerates
+    blocks exactly like the reference engine)."""
+    cluster = LocalCluster(n_nodes, chain)
+    for job in range(1, chain.n_jobs + 1):
+        cluster.run_job(job)
+    return max(max(collections.Counter(
+        block.node for block in cluster.input_blocks(job)).values())
+        for job in jobs)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("task_slots", [1, 2])
 @pytest.mark.parametrize("strategy", ["rcmp", "repl2"])
 def test_death_cancels_the_queued_map_phase(tmp_path, strategy, task_slots):
-    """A death at the start of job 3 finds ~10 of its map tasks queued on
-    every survivor.  The epoch bump reaches a worker's intake while its
-    executor is busy, so the queue is skipped, not run: per slot only the
-    task already past its pre-commit check, a completion already on the
-    wire and whatever finishes in the ~1 ms before the first recovery
-    command is sent commit under the cancelled epoch (one slot used to
-    commit all ~30), an aborted task leaves no tmp file, and the output
-    is the reference's."""
+    """A death at the start of job 3 finds every survivor's share of its
+    map phase — ~10 tasks, one message, one run — queued or in flight.
+    The epoch bump reaches a worker's intake while its executor is busy:
+    a run not yet started is skipped, and the run in flight stops at its
+    next MD5-pass tick or its next section's epoch check.  A run already
+    past those commits whole under the cancelled epoch, as it is the
+    unit of durability — so per survivor at most one share commits,
+    whatever the slot count (a share is one run on one slot), an aborted
+    task leaves no tmp file, and the output is the reference's."""
     tracer = RecordingTracer()
     report = run_process_chain(
         tmp_path, chain=WIDE, strategy=strategy, task_slots=task_slots,
@@ -857,7 +874,8 @@ def test_death_cancels_the_queued_map_phase(tmp_path, strategy, task_slots):
     assert report.checksum == reference_checksum(WIDE)
     assert [node for _, node in report.deaths] == [1]
     survivors = (0, 2, 3)
-    assert report.cancelled_commits <= 3 * len(survivors) * task_slots
+    assert report.cancelled_commits <= \
+        len(survivors) * largest_map_share(WIDE, [3])
     assert len(instants(tracer, "cancelled-commit")) == \
         report.cancelled_commits
     assert survivor_tmp_files(tmp_path / "cluster", survivors) == []

@@ -30,8 +30,14 @@ from repro.localexec import md5 as md5_mod
 from repro.localexec.records import generate_records, split_of
 from repro.obs import RecordingTracer
 from repro.runtime import protocol
+from repro.runtime import storage as storage_mod
 from repro.runtime import worker as worker_mod
-from repro.runtime.coordinator import Coordinator, RuntimeConfig, _Link
+from repro.runtime.coordinator import (
+    Coordinator,
+    RuntimeConfig,
+    WorkerPool,
+    _Link,
+)
 from repro.runtime.storage import (
     NodeStore,
     PieceEntry,
@@ -456,6 +462,45 @@ def test_ports_broadcast_once_per_epoch(tmp_path):
     assert [cmd_recv.recv()["op"] for _ in range(2)] == ["ports", "drop"]
 
 
+def test_run_tasks_sends_each_nodes_share_as_one_message(tmp_path,
+                                                        monkeypatch):
+    """A batch reaches each worker as one pipe message per node — after
+    its epoch's ``ports``, the node's commands as a list, a share of one
+    as the plain command — while the bookkeeping stays per task: each
+    command is stamped, recorded as dispatched and answered on its own."""
+    coord = Coordinator(RuntimeConfig(n_nodes=2, chain=CHAIN),
+                        tmp_path / "cluster")
+    pool, run = coord.pool, coord.chain_run
+    shares = {0: [0, 1, 3, 4], 1: [2]}
+    for node, tasks in shares.items():
+        _, cmd_send = multiprocessing.Pipe(duplex=False)
+        evt_recv, evt_send = multiprocessing.Pipe(duplex=False)
+        pool._links[node] = _Link(node, _FakeProc(), cmd_send, evt_recv,
+                                  pid=4242, port=1,
+                                  last_seen=time.monotonic())
+        for task in tasks:
+            evt_send.send(_event("map-done", ("map", 1, task), node=node,
+                                 result={0: 5}))
+    pool.alive = {0, 1}
+    sent, dispatched = [], []
+    monkeypatch.setattr(WorkerPool, "_send_locked", staticmethod(
+        lambda link, message: sent.append((link.node, message))))
+    monkeypatch.setattr(pool.progress, "record_dispatch",
+                        lambda node, now: dispatched.append(node))
+    run._run_tasks({("map", 1, task): (
+        0 if task != 2 else 1, {"op": "map", "job": 1, "task": task,
+                                "origin": None}) for task in range(5)},
+        phase="test")
+    assert [node for node, _ in sent] == [0, 0, 1, 1]
+    assert [sent[i][1]["op"] for i in (0, 2)] == ["ports", "ports"]
+    assert [(c["key"], c["epoch"]) for c in sent[1][1]] == \
+        [(("map", 1, task), 0) for task in shares[0]]
+    assert sent[3][1]["key"] == ("map", 1, 2)
+    assert dispatched == [0, 0, 0, 0, 1]
+    assert sorted(run.registry.map_outputs) == [(1, task)
+                                                for task in range(5)]
+
+
 def test_config_validates_data_plane_knobs():
     with pytest.raises(ValueError):
         RuntimeConfig(task_slots=0)
@@ -630,9 +675,9 @@ def test_epoch_bump_cancels_the_queue_through_a_real_pipe(
     if held_in == "compute":
         monkeypatch.setattr(worker_mod, "map_batch",
                             hold_first(worker_mod.map_batch))
-    else:
-        monkeypatch.setattr(NodeStore, "write_map_slices",
-                            hold_first(NodeStore.write_map_slices))
+    else:  # the first section's append, past its epoch check
+        monkeypatch.setattr(storage_mod._Segment, "append",
+                            hold_first(storage_mod._Segment.append))
     real_hear = _Worker.hear
 
     def hear(self, seen):
@@ -883,21 +928,22 @@ def test_an_epoch_bump_inside_a_run_stops_it_within_one_pass(
 
 def test_an_epoch_bump_between_commits_of_a_run_commits_nothing_further(
         tmp_path, monkeypatch):
-    """The run is mapped; the bump lands while its tasks commit one by
-    one: each re-checks right before its own store write, so the tasks
-    already durable answer ``map-done`` and the rest ``cancelled`` — and
-    the mapped-ahead columns go with the run."""
+    """The run is mapped; the bump lands while its tasks' sections are
+    appended one by one: each re-checks right before its own append, so
+    the tasks already appended are made durable by the run's one fsync
+    and answer ``map-done``, and the rest answer ``cancelled`` — and the
+    mapped-ahead columns go with the run."""
     n, durable = 5, 2
     worker = _run_worker(tmp_path)
-    real = NodeStore.write_map_slices
+    real = storage_mod._Segment.append
 
-    def write_then_bump(store, job, task, *rest):
-        counts = real(store, job, task, *rest)
+    def append_then_bump(segment, task, *rest):
+        entry = real(segment, task, *rest)
         if task == durable - 1:
             worker.hear(1)
-        return counts
+        return entry
 
-    monkeypatch.setattr(NodeStore, "write_map_slices", write_then_bump)
+    monkeypatch.setattr(storage_mod._Segment, "append", append_then_bump)
     try:
         _dispatch_as_one_run(worker, _map_commands(range(n), 8))
         assert [(e.kind, e.key[2]) for e in worker.evt.sent] == \
@@ -931,6 +977,76 @@ def test_a_fetch_error_on_a_looked_ahead_block_fails_only_its_task(
             worker.store.map_segment_path(1))) == [0, 1, 3]
     finally:
         worker.close()
+
+
+@pytest.mark.parametrize("rows", [8, 1500])
+def test_a_run_costs_one_fsync_and_answers_after_it_in_task_order(
+        tmp_path, monkeypatch, rows):
+    """N map tasks computed as one run commit as one: one ``fsync`` of
+    the job's segment covers every section, and each ``map-done`` is
+    sent after it, in task order."""
+    n, log = 6, []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (log.append("fsync"),
+                                                 real_fsync(fd))[1])
+    worker = _run_worker(tmp_path)
+    real_send = worker.evt.send
+    worker.evt.send = lambda event: (log.append((event.kind, event.key[2])),
+                                     real_send(event))[1]
+    try:
+        _dispatch_as_one_run(worker, _map_commands(range(n), rows))
+    finally:
+        worker.close()
+    assert log == ["fsync"] + [("map-done", task) for task in range(n)]
+
+
+def test_a_run_queued_behind_the_one_in_flight_is_skipped_on_a_bump(
+        tmp_path, monkeypatch):
+    """Two chains' shares queued on one slot when the epoch bumps: the
+    run in flight is past its epoch checks (its fsync is under way), so
+    it commits whole under the cancelled epoch — the one run per slot
+    the bump comes too late for — while the run queued behind it is
+    skipped without writing a byte, and the new epoch's command runs."""
+    n, epoch = 4, 3
+    entered, release, heard = (threading.Event() for _ in range(3))
+    real_fsync = os.fsync
+
+    def held(fd):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10.0)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", held)
+    real_hear = _Worker.hear
+
+    def hear(self, seen):
+        real_hear(self, seen)
+        if seen == epoch + 1:
+            heard.set()
+
+    monkeypatch.setattr(_Worker, "hear", hear)
+    try:
+        with _piped_worker(tmp_path) as (_, cmd_send, evt_recv):
+            cmd_send.send({"op": "ports", "epoch": epoch, "ports": {}})
+            for chain in ("a", "b"):
+                cmd_send.send([dict(cmd, chain=chain) for cmd in
+                               _map_commands(range(n), 8, epoch=epoch)])
+            assert entered.wait(10.0)  # run a in its fsync, run b queued
+            _send_epoch(cmd_send, epoch + 1, [n])
+            assert heard.wait(10.0)
+            release.set()
+            events = _events_until(evt_recv, 2 * n + 1)
+    finally:
+        release.set()
+    assert [(e.kind, e.chain, e.key[2], e.epoch) for e in events] == \
+        [("map-done", "a", task, epoch) for task in range(n)] + \
+        [("task-failed", "b", task, epoch) for task in range(n)] + \
+        [("map-done", None, n, epoch + 1)]
+    store = NodeStore(tmp_path, 0)
+    assert sorted(scan_segment(store.for_chain("a").map_segment_path(1))) \
+        == list(range(n))
+    assert not store.for_chain("b").map_segment_path(1).exists()
 
 
 def test_a_run_ends_where_chain_job_or_epoch_change(tmp_path, monkeypatch):

@@ -38,7 +38,7 @@ from repro.runtime.storage import (
     filter_split_spans,
     iter_record_frames,
     iter_records,
-    partition_columns,
+    partition_run,
     piece_key,
     scan_segment,
 )
@@ -191,17 +191,28 @@ def test_filter_split_spans_equal_the_frame_walk(records):
 
 
 @settings(max_examples=100, deadline=None)
-@given(records=records_strategy, n_partitions=st.integers(1, 5))
+@given(records=records_strategy, n_partitions=st.integers(1, 5),
+       cuts=st.lists(st.integers(0, 24), max_size=4))
 @example(records=generate_records(3000, seed=3, value_size=16),
-         n_partitions=8)  # a map block of the spine's shape
-def test_partition_columns_routes_like_partition_of(records, n_partitions):
-    slices = partition_columns(*decode_columns(encode_records(records)),
-                               n_partitions)
-    assert list(slices) == sorted(slices)  # ascending, and only non-empty
-    assert slices == {
-        p: (len(mine), encode_records(mine))
-        for p in range(n_partitions)
-        if (mine := [r for r in records if r.key % n_partitions == p])}
+         n_partitions=8, cuts=[])  # a map block of the spine's shape
+@example(records=generate_records(3000, seed=3, value_size=16),
+         n_partitions=8, cuts=[300 * i for i in range(1, 10)])  # a run
+def test_partition_run_routes_like_partition_of(records, n_partitions,
+                                                cuts):
+    """A run's batch cut into consecutive tasks at ``cuts``: each task's
+    slices are what routing its own records alone yields."""
+    bounds = [0, *sorted(min(cut, len(records)) for cut in cuts),
+              len(records)]
+    tasks = [records[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    routed = partition_run(*decode_columns(encode_records(records)),
+                           n_partitions, [len(task) for task in tasks])
+    assert len(routed) == len(tasks)
+    for slices, task in zip(routed, tasks):
+        assert list(slices) == sorted(slices)  # ascending, only non-empty
+        assert slices == {
+            p: (len(mine), encode_records(mine))
+            for p in range(n_partitions)
+            if (mine := [r for r in task if r.key % n_partitions == p])}
 
 
 # ------------------------------------------ one segment per node and job

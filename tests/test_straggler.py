@@ -255,10 +255,10 @@ def test_throttle_pace_stretches_elapsed_time():
 
 def test_a_throttled_run_stretches_every_commit_not_the_first(
         tmp_path, monkeypatch):
-    """A run's map pass is computed once but charged to its tasks pro
-    rata by rows, so a ``slow@`` node paces *every* commit of the run by
-    its factor — not the first by the whole pass and the rest by their
-    few hundred microseconds of commit."""
+    """A run is computed, committed and paced as one: a ``slow@`` node
+    sleeps for the run's time by its factor before its commit, so
+    *every* commit of the run is stretched — not the first by the whole
+    pass and the rest by their few hundred microseconds of commit."""
     n, rows, pass_s = 4, 8, 0.08
     real = worker_mod.map_batch
 
@@ -271,7 +271,7 @@ def test_a_throttled_run_stretches_every_commit_not_the_first(
 
     class Recorder(Throttle):
         def pace(self, elapsed):
-            charged.append(elapsed)
+            charged.append((elapsed, len(worker.evt.sent)))
 
     worker = worker_mod._Worker(0, NodeStore(tmp_path, 0), _EventSink(),
                                 throttle=Recorder(10.0))
@@ -281,9 +281,9 @@ def test_a_throttled_run_stretches_every_commit_not_the_first(
     finally:
         worker.close()
     assert [e.kind for e in worker.evt.sent] == ["map-done"] * n
-    assert len(charged) == n
-    assert all(share >= 0.9 * pass_s / n for share in charged)
-    assert pass_s <= sum(charged) < 2 * pass_s + 1.0
+    [(elapsed, sent_before)] = charged
+    assert sent_before == 0
+    assert pass_s <= elapsed < 2 * pass_s + 1.0
 
 
 # ------------------------------------------------------- placement policy

@@ -1,4 +1,4 @@
-"""Measure what committing a small map output costs, four ways.
+"""Measure what committing a small map output costs, five ways.
 
 Each way makes the same promise — the bytes are fsync'd before the commit
 is acknowledged — for ``--bytes`` of payload, on the filesystem under
@@ -7,8 +7,10 @@ is acknowledged — for ``--bytes`` of payload, on the filesystem under
 ``each``    one tmp file + fsync + rename per commit (the old layout)
 ``batch5``  five tmp files written, then five fsyncs, then five renames
 ``one5``    five commits' payloads in one tmp file, one fsync, one rename
-``append``  one append + fsync to an already-open file per commit (the
-            layout now, map outputs and reduce pieces alike)
+``append``  one append + fsync to an already-open file per commit (how
+            a reduce piece or replica commits, and a lone map task)
+``run5``    five appends to an already-open file, then one fsync (how a
+            run of map tasks commits: a section per task, one fsync)
 
 Prints wall and CPU milliseconds **per commit** with 1 and with 4
 processes committing at once (each in its own directory), and how much
@@ -51,7 +53,7 @@ def run(way: str, root: str, commits: int, payload: bytes,
     os.makedirs(root, exist_ok=True)
     log = open(os.path.join(root, "log"), "ab")
     w0, c0 = time.perf_counter(), time.process_time()
-    for i in range(0, commits, 5 if way in ("batch5", "one5") else 1):
+    for i in range(0, commits, 1 if way in ("each", "append") else 5):
         if way == "each":
             _commit_files(root, [f"t{i}"], payload)
         elif way == "batch5":
@@ -59,8 +61,9 @@ def run(way: str, root: str, commits: int, payload: bytes,
         elif way == "one5":
             _commit_files(root, [f"w{i}"], payload * 5)
         else:
-            log.write(payload)
-            log.flush()
+            for _ in range(5 if way == "run5" else 1):
+                log.write(payload)
+                log.flush()
             os.fsync(log.fileno())
     spent = time.perf_counter() - w0, time.process_time() - c0
     log.close()
@@ -81,7 +84,7 @@ def main(argv=None) -> int:
           "wall / CPU ms per commit | commits/s, 4 vs 1 |")
     print("|---|---|---|---|")
     with tempfile.TemporaryDirectory(dir=args.dir) as root:
-        for way in ("each", "batch5", "one5", "append"):
+        for way in ("each", "batch5", "one5", "append", "run5"):
             wall1, cpu1 = run(way, f"{root}/{way}-solo", args.commits,
                               payload)
             results = ctx.Queue()
