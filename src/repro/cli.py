@@ -8,7 +8,7 @@ Usage::
     rcmp-repro run --cluster stic --strategy rcmp --failures 7
     rcmp-repro run --cluster tiny --failures 2 --trace /tmp/run.json
     rcmp-repro exec --backend process --nodes 4 --faults "kill@job2+0.1"
-    rcmp-repro serve --nodes 4 --port 7421 --task-slots 2 --mtbf 30
+    rcmp-repro serve --nodes 4 --port 7421 --mtbf 30
     rcmp-repro submit --port 7421 --jobs 3 --records 64 --wait
     rcmp-repro status --port 7421
     rcmp-repro analyze /tmp/run.json
@@ -51,20 +51,6 @@ def _split_ratio(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'auto', got {text!r}")
-
-
-def _task_slots(text: str):
-    """argparse type for --task-slots: a positive int, or "auto"."""
-    if text.lower() == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("--task-slots must be >= 1")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,27 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help='planned fault events, e.g. "kill@job1+5", '
                         '"kill@job2:node=3; kill@job2+0.5", or a '
                         'straggler "slow@2:10" (node 2 runs 10x slow; '
-                        'the process backend throttles the live worker '
+                        'the process backend throttles the live worker, '
+                        'backs up its tail tasks on idle healthy peers '
                         'and, once it is suspected slow, copies its '
                         'outputs to a healthy peer so its later death '
                         'cascades nothing; the inproc backend kills at '
                         'the job boundary and takes fail-stop only)')
-    p.add_argument("--speculation", action="store_true",
-                   help="launch backup attempts for tail tasks on idle "
-                        "slots; first commit wins, the loser's partial "
-                        "output is swept (process backend)")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="RNG seed picking unpinned kill victims")
     p.add_argument("--fault-scale", type=float, default=1.0,
                    help="multiply fault-plan offsets (shrink simulated-"
                         "seconds plans onto fast real runs)")
-    p.add_argument("--task-slots", type=_task_slots, default=1,
-                   metavar="N",
-                   help='concurrent tasks per worker process: 1 (the '
-                        'default) keeps classic single-slot semantics, '
-                        'N > 1 runs tasks on a slot thread pool, "auto" '
-                        "splits the host's cores across the workers "
-                        "(process backend)")
     p.add_argument("--memory-budget", type=int, default=64,
                    metavar="MiB",
                    help="hot-tier bytes each worker pins in RAM: "
@@ -215,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7421,
                    help="front-door TCP port (0 = pick a free one)")
     p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--task-slots", type=_task_slots, default=2,
-                   metavar="N",
-                   help="concurrent task slots per worker (chains from "
-                        "different tenants share the slots)")
     p.add_argument("--policy", default="fifo", choices=("fifo", "fair"),
                    help="admission order: strict FIFO, or fair-share "
                         "(least-loaded tenant first)")
@@ -234,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replace-dead", action="store_true",
                    help="respawn a replacement worker for each dead "
                         "node so the pool does not bleed capacity")
-    p.add_argument("--speculation", action="store_true",
-                   help="default straggler speculation for submitted "
-                        "chains (overridable per submission); "
-                        "pre-replication off a suspected-slow node is "
-                        "always on")
     p.add_argument("--heartbeat-interval", type=float, default=0.05)
     p.add_argument("--heartbeat-expiry", type=float, default=0.0)
     p.add_argument("--cache-budget", type=int, default=64, metavar="MiB",
@@ -277,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="rcmp",
                    choices=("rcmp", "optimistic", "repl2", "repl3",
                             "hybrid"))
-    p.add_argument("--speculation", action="store_true",
-                   help="straggler speculation for this chain "
-                        "(pre-replication is always on)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-cache", action="store_true",
                    help="opt this chain out of the cross-run result "
@@ -405,9 +369,7 @@ def _exec_process(args, chain, model, tracer):
                                heartbeat_interval=args.heartbeat_interval,
                                heartbeat_expiry=args.heartbeat_expiry,
                                strategy=args.strategy,
-                               task_slots=args.task_slots,
                                memory_budget=args.memory_budget * (1 << 20),
-                               speculation=args.speculation,
                                **kwargs)
         workctx = (nullcontext(args.workdir) if args.workdir
                    else tempfile.TemporaryDirectory(prefix="rcmp-exec-"))
@@ -440,10 +402,6 @@ def _exec_inproc(args, chain, model, tracer):
         raise SystemExit("rcmp-repro: the inproc backend recovers with "
                          "rcmp only; use --backend process for "
                          f"--strategy {args.strategy}")
-    if args.speculation:
-        raise SystemExit("rcmp-repro: speculation runs real backup "
-                         "attempts on worker processes; use --backend "
-                         "process")
     by_job = {}
     if model is not None:
         if model.stochastic:
@@ -523,9 +481,7 @@ def _cmd_serve(args) -> int:
             n_nodes=args.nodes, chain=LocalJobConfig(),
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_expiry=args.heartbeat_expiry,
-            task_slots=args.task_slots,
-            memory_budget=args.memory_budget * (1 << 20),
-            speculation=args.speculation)
+            memory_budget=args.memory_budget * (1 << 20))
         faults = (MTBFKills(args.mtbf, seed=args.fault_seed,
                             min_alive=args.min_alive)
                   if args.mtbf is not None else None)
@@ -543,7 +499,7 @@ def _cmd_serve(args) -> int:
                 cache_note = (f"cache={args.cache_budget}MiB"
                               if cache_budget else "cache=off")
                 print(f"chain service on {args.host}:{port}  "
-                      f"nodes={args.nodes} slots={args.task_slots} "
+                      f"nodes={args.nodes} "
                       f"policy={args.policy} "
                       f"max_concurrent={args.max_concurrent} "
                       f"{cache_note}",
@@ -581,8 +537,6 @@ def _cmd_submit(args) -> int:
     if dependencies is not None:
         payload["chain"]["dependencies"] = [list(d)
                                             for d in dependencies]
-    if args.speculation:
-        payload["overrides"]["speculation"] = True
     if args.no_cache:
         payload["no_cache"] = True
     try:

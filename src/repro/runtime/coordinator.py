@@ -78,7 +78,6 @@ import queue
 import signal
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
@@ -130,7 +129,7 @@ SPECULATION_MIN_AGE = 0.05
 #: workers are forked or by the pool's own detectors, so a chain running
 #: on a shared pool (:mod:`repro.runtime.service`) cannot override them
 POOL_FIELDS = frozenset({
-    "n_nodes", "task_slots", "memory_budget", "fetch_timeout",
+    "n_nodes", "memory_budget", "fetch_timeout",
     "heartbeat_interval", "heartbeat_expiry", "startup_timeout",
 })
 
@@ -166,10 +165,6 @@ class RuntimeConfig:
     #: dead before its deadline even ran out
     startup_timeout: float = 30.0
     fig5_guard: bool = True
-    #: concurrent tasks per worker process: 1 = classic single-slot
-    #: semantics, N > 1 = a slot thread pool, "auto" = cores-aware
-    #: (cpu count split across the co-hosted workers)
-    task_slots: int | str = 1
     #: per-attempt shuffle fetch timeout; must sit well under io_timeout
     #: so a dead source resolves to task-failed before dispatch is
     #: judged stalled
@@ -185,9 +180,6 @@ class RuntimeConfig:
     hybrid_replication: int = 2
     #: delete persisted map/reduce files behind each committed anchor
     hybrid_reclaim: bool = False
-    #: launch backup attempts for tail tasks on idle slots (first commit
-    #: wins; the loser's partial output is swept)
-    speculation: bool = False
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -221,10 +213,6 @@ class RuntimeConfig:
                 f"heartbeat_expiry ({self.heartbeat_expiry}s): a worker "
                 "still inside its startup budget may not be declared "
                 "dead for heartbeat silence")
-        if self.task_slots != "auto" and (
-                not isinstance(self.task_slots, int)
-                or self.task_slots < 1):
-            raise ValueError("task_slots must be a positive int or 'auto'")
         if self.fetch_timeout <= 0:
             raise ValueError("fetch_timeout must be positive")
         if self.fetch_timeout >= self.io_timeout:
@@ -237,13 +225,6 @@ class RuntimeConfig:
                 or self.memory_budget < 0:
             raise ValueError("memory_budget must be a non-negative "
                              "byte count (0 disables the memory tier)")
-        if self.n_nodes == 1 and self.speculation:
-            # nowhere to place a backup: warn and no-op instead of
-            # queuing it behind the only (possibly slow) node — see also
-            # the idle-slot check in backup placement
-            warnings.warn("speculation disabled: a 1-node cluster has no "
-                          "healthy peer to run it on", stacklevel=2)
-            object.__setattr__(self, "speculation", False)
         # reuses the simulator's detector semantics (and its validation)
         self.detector  # noqa: B018 -- construct to validate
 
@@ -257,18 +238,9 @@ class RuntimeConfig:
         """Replication factor every committed job output maintains."""
         return _REPLICATION.get(self.strategy, 1)
 
-    @property
-    def resolved_task_slots(self) -> int:
-        """``task_slots`` with ``"auto"`` resolved: the host's cores
-        split across the co-hosted workers, at least 1."""
-        if self.task_slots == "auto":
-            return max(1, (os.cpu_count() or 1) // self.n_nodes)
-        return int(self.task_slots)
-
     def worker_options(self) -> dict:
         """The data-plane knobs each forked worker receives."""
         return {
-            "task_slots": self.resolved_task_slots,
             "fetch_timeout": self.fetch_timeout,
             "server_timeout": self.io_timeout,
             "memory_budget": self.memory_budget,
@@ -371,7 +343,7 @@ class RunReport:
     @property
     def total_shuffle_bytes(self) -> int:
         """Every byte the chain's tasks pulled through the shuffle,
-        TCP and local combined — exact under any slot/node placement."""
+        TCP and local combined — exact under any node placement."""
         return self.total_shuffle_bytes_tcp + self.total_shuffle_bytes_local
 
     @property
@@ -635,7 +607,7 @@ class WorkerPool:
         if self._started:
             # keep the suspicion verdict fresh (cached ~0.05s) even when
             # nothing else polls it: pre-replication reads it after every
-            # wave, speculation (opt-in) on every dispatch tick
+            # wave, speculation on every dispatch tick
             self.suspected_slow()
         conns = {link.evt: node for node, link in self._links.items()
                  if (node in self.alive or node in self._respawning)
@@ -892,9 +864,10 @@ class ChainRun:
         #: ``*-done`` task events of this chain from a cancelled epoch
         self.cancelled_commits = 0
         #: task key -> losing node of a resolved speculative race; its
-        #: late duplicate event is swallowed and its output swept
+        #: late duplicate event is swallowed and its output swept.  A
+        #: death forgets every race: the epoch bump may re-home the task
+        #: onto the loser, whose sweep would then hide the new output
         self._spec_losers: dict[tuple, int] = {}
-        self._spec_warned = False
         self._pending_deaths: deque[int] = deque()
         self._inbox: Optional[queue.Queue] = None
 
@@ -1017,6 +990,7 @@ class ChainRun:
     def _handle_death(self, node: int) -> None:
         self.pool.on_death(node)  # no-op if another chain got there first
         self.deaths.append((self.pool.now(), node))
+        self._spec_losers.clear()
         if not self.pool.alive:
             raise RuntimeError("no surviving workers; chain unrecoverable")
         self.registry.record_death(node, self.done_jobs)
@@ -1096,7 +1070,12 @@ class ChainRun:
         shuffle transport.  Targets round-robin over the healthy
         non-holders so copies spread instead of piling onto one peer;
         only when none is left does a suspected-slow non-holder take
-        one — any second copy beats none."""
+        one — any second copy beats none.  The node still running the
+        losing attempt of a piece's speculative race comes last: its
+        queue would run the copy before the loser's sweep, which
+        tombstones the key and the copy with it — so a copy placed there
+        forgets the race instead (the copy's later section of the same
+        key supersedes the loser's, no sweep needed)."""
         alive = sorted(self.pool.alive)
         suspected = self.pool.suspected_since(self.started)
         cmds = {}
@@ -1106,15 +1085,21 @@ class ChainRun:
                 entry.job, self.config.replication_for(entry.job)),
                 len(alive))
             holders = self.registry.holders(*entry.key)
-            healthy = [n for n in alive
-                       if n not in holders and n not in suspected]
-            slow = [n for n in alive if n not in holders and n in suspected]
+            race = ("reduce", *entry.key)
+            loser = self._spec_losers.get(race)
+            healthy = [n for n in alive if n not in holders
+                       and n != loser and n not in suspected]
+            slow = [n for n in alive if n not in holders
+                    and n != loser and n in suspected]
+            last = [loser] if loser in alive and loser not in holders else []
             for _ in range(want - len(holders)):
-                candidates = healthy or slow
+                candidates = healthy or slow or last
                 if not candidates:
                     break
                 node = candidates.pop(rr % len(candidates))
                 rr += 1
+                if node == loser:
+                    del self._spec_losers[race]
                 cmds[("replicate", *entry.key, node)] = (
                     node, self._replicate_command(entry, node))
         return cmds
@@ -1490,9 +1475,8 @@ class ChainRun:
                 if key in outstanding:
                     self.pool.dispatch(outstanding[key][0],
                                        dict(outstanding[key][1]))
-            if self.config.speculation:
-                self._maybe_speculate(outstanding, backups, dispatched_at,
-                                      durations, total, now)
+            self._maybe_speculate(outstanding, backups, dispatched_at,
+                                  durations, total, now)
             evt = self._next_event()
             if evt is None:
                 continue
@@ -1553,7 +1537,7 @@ class ChainRun:
     def _maybe_speculate(self, outstanding: dict, backups: dict,
                          dispatched_at: dict, durations: list,
                          total: int, now: float) -> None:
-        """Launch backup attempts for tail tasks on idle healthy slots.
+        """Launch backup attempts for tail tasks on idle healthy nodes.
 
         A task earns a backup when its original sits on a suspected-slow
         node and is older than ``SPECULATION_MIN_AGE``, or — with half
@@ -1582,7 +1566,7 @@ class ChainRun:
                 continue
             backup = self._backup_candidate(node, suspected)
             if backup is None:
-                return  # no healthy idle slot anywhere: retry next tick
+                return  # no healthy idle node anywhere: retry next tick
             self.pool.dispatch(backup, dict(cmd))
             backups[key] = backup
             self.spec_attempts += 1
@@ -1592,24 +1576,15 @@ class ChainRun:
 
     def _backup_candidate(self, original: int,
                           suspected: set[int]) -> Optional[int]:
-        """The least-loaded healthy node with an idle slot, or None.
+        """The lowest-numbered healthy node with nothing in flight, or
+        None.
 
-        None means every healthy peer is saturated: the backup is NOT
-        queued — queuing it behind busy slots (worst case, behind the
-        straggler itself) would add load without cutting the tail."""
-        slots = self.config.resolved_task_slots
-        candidates = [n for n in sorted(self.pool.alive)
-                      if n != original and n not in suspected
-                      and self.pool.load(n) < slots]
-        if not candidates:
-            if not self._spec_warned:
-                self._spec_warned = True
-                warnings.warn(
-                    "speculation is a no-op right now: no healthy idle "
-                    "slot (raise task_slots or cluster size to give "
-                    "backups somewhere to run)", stacklevel=2)
-            return None
-        return min(candidates, key=lambda n: (self.pool.load(n), n))
+        None means every healthy peer is busy: the backup is NOT queued —
+        queuing it behind a run (worst case, behind the straggler
+        itself) would add load without cutting the tail."""
+        return next((n for n in sorted(self.pool.alive)
+                     if n != original and n not in suspected
+                     and self.pool.load(n) == 0), None)
 
     def _resolve_speculation(self, key: tuple, winner: int, original: int,
                              backup: int) -> None:
@@ -1628,10 +1603,13 @@ class ChainRun:
         """An event that missed the epoch/chain/outstanding guard.  If
         it is the losing attempt of a resolved speculative race, account
         its wasted work and sweep its orphan output from the loser's
-        disk (the drop paths, stamped with the current epoch); anything
-        else is cancelled work and moot — a task that still *committed*
-        under a cancelled epoch is counted, a ``"cancelled"`` failure
-        (skipped or aborted on the worker) wrote nothing."""
+        disk (the drop paths, stamped with the current epoch) — unless
+        the race predates the current epoch: a death since may have
+        re-homed the task onto the loser, so its output is left for
+        ``chain-close`` like any cancelled commit.  Anything else is
+        cancelled work and moot — a task that still *committed* under a
+        cancelled epoch is counted, a ``"cancelled"`` failure (skipped or
+        aborted on the worker) wrote nothing."""
         if evt.chain != self.chain_id:
             return
         key, node = evt.key, evt.node
@@ -1656,7 +1634,7 @@ class ChainRun:
         self.tracer.instant("cascade", "speculation-loser",
                             key=[str(k) for k in key], node=node,
                             wasted=evt.fetched)
-        if node in self.pool.alive:
+        if node in self.pool.alive and evt.epoch == self.pool.epoch:
             sweep = ({"op": "drop", "job": key[1], "task": key[2]}
                      if key[0] == "map" else
                      {"op": "drop-piece", "job": key[1],
@@ -1671,16 +1649,11 @@ class ChainRun:
     def _drain_spec_losers(self, deadline: float = 2.0) -> None:
         """Before the final checksum, wait briefly for resolved races'
         losing attempts to surface so their duplicates are swallowed and
-        their partial output swept.  Dead losers left nothing the
-        registry references; their entries are simply dropped.  No task
-        is outstanding here, so every event is stale by construction."""
+        their partial output swept.  A death ends the wait: it forgets
+        every race.  No task is outstanding here, so every event is stale
+        by construction."""
         t_end = time.monotonic() + deadline
         while self._spec_losers and time.monotonic() < t_end:
-            self._spec_losers = {k: n for k, n in
-                                 self._spec_losers.items()
-                                 if n in self.pool.alive}
-            if not self._spec_losers:
-                break
             try:
                 evt = self._next_event()
             except NodeDeath as death:

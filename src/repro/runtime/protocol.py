@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple, Optional
 
-#: ops that run on a worker slot thread, count as in-flight load on the
+#: ops that a worker answers as tasks, count as in-flight load on the
 #: pool's progress tracker, and (map/reduce) may be speculated
 TASK_OPS = ("map", "reduce", "replicate")
 

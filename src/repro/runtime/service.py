@@ -4,7 +4,7 @@ The single-chain :class:`~repro.runtime.coordinator.Coordinator` forks a
 worker set, runs one chain, and tears everything down.  RCMP's setting
 is the opposite — a resident cluster absorbing heavy traffic from many
 users — so :class:`ChainService` keeps one :class:`WorkerPool` of
-multi-slot workers alive and multiplexes submitted chains over it:
+workers alive and multiplexes submitted chains over it:
 
 * **Admission** is FIFO by default, with an optional ``fair`` policy
   (least-loaded tenant first) and a ``max_concurrent`` cap on chains
@@ -12,7 +12,7 @@ multi-slot workers alive and multiplexes submitted chains over it:
 * **Isolation**: each admitted chain gets a unique id that namespaces
   its files on every node (``node000/chains/<id>/...``), rides on every
   task command, and is echoed in every worker event, so one worker can
-  interleave task slots across chains without mixing streams.  Each
+  interleave runs of several chains without mixing streams.  Each
   chain owns its own :class:`~repro.runtime.storage.ClusterRegistry`
   and :class:`~repro.runtime.coordinator.RunReport`.
 * **Recovery isolation**: a node death is declared once by the pool and
@@ -150,7 +150,7 @@ class ChainService:
                  tracer: Optional[Tracer] = None,
                  faults=None, replace_dead: bool = False,
                  cache_budget: Optional[int] = None):
-        """``config`` fixes the pool shape (n_nodes, slots, transport
+        """``config`` fixes the pool shape (n_nodes, transport
         knobs) and is the template submissions override per chain.
         ``faults`` is typically an :class:`MTBFKills`; ``replace_dead``
         respawns a replacement worker for every dead node id.

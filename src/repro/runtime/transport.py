@@ -5,8 +5,8 @@ Three channels connect a worker to the rest of the runtime:
 * a **command pipe** (coordinator -> worker): task commands, invalidation
   drops, stop;
 * an **event pipe** (worker -> coordinator): heartbeats, readiness, task
-  commits and failures.  The worker writes it from several threads (slot
-  threads and heartbeat), serialized by :class:`LockedConnection`.  A
+  commits and failures.  The worker writes it from two threads (the
+  executor and the heartbeat), serialized by :class:`LockedConnection`.  A
   ``SIGKILL`` can only tear *this worker's* pipe — the coordinator reads
   a broken stream as an end-of-channel signal for that node alone, never
   a shared corrupted queue;
@@ -25,10 +25,9 @@ The shuffle data plane is **pipelined**:
   before shipping it (``split``/``n_splits`` in the request), so a k-way
   split recomputation ships 1/k of the partition bytes;
 * :class:`PeerPool` is the client side: one persistent connection per
-  peer port, shared across a worker's task slots (a per-peer lock
-  serializes request/response framing).  A broken connection falls back
-  to a clean reconnect; a genuinely dead peer surfaces as
-  :class:`FetchError` after ``retries`` attempts.
+  peer port.  A broken connection falls back to a clean reconnect; a
+  genuinely dead peer surfaces as :class:`FetchError` after ``retries``
+  attempts.
 
 Heartbeats follow :class:`repro.faults.HeartbeatDetector` semantics:
 workers beat every ``interval`` wall-clock seconds and the coordinator
@@ -77,8 +76,8 @@ class Throttle:
     task loop and shuffle serving both run at ``1/factor`` speed.  The
     heartbeat thread is deliberately *not* paced: a straggler is slow,
     not dead, and must keep beating so the detector never declares it
-    lost.  Shared by the slot threads and the shuffle server; ``set`` is
-    a single attribute store, safe without a lock."""
+    lost.  Shared by the executor and the shuffle server; ``set`` is a
+    single attribute store, safe without a lock."""
 
     def __init__(self, factor: float = 1.0):
         self._factor = float(factor)
@@ -332,86 +331,44 @@ class ShuffleServer:
 
 
 # ------------------------------------------------------------- fetch clients
-class _Peer:
-    """One peer's pooled connection + the lock framing its use."""
-
-    __slots__ = ("lock", "sock")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.sock: Optional[socket.socket] = None
-
-
 class PeerPool:
-    """Persistent per-peer shuffle connections, shared across task slots.
+    """Persistent per-peer shuffle connections of one worker's executor.
 
-    ``fetch`` holds the peer's lock for one request/response exchange
-    at a time, so concurrent fetches to *different* peers run in
-    parallel while fetches to the same peer serialize on its one
-    connection (and back off concurrently when it is down).  A
-    connection that breaks (peer died, or the server dropped an idle
-    connection) is discarded and rebuilt on the next attempt; after
-    ``retries`` failed attempts the peer is declared unreachable via
-    :class:`FetchError`."""
+    One connection per peer port, used by the one thread that runs the
+    worker's tasks.  A connection that breaks (peer died, or the server
+    dropped an idle connection) is discarded and rebuilt on the next
+    attempt; after ``retries`` failed attempts the peer is declared
+    unreachable via :class:`FetchError`."""
 
     def __init__(self, timeout: float = 5.0, retries: int = 3,
                  backoff: float = 0.05):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._lock = threading.Lock()
-        self._peers: dict[int, _Peer] = {}
-
-    def _peer(self, port: int) -> _Peer:
-        with self._lock:
-            peer = self._peers.get(port)
-            if peer is None:
-                peer = self._peers[port] = _Peer()
-            return peer
-
-    @staticmethod
-    def _drop(peer: _Peer) -> None:
-        sock, peer.sock = peer.sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self._socks: dict[int, socket.socket] = {}
 
     def fetch(self, port: int, request: dict) -> bytes:
         """Fetch bytes from the peer's shuffle server (idempotent reads:
-        a retry after a mid-response break simply re-sends the request).
-
-        The peer's lock is held per *attempt* — one full framed
-        request/response exchange — never across a backoff sleep, so
-        concurrent tasks retrying against a dead peer back off in
-        parallel instead of queueing each other's full retry budgets."""
+        a retry after a mid-response break simply re-sends the request)."""
         payload = pickle.dumps(request)
-        peer = self._peer(port)
         last: Optional[Exception] = None
         for attempt in range(self.retries):
-            sock: Optional[socket.socket] = None
+            sock = self._socks.get(port)
             try:
-                with peer.lock:
-                    sock = peer.sock
-                    if sock is None:
-                        # not ``create_connection``: its ``getaddrinfo``
-                        # imports the idna codec on a worker's first fetch
-                        sock = socket.socket()
-                        sock.settimeout(self.timeout)
-                        sock.connect(("127.0.0.1", port))
-                        _no_delay(sock)
-                        peer.sock = sock
-                    sock.sendall(_LEN.pack(len(payload)) + payload)
-                    size = _LEN.unpack(_recv_exact(sock, _LEN.size))[0]
-                    return _recv_exact(sock, size)
+                if sock is None:
+                    # not ``create_connection``: its ``getaddrinfo``
+                    # imports the idna codec on a worker's first fetch
+                    sock = socket.socket()
+                    sock.settimeout(self.timeout)
+                    sock.connect(("127.0.0.1", port))
+                    _no_delay(sock)
+                    self._socks[port] = sock
+                sock.sendall(_LEN.pack(len(payload)) + payload)
+                size = _LEN.unpack(_recv_exact(sock, _LEN.size))[0]
+                return _recv_exact(sock, size)
             except (OSError, ConnectionError) as exc:
                 last = exc
-                with peer.lock:
-                    # only un-pool the socket *we* failed on: another
-                    # thread may already be mid-exchange on a fresh one
-                    if peer.sock is sock:
-                        peer.sock = None
+                self._socks.pop(port, None)
                 if sock is not None:
                     try:
                         sock.close()
@@ -436,9 +393,10 @@ class PeerPool:
         return self.fetch(port, request)
 
     def close(self) -> None:
-        with self._lock:
-            peers = list(self._peers.values())
-            self._peers.clear()
-        for peer in peers:
-            self._drop(peer)
+        socks, self._socks = list(self._socks.values()), {}
+        for sock in socks:
+            try:
+                sock.close()
+            except OSError:
+                pass
 

@@ -3,15 +3,12 @@
 One worker per simulated node.  A small **command intake** thread does
 nothing but read the command pipe: it notes the newest dispatch epoch it
 has seen on the wire and hands the commands, in arrival order, to the
-main thread through a queue.  The main thread is the executor: with
-``task_slots == 1`` (the default) it runs the commands serially —
-exactly one task at a time, the classic single-slot node — and with
-``task_slots > 1`` it feeds a small pool of slot threads so one worker
-process keeps several tasks in flight (the paper's surviving
-parallelism, exploited *within* a node).  Single-slot execution stays on
-the main thread on purpose: on a slot thread the numpy buffers land in a
-second malloc arena (+1.8 MB peak RSS per worker, measured), while the
-intake allocates nothing but unpickled command dicts.
+main thread through a queue.  The main thread is the executor: it runs
+the commands serially — one run at a time, the paper's one map slot and
+one reduce slot per node.  It executes on the main thread on purpose: on
+another thread the numpy buffers land in a second malloc arena (+1.8 MB
+peak RSS per worker, measured), while the intake allocates nothing but
+unpickled command dicts.
 
 The unit of compute and of durability is a *run*, the unit of
 registration and reply a *task*.  The coordinator sends a node's share of
@@ -25,10 +22,9 @@ section is appended, its epoch re-checked right before (a cancelled task
 appends nothing); one fsync makes the run durable, and only then does
 every task answer, in task order: ``map-done``, or ``task-failed`` for a
 block that could not be fetched or a task the epoch cancelled.  The
-mapped-ahead columns live no longer than the run (one slot's, with
-``task_slots > 1``).  A task keeps its data as columns — ``keys:
-uint64[n]`` plus an ``n x L`` value matrix — from the moment a block's
-or a shuffle response's bytes are decoded
+mapped-ahead columns live no longer than the run.  A task keeps its
+data as columns — ``keys: uint64[n]`` plus an ``n x L`` value matrix —
+from the moment a block's or a shuffle response's bytes are decoded
 (:func:`~repro.runtime.storage.decode_columns`) to the moment the output
 frames are written: map and reduce are the batch UDFs of
 :mod:`repro.localexec.records`, defined as byte-for-byte what the
@@ -52,19 +48,18 @@ the coordinator's heartbeat expiry declares the death and re-plans.
 Epoch hygiene: the coordinator bumps the dispatch epoch on every death,
 puts the new epoch on every survivor's wire at once and discards stale
 results.  Because the intake hears the bump while the executor is still
-busy, one rule cancels in both slot modes: a command older than the
-newest epoch on the wire is skipped when it is picked up — the whole
-queued share of a cancelled map phase falls through in microseconds —
-and the task *in flight* re-checks once right before its store write (a
-run of map tasks before each kernel pass and each task's section) and
-does not commit (no fsync'd bytes, no ``*-done`` event).  A run already
-past its last check commits whole: per slot, the one run in flight is
-what a bump can come too late for.
+busy, one rule cancels: a command older than the newest epoch on the
+wire is skipped when it is picked up — the whole queued share of a
+cancelled map phase falls through in microseconds — and the run *in
+flight* re-checks right before its store write (before each kernel pass
+and each task's section) and does not commit (no fsync'd bytes, no
+``*-done`` event).  A run already past its last check commits whole:
+the one run in flight is what a bump can come too late for.
 A skipped or aborted task answers ``task-failed`` / ``"cancelled"`` so a
 speculative race waiting on it settles; drops and reclaims of a
-cancelled epoch stay silent.  Before running the first command of a new
-epoch the command loop drains the slot pool, so recovery work never
-interleaves with a cancelled epoch's stragglers on the same disk.
+cancelled epoch stay silent.  As runs execute one after another, recovery
+work never interleaves with a cancelled epoch's stragglers on the same
+disk.
 """
 
 from __future__ import annotations
@@ -96,7 +91,6 @@ from repro.runtime.storage import (
 
 #: data-plane defaults, overridden per run by ``RuntimeConfig``
 DEFAULT_OPTIONS = {
-    "task_slots": 1,
     "fetch_timeout": 5.0,
     "server_timeout": 30.0,
     "memory_budget": 64 << 20,  # hot-tier bytes per worker; 0 disables
@@ -112,7 +106,7 @@ def worker_main(node: int, root: str, cmd_conn, evt_conn,
     memory = MemoryTier(budget) if budget > 0 else None
     store = NodeStore(root, node, memory=memory)
     evt = transport.LockedConnection(evt_conn)
-    # one throttle shared by the task slots and the shuffle server: a
+    # one throttle shared by the executor and the shuffle server: a
     # "slow" fault paces both, while the heartbeat thread keeps beating
     throttle = transport.Throttle()
     server = transport.ShuffleServer(store, timeout=opts["server_timeout"],
@@ -162,32 +156,6 @@ class _Cancelled(Exception):
     """A newer epoch is on the wire: the command's result is moot."""
 
 
-class _SlotPool:
-    """N daemon slot threads pulling runs of task commands off one queue."""
-
-    def __init__(self, n: int, run: Callable[[list], None]):
-        self._queue: queue.Queue = queue.Queue()
-        self._run = run
-        for i in range(n):
-            threading.Thread(target=self._loop, name=f"slot{i}",
-                             daemon=True).start()
-
-    def _loop(self) -> None:
-        while True:
-            run = self._queue.get()
-            try:
-                self._run(run)
-            finally:
-                self._queue.task_done()
-
-    def submit(self, run: list) -> None:
-        self._queue.put(run)
-
-    def drain(self) -> None:
-        """Block until every queued and running run has finished."""
-        self._queue.join()
-
-
 class _Worker:
     """Task execution against one node's store."""
 
@@ -204,14 +172,10 @@ class _Worker:
         self.evt = evt
         self._stores: dict = {None: store, store.chain: store}
         self.pool = transport.PeerPool(timeout=opts["fetch_timeout"])
-        slots = max(1, int(opts["task_slots"]))
-        self._slots = _SlotPool(slots, self.execute_run) if slots > 1 else None
         self._ports: dict[int, int] = {}
-        self._latest_epoch = -1  # newest epoch the command loop reached
-        self._wire_epoch = -1    # newest epoch the intake saw: >= the above
+        self._wire_epoch = -1  # newest epoch the intake saw
         #: chain -> this node's memoized chain input columns
         self._inputs: dict = {}
-        self._inputs_lock = threading.Lock()
 
     def close(self) -> None:
         self.pool.close()
@@ -237,15 +201,7 @@ class _Worker:
         """Route one command from the pipe (main loop thread only); a map
         command takes the rest of its run off ``pending``, the commands
         that arrived behind it."""
-        epoch = cmd.get("epoch")
-        if epoch is not None and epoch > self._latest_epoch:
-            # first command of a new epoch: quiesce the cancelled
-            # epoch's in-flight tasks before anything newer touches the
-            # store (queued stale commands fast-skip on the epoch check)
-            self._latest_epoch = epoch
-            self.hear(epoch)
-            if self._slots is not None:
-                self._slots.drain()
+        self.hear(cmd.get("epoch"))
         if cmd["op"] == "ports":
             # epoch-cached peer port map: sent once per epoch instead of
             # riding on every task command
@@ -253,8 +209,7 @@ class _Worker:
             return
         if cmd["op"] == "throttle":
             # a "slow" fault landing: every task and shuffle response
-            # from here on runs at 1/factor speed (takes effect
-            # immediately, even for tasks already on slot threads)
+            # from here on runs at 1/factor speed
             self.throttle.set(cmd["factor"])
             return
         if cmd["op"] == "chain-close":
@@ -267,25 +222,18 @@ class _Worker:
             # take down the command loop.
             chain = cmd["chain"]
             self._stores.pop(chain, None)
-            with self._inputs_lock:
-                self._inputs.pop(chain, None)
+            self._inputs.pop(chain, None)
             try:
                 self.store.for_chain(chain).sweep_chain(cmd.get("keep", ()))
             except OSError:
                 pass
             return
-        # everything but the task ops — drops, sweeps, reclaims — runs
-        # inline on the command loop, which the epoch drain keeps free
-        # of concurrent task stragglers
         run = [cmd]
         while cmd["op"] == "map" and pending and all(
                 pending[0].get(field) == cmd.get(field)
                 for field in ("op", "chain", "job", "epoch")):
             run.append(pending.popleft())
-        if self._slots is not None and cmd["op"] in protocol.TASK_OPS:
-            self._slots.submit(run)
-        else:
-            self.execute_run(run)
+        self.execute_run(run)
 
     def execute_run(self, run: list) -> None:
         """Execute one unit of compute and commit: a run of map commands
@@ -356,8 +304,7 @@ class _Worker:
                                      cmd, self.pid, result, fetched, local))
 
     def _store(self, chain) -> NodeStore:
-        """The chain-namespaced store for one command (cached; benign if
-        two slots race the first construction)."""
+        """The chain-namespaced store for one command (cached)."""
         store = self._stores.get(chain)
         if store is None:
             store = self._stores[chain] = self.store.for_chain(chain)
@@ -378,11 +325,10 @@ class _Worker:
         seed = seed * 1000 + node
         if node != self.node:
             return generate_batch(count, seed, value_size, start=start)
-        with self._inputs_lock:
-            columns = self._inputs.get(chain)
-            if columns is None:
-                columns = self._inputs[chain] = generate_batch(
-                    records_per_node, seed, value_size)
+        columns = self._inputs.get(chain)
+        if columns is None:
+            columns = self._inputs[chain] = generate_batch(
+                records_per_node, seed, value_size)
         keys, values = columns
         return keys[start:start + count], values[start:start + count]
 
@@ -515,7 +461,7 @@ class _Worker:
         # server-side, own-store slices are filtered here, so
         # local bytes (whatever landed without a socket) mirror what the
         # TCP path would have shipped and tcp + local is comparable
-        # across slot/node placements
+        # across node placements
         requests = []
         for node, tasks in sorted(by_node.items()):
             if node == self.node:

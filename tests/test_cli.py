@@ -157,11 +157,16 @@ def test_parser_exec_rejects_unknown_backend():
 
 @pytest.mark.parametrize("argv", [
     ["exec", "--shared-memory"], ["exec", "--fetch-parallelism", "4"],
-    ["serve", "--shared-memory"]])
+    ["serve", "--shared-memory"],
+    ["exec", "--task-slots", "2"], ["serve", "--task-slots", "2"],
+    ["exec", "--speculation"], ["serve", "--speculation"],
+    ["submit", "--speculation"]])
 def test_deleted_data_plane_flags_are_refused(argv):
     """The shared-memory handoff and the fetcher pool are gone with
-    their flags (EXPERIMENTS.md "Data-plane options, judged"): argparse
-    refuses them instead of a run silently ignoring them."""
+    their flags (EXPERIMENTS.md "Data-plane options, judged"), and so
+    are task slots and the speculation switch (speculation is always on,
+    "Speculation and task slots, judged"): argparse refuses them instead
+    of a run silently ignoring them."""
     with pytest.raises(SystemExit) as refused:
         build_parser().parse_args(argv)
     assert refused.value.code == 2

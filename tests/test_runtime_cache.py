@@ -54,7 +54,7 @@ def reference_checksum(chain: LocalJobConfig, n_nodes: int = 4) -> str:
 
 
 def _config(chain=CHAIN3, **kw) -> RuntimeConfig:
-    return RuntimeConfig(n_nodes=4, chain=chain, task_slots=2, **kw)
+    return RuntimeConfig(n_nodes=4, chain=chain, **kw)
 
 
 # ------------------------------------------------------------ fingerprints

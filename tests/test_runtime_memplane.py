@@ -305,19 +305,19 @@ def test_memory_tier_off_matches_reference(tmp_path):
 
 
 @pytest.mark.slow
-def test_colocated_slots_shift_bytes_off_tcp(tmp_path):
-    """The same logical chain on fewer nodes x more slots must move
-    shuffle bytes from sockets to the local plane: strictly lower TCP,
-    strictly higher local."""
+def test_fewer_nodes_shift_bytes_off_tcp(tmp_path):
+    """The same logical chain on 2 nodes instead of 4 must move shuffle
+    bytes from sockets to the local plane: strictly lower TCP, strictly
+    higher local."""
     chain = LocalJobConfig(n_jobs=2, n_partitions=4, records_per_node=48,
                            records_per_block=16, seed=3)
     spread = run_process_chain(tmp_path / "spread", chain=chain,
-                               n_nodes=4, task_slots=1)
+                               n_nodes=4)
     packed_chain = LocalJobConfig(n_jobs=2, n_partitions=4,
                                   records_per_node=96,
                                   records_per_block=16, seed=3)
     packed = run_process_chain(tmp_path / "packed", chain=packed_chain,
-                               n_nodes=2, task_slots=2)
+                               n_nodes=2)
     assert packed.total_shuffle_bytes_tcp < spread.total_shuffle_bytes_tcp
     assert packed.total_shuffle_bytes_local > \
         spread.total_shuffle_bytes_local
@@ -371,8 +371,7 @@ def test_tier_matrix(tmp_path, shape, strategy, schedule, budget):
     chain, plans = TIER_SHAPES[shape]
     plan = plans.get(schedule, "")
     report = run_process_chain(
-        tmp_path, chain=chain, strategy=strategy, task_slots=2,
-        memory_budget=budget,
+        tmp_path, chain=chain, strategy=strategy, memory_budget=budget,
         fault_model=FaultModel.parse(plan) if plan else None)
     assert report.checksum == reference_checksum(chain)
     assert len(report.deaths) == plan.count("kill@")

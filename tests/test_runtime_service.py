@@ -242,14 +242,13 @@ def test_submit_validates_at_submission_time(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n_nodes", 8), ("task_slots", 4), ("memory_budget", 0),
+    ("n_nodes", 8), ("memory_budget", 0),
     ("fetch_timeout", 1.0), ("heartbeat_interval", 0.5),
     ("heartbeat_expiry", 1.0), ("startup_timeout", 5.0)])
 def test_submit_refuses_pool_shape_overrides(tmp_path, field, value):
     """Regression: pool-shape fields were silently applied to the
     chain's config (``n_nodes`` silently dropped) although the workers
-    were forked with the service's values — a ``task_slots=4`` override
-    placed backups on slots that do not exist.  Refused by name at
+    were forked with the service's values.  Refused by name at
     submission, in-process and over the TCP front door."""
     service = ChainService(RuntimeConfig(n_nodes=2, chain=TINY),
                            tmp_path / "svc")
@@ -263,8 +262,28 @@ def test_submit_refuses_pool_shape_overrides(tmp_path, field, value):
         assert service.status()["queued"] == 0
         # chain-level knobs stay overridable
         job = service.submit(chain=TINY, strategy="optimistic",
-                             speculation=True, io_timeout=20.0)
+                             io_timeout=20.0)
         assert job.config.strategy == "optimistic"
+    finally:
+        service._stop.set()
+        service._server.close()
+
+
+@pytest.mark.parametrize("field, value", [("task_slots", 2),
+                                          ("speculation", True)])
+def test_submit_refuses_removed_fields(tmp_path, field, value):
+    """Task slots and the speculation switch are gone from
+    ``RuntimeConfig``: a submission naming one fails like any unknown
+    field, in-process and over the TCP front door."""
+    service = ChainService(RuntimeConfig(n_nodes=2, chain=TINY),
+                           tmp_path / "svc")
+    with pytest.raises(TypeError, match=field):
+        service.submit(chain=TINY, **{field: value})
+    port = service.serve(port=0)
+    try:
+        with pytest.raises(RuntimeError, match=field):
+            request(port, {"op": "submit", "overrides": {field: value}})
+        assert service.status()["queued"] == 0
     finally:
         service._stop.set()
         service._server.close()
@@ -299,7 +318,7 @@ def test_router_delivers_by_chain_and_drops_pool_events(tmp_path):
 
 
 def test_fifo_admission_runs_chains_in_submission_order(tmp_path):
-    config = RuntimeConfig(n_nodes=2, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
     with ChainService(config, tmp_path / "svc",
                       max_concurrent=1) as service:
         jobs = [service.submit(chain=LocalJobConfig(
@@ -321,7 +340,7 @@ def test_fifo_admission_runs_chains_in_submission_order(tmp_path):
 def test_fair_share_admits_least_loaded_tenant_first(tmp_path):
     """Three chains from alice then one from bob: after alice's first
     chain, fair-share admits bob's before alice's backlog."""
-    config = RuntimeConfig(n_nodes=2, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
     with ChainService(config, tmp_path / "svc", policy="fair",
                       max_concurrent=1) as service:
         a1 = service.submit(chain=TINY, tenant="alice")
@@ -371,7 +390,7 @@ def test_a_finishing_chain_hands_its_slot_to_the_queue(tmp_path):
 def test_service_runs_one_chain_end_to_end(tmp_path):
     chain = LocalJobConfig(n_jobs=2, n_partitions=2, records_per_node=16,
                            records_per_block=8, seed=5)
-    config = RuntimeConfig(n_nodes=2, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
     # cache on: the close-time sweep spares the registered reduce jobs,
     # so the namespace outlives the chain (with the cache off the
     # workers delete it moments after wait() returns — checking for it
@@ -394,7 +413,7 @@ def test_concurrent_chains_all_match_references(tmp_path):
     chains = [LocalJobConfig(n_jobs=2, n_partitions=4,
                              records_per_node=32, records_per_block=8,
                              seed=s) for s in (1, 2, 3)]
-    config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=4, chain=TINY)
     with ChainService(config, tmp_path / "svc",
                       max_concurrent=3) as service:
         jobs = [service.submit(chain=c) for c in chains]
@@ -426,7 +445,7 @@ def test_kill_cascades_only_chains_with_pieces_on_dead_node(tmp_path):
     chain_b = LocalJobConfig(n_jobs=4, n_partitions=2,
                              records_per_node=48, records_per_block=16,
                              seed=8)
-    config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=4, chain=TINY)
     with ChainService(config, tmp_path / "svc",
                       max_concurrent=2) as service:
         job_a = service.submit(chain=chain_a)
@@ -450,20 +469,19 @@ def test_kill_cascades_only_chains_with_pieces_on_dead_node(tmp_path):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("task_slots", [1, 2])
-def test_one_death_cancels_both_chains_queued_phases(tmp_path, task_slots):
+def test_one_death_cancels_both_chains_queued_phases(tmp_path):
     """Two wide chains share the workers' queues when a node dies: the
     one epoch bump cancels both chains' phases, each worker skips the
     runs it had queued for *either* chain, and between them the chains
     see no more cancelled-epoch commits than one run — one chain's share
-    of a map phase — per survivor and slot.  With one slot, both chains'
-    shares committing on a survivor (the queue not skipped) exceeds the
-    bound.  Both outputs stay byte-exact and no aborted task leaves a
-    tmp file."""
+    of a map phase — per survivor: a worker runs one run at a time, so
+    both chains' shares committing on a survivor (the queue not skipped)
+    exceeds the bound.  Both outputs stay byte-exact and no aborted task
+    leaves a tmp file."""
     chains = [LocalJobConfig(n_jobs=3, n_partitions=4,
                              records_per_node=6_000, records_per_block=600,
                              seed=seed) for seed in (21, 22)]
-    config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=task_slots)
+    config = RuntimeConfig(n_nodes=4, chain=TINY)
     with ChainService(config, tmp_path / "svc",
                       max_concurrent=2) as service:
         jobs = [service.submit(chain=chain) for chain in chains]
@@ -479,7 +497,7 @@ def test_one_death_cancels_both_chains_queued_phases(tmp_path, task_slots):
             assert [node for _, node in job.report.deaths] == [3]
         share = max(largest_map_share(chain, [2, 3]) for chain in chains)
         assert sum(job.report.cancelled_commits for job in jobs) <= \
-            3 * task_slots * share
+            3 * share
         assert survivor_tmp_files(tmp_path / "svc", (0, 1, 2)) == []
 
 
@@ -493,7 +511,7 @@ def test_replace_dead_respawns_and_restores_capacity(tmp_path):
     chain = LocalJobConfig(n_jobs=2, n_partitions=4,
                            records_per_node=32, records_per_block=8,
                            seed=4)
-    config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=4, chain=TINY)
     torn = []
     with ChainService(config, tmp_path / "svc", max_concurrent=2,
                       replace_dead=True) as service:
@@ -532,7 +550,7 @@ def test_replace_dead_respawns_and_restores_capacity(tmp_path):
 def test_tcp_front_door_submit_status_wait(tmp_path):
     chain_req = {"n_jobs": 1, "n_partitions": 2, "records_per_node": 8,
                  "records_per_block": 8, "seed": 9}
-    config = RuntimeConfig(n_nodes=2, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
     with ChainService(config, tmp_path / "svc") as service:
         port = service.serve(port=0)
         assert request(port, {"op": "ping"})["ok"]
@@ -575,7 +593,7 @@ def test_tcp_front_door_error_paths(tmp_path, monkeypatch):
     needs no running workers, so this exercises it pool-less."""
     import repro.runtime.service as service_mod
 
-    config = RuntimeConfig(n_nodes=2, chain=TINY, task_slots=1)
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
     service = ChainService(config, tmp_path / "svc")
     port = service.serve(port=0)
     try:
@@ -611,7 +629,7 @@ def test_service_mtbf_faults_fire_and_chains_survive(tmp_path):
     chain = LocalJobConfig(n_jobs=3, n_partitions=4,
                            records_per_node=32, records_per_block=8,
                            seed=3)
-    config = RuntimeConfig(n_nodes=4, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=4, chain=TINY)
     # seed 1 @ mtbf 0.8: first arrival ~0.12 s in — a fast host finishes
     # two chains sooner, so keep the service loaded until a kill landed
     kills = MTBFKills(mtbf=0.8, seed=1, min_alive=2)
@@ -632,7 +650,7 @@ def test_service_mtbf_faults_fire_and_chains_survive(tmp_path):
 
 
 def test_drain_shutdown_fails_queued_chains(tmp_path):
-    config = RuntimeConfig(n_nodes=2, chain=TINY, task_slots=2)
+    config = RuntimeConfig(n_nodes=2, chain=TINY)
     service = ChainService(config, tmp_path / "svc", max_concurrent=1)
     service.start()
     running = service.submit(chain=TINY)

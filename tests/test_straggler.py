@@ -13,10 +13,9 @@ next.
 """
 
 import collections
-import functools
 import json
+import statistics
 import time
-import warnings
 
 import pytest
 
@@ -30,6 +29,7 @@ from repro.faults.detector import ProgressRateTracker
 from repro.localexec import LocalJobConfig
 from repro.obs import RecordingTracer
 from repro.runtime import coordinator as coord_mod
+from repro.runtime import protocol
 from repro.runtime.coordinator import (
     ChainRun,
     Coordinator,
@@ -225,13 +225,6 @@ def test_progress_tracker_validates_knobs(kw):
         tracker(**kw)
 
 
-# ------------------------------------------------------------ config
-def test_one_node_cluster_warns_and_disables_speculation():
-    with pytest.warns(UserWarning, match="no healthy peer"):
-        config = RuntimeConfig(n_nodes=1, chain=SMALL, speculation=True)
-    assert config.speculation is False
-
-
 # ------------------------------------------------------------ throttle
 def test_throttle_set_rejects_speed_ups():
     throttle = Throttle()
@@ -347,6 +340,53 @@ def test_repl2_placement_without_suspicion_is_unchanged(tmp_path):
     assert 2 not in _targets(run._replica_commands(entries)).values()
 
 
+def test_a_copy_never_lands_on_an_unsettled_race_loser(tmp_path):
+    """A node still running the losing attempt of a piece's race would
+    run a copy of that piece before the loser's sweep, which tombstones
+    the key and the copy with it: placement passes the loser over while
+    any other node can take the copy.  Where only the loser is left, the
+    copy goes there and the race is forgotten — the copy's later section
+    of the same key supersedes the loser's, so no sweep may follow."""
+    holders = [(p % 4,) for p in range(8)]
+    run, entries = _placement_run(tmp_path, strategy="repl2",
+                                  holders=holders)
+    losers = {("reduce", *e.key): (e.node + 1) % 4 for e in entries}
+    run._spec_losers = dict(losers)
+    targets = _targets(run._replica_commands(entries))
+    assert set(targets) == {entry.key for entry in entries}
+    assert all(targets[key[1:]] != node for key, node in losers.items())
+    assert run._spec_losers == losers
+    run, entries = _placement_run(tmp_path / "two", n_nodes=2,
+                                  strategy="repl2", holders=[(0,)])
+    run._spec_losers = {("reduce", 1, 0, 0, 1): 1}
+    assert _targets(run._replica_commands(entries)) == {(1, 0, 0, 1): 1}
+    assert run._spec_losers == {}
+
+
+def test_an_older_epoch_loser_duplicate_sends_no_sweep(tmp_path):
+    """A race's losing attempt that answers after an epoch bump is not
+    swept: the death since may have re-homed the task onto the loser,
+    and a drop under the current epoch would hide that new output.  It
+    is left for ``chain-close`` like any cancelled commit; a duplicate of
+    the current epoch is still swept."""
+    run = Coordinator(RuntimeConfig(n_nodes=2, chain=SMALL),
+                      tmp_path / "cluster").chain_run  # never started
+    sent = []
+    run.pool.dispatch = lambda node, cmd: sent.append((node, cmd))
+    run.pool.epoch = 1
+    map_key, reduce_key = ("map", 1, 0), ("reduce", 1, 0, 0, 1)
+    run._spec_losers = {map_key: 1, reduce_key: 1}
+    run._settle_stale(protocol.reply(
+        "map-done", 1, {"key": map_key, "epoch": 0, "chain": None},
+        pid=1, result={0: 5}))
+    assert sent == [] and map_key not in run._spec_losers
+    run._settle_stale(protocol.reply(
+        "reduce-done", 1, {"key": reduce_key, "epoch": 1, "chain": None},
+        pid=1, result=5))
+    assert [(node, cmd["op"], cmd["key"]) for node, cmd in sent] == \
+        [(1, "drop-piece", ("sweep", *reduce_key))]
+
+
 # ------------------------------------------------------------ simulator
 def test_sim_injector_records_slow_without_killing():
     sim = Simulator()
@@ -451,13 +491,18 @@ def test_slow_is_never_dead_under_tight_heartbeats(tmp_path):
     assert instants(tracer, "node-throttled")
 
 
+def speculation_off(monkeypatch):
+    """Switch speculation off for the rest of a test: no task ever gets
+    old enough to earn a backup."""
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", float("inf"))
+
+
 @pytest.mark.slow
 def test_speculation_backs_up_straggler_tasks(tmp_path, monkeypatch):
     monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     tracer = RecordingTracer()
     report = run_process_chain(
         tmp_path, chain=SMALL, n_nodes=4, tracer=tracer,
-        task_slots=2, speculation=True,
         fault_model=FaultModel.parse("slow@1:10"))
     assert report.checksum == reference_checksum(SMALL, 4)
     assert report.deaths == []
@@ -468,11 +513,6 @@ def test_speculation_backs_up_straggler_tasks(tmp_path, monkeypatch):
     # a backup always runs on a different node than the original
     assert all(ev["args"]["backup"] != ev["args"]["original"]
                for ev in instants(tracer, "speculative-attempt"))
-    # ...and the backups cut completion (2.2-2.9x on a 2-core host)
-    off = run_process_chain(
-        tmp_path / "off", chain=SMALL, n_nodes=4, task_slots=2,
-        fault_model=FaultModel.parse("slow@1:10"))
-    assert report.wall_time < off.wall_time
 
 
 @pytest.mark.slow
@@ -484,8 +524,7 @@ def test_first_commit_wins_and_losers_are_swept(tmp_path, monkeypatch):
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
                            records_per_block=16, split_ratio=2, seed=0)
     tracer = RecordingTracer()
-    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
-                           speculation=True)
+    config = RuntimeConfig(n_nodes=4, chain=chain)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,
                      fault_model=FaultModel.parse("slow@1:10")) as coord:
         report = coord.run_chain()
@@ -516,8 +555,7 @@ def test_straggler_whose_node_dies_mid_attempt(tmp_path, monkeypatch,
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
                            records_per_block=16, split_ratio=2, seed=0)
     report = run_process_chain(
-        tmp_path, chain=chain, n_nodes=4, task_slots=2, strategy=strategy,
-        speculation=True,
+        tmp_path, chain=chain, n_nodes=4, strategy=strategy,
         fault_model=FaultModel.parse("slow@1:10; kill@job3+0:node=1"))
     assert report.checksum == reference_checksum(chain, 4)
     assert [node for _, node in report.deaths] == [1]
@@ -527,10 +565,11 @@ def test_straggler_whose_node_dies_mid_attempt(tmp_path, monkeypatch,
 def test_cancelled_loser_originals_do_not_stall_the_chain_end(
         tmp_path, monkeypatch):
     """Backups win races against originals still *queued* on the slow
-    node; a death elsewhere then bumps the epoch and the slow node skips
-    those originals.  A skipped task answers ``cancelled``, so the race
-    entry settles — the end-of-chain drain used to sit out its whole 2 s
-    deadline waiting for events that never came."""
+    node; a death elsewhere then bumps the epoch.  The bump forgets every
+    unsettled race — recovery may re-home a race's task onto its loser,
+    whose sweep would then hide the new output — so no race resolved
+    before the death is accounted or swept after it, and the end-of-chain
+    drain has nothing of the cancelled epoch to wait for."""
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=96,
                            records_per_block=16, split_ratio=2, seed=0)
     drains = []
@@ -544,8 +583,7 @@ def test_cancelled_loser_originals_do_not_stall_the_chain_end(
     monkeypatch.setattr(ChainRun, "_drain_spec_losers", timed_drain)
     monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     tracer = RecordingTracer()
-    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2,
-                           speculation=True)
+    config = RuntimeConfig(n_nodes=4, chain=chain)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,
                      fault_model=FaultModel.parse(
                          "slow@1:20; kill@job2+0:node=2")) as coord:
@@ -553,35 +591,41 @@ def test_cancelled_loser_originals_do_not_stall_the_chain_end(
         assert coord.chain_run._spec_losers == {}  # every race settled
     assert report.checksum == reference_checksum(chain, 4)
     assert [node for _, node in report.deaths] == [2]
-    slow_losses = [ev for ev in instants(tracer, "speculative-result")
-                   if ev["args"]["loser"] == 1]
-    late_commits = [ev for ev in instants(tracer, "speculation-loser")
-                    if ev["args"]["node"] == 1]
-    # some of the slow node's lost races never committed: they were
-    # cancelled in its queue, and still answered
-    assert len(slow_losses) > len(late_commits)
+    # the tracer records in emission order: one thread emits them all
+    names = [ev["name"] for ev in tracer.events]
+    death = names.index("node-death")
+
+    def keys(name, events):
+        return {tuple(ev["args"]["key"]) for ev in events
+                if ev["name"] == name}
+
+    forgotten = keys("speculative-result", tracer.events[:death]) - \
+        keys("speculative-result", tracer.events[death:])
+    assert forgotten  # races did resolve before the death
+    assert not forgotten & keys("speculation-loser", tracer.events[death:])
     assert all(took < deadline / 2 for took, deadline in drains), drains
 
 
 @pytest.mark.slow
 def test_pre_replication_leaves_no_sole_copy_on_the_straggler(
         tmp_path, monkeypatch):
-    """With pre-replication (always on; speculation off, so the
+    """With pre-replication (always on; speculation switched off, so the
     throttled node keeps committing its own pieces), every piece the
     straggler holds gains a healthy second holder — its later death
     costs nothing.
 
-    The chain is deliberately heavier than SMALL: suspicion samples
-    commit rates on pump ticks, so the straggler's lag must dwarf the
-    detector's 50 ms poll granularity to fire deterministically."""
-    monkeypatch.setattr(coord_mod, "ProgressRateTracker", functools.partial(
-        coord_mod.ProgressRateTracker, window=2.0))
+    The verdict is pinned, as in the sticky-suspicion test below: a real
+    one needs the straggler's run to outlast the detector's 50 ms floor,
+    which a run of this chain does not reliably do (it failed 3 runs in
+    5).  Real detection is covered on the judged shape."""
+    speculation_off(monkeypatch)
     chain = LocalJobConfig(n_jobs=2, n_partitions=4, records_per_node=192,
                            records_per_block=16, split_ratio=2, seed=0)
     tracer = RecordingTracer()
-    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2)
+    config = RuntimeConfig(n_nodes=4, chain=chain)
     with Coordinator(config, tmp_path / "cluster", tracer=tracer,
                      fault_model=FaultModel.parse("slow@1:10")) as coord:
+        coord.pool.progress.suspects = lambda now, alive: {1} & alive
         report = coord.run_chain()
         assert report.checksum == reference_checksum(chain, 4)
         assert report.deaths == []
@@ -606,10 +650,14 @@ JUDGED = LocalJobConfig(n_jobs=3, n_partitions=8, records_per_node=3000,
 
 
 @pytest.mark.slow
-def test_default_config_recomputes_nothing_when_a_straggler_dies(tmp_path):
+def test_default_config_recomputes_nothing_when_a_straggler_dies(
+        tmp_path, monkeypatch):
     """No flag: a 10x straggler is suspected, its committed pieces gain a
     healthy second holder, and its death at job 3's start promotes them
-    — the chain recomputes nothing and ends in the reference output."""
+    — the chain recomputes nothing and ends in the reference output.
+    Speculation is switched off: its backups would take the straggler's
+    work and leave it 0-1 pieces to copy."""
+    speculation_off(monkeypatch)
     report = run_process_chain(
         tmp_path, chain=JUDGED,
         fault_model=FaultModel.parse("slow@1:10; kill@job3+0:node=1"))
@@ -617,6 +665,34 @@ def test_default_config_recomputes_nothing_when_a_straggler_dies(tmp_path):
     assert [node for _, node in report.deaths] == [1]
     assert report.speculation["pre_replicated"] > 0
     assert [kind for _, kind, _ in report.job_times] == ["run"] * 3
+
+
+@pytest.mark.slow
+def test_speculation_wins_the_judged_straggler_chain(tmp_path, monkeypatch):
+    """Where the claim is made (EXPERIMENTS.md "Speculation and task
+    slots, judged"): on the judged shape under ``slow@1:10`` the default
+    config's chain wall beats the wall with speculation switched off in
+    at least 9 of 10 alternating pairs, and the two arms' interquartile
+    ranges are disjoint (measured 0.56x, 10/10).  A node's share of a
+    phase is one run, so the healthy nodes go idle while the straggler's
+    paced run is still going: the backups land and win."""
+    fault = FaultModel.parse("slow@1:10")
+    reference = reference_checksum(JUDGED, 4)
+    walls = {"on": [], "off": []}
+    for pair in range(10):
+        for arm in (("on", "off") if pair % 2 == 0 else ("off", "on")):
+            with monkeypatch.context() as patch:
+                if arm == "off":
+                    speculation_off(patch)
+                report = run_process_chain(tmp_path / f"{arm}{pair}",
+                                           chain=JUDGED, fault_model=fault)
+            assert report.checksum == reference
+            walls[arm].append(report.wall_time)
+    won = sum(on < off for on, off in zip(walls["on"], walls["off"]))
+    assert won >= 9, walls
+    on_q3 = statistics.quantiles(walls["on"], n=4)[2]
+    off_q1 = statistics.quantiles(walls["off"], n=4)[0]
+    assert on_q3 < off_q1, walls
 
 
 @pytest.mark.slow
@@ -636,15 +712,16 @@ def test_clean_chain_never_pre_replicates(tmp_path):
 def test_suspicion_is_sticky_per_chain_not_per_service(
         tmp_path, monkeypatch):
     """A node suspected while one service chain runs is pre-replicated
-    off and speculated against by that chain only: the next chain starts
-    with no suspect, so it copies nothing and launches no backup.  (Any
-    task on a suspected node would get a backup at once here: the age
-    floor is 0 and the slowdown rule is out of reach.)"""
-    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.0)
-    monkeypatch.setattr(coord_mod, "SPECULATION_SLOWDOWN", 1e9)
+    off by that chain only: the next chain starts with no suspect, so it
+    copies nothing and launches no backup.  (The first chain runs with
+    speculation switched off, so its backups leave node 1 pieces to
+    copy; in the second any task on a suspected node would get a backup
+    at once: the age floor is 0 and the slowdown rule is out of
+    reach.)"""
+    speculation_off(monkeypatch)
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=64,
                            records_per_block=16, seed=0)
-    config = RuntimeConfig(n_nodes=4, chain=chain, task_slots=2)
+    config = RuntimeConfig(n_nodes=4, chain=chain)
     with ChainService(config, tmp_path / "svc") as service:
         progress = service.pool.progress
         progress.suspects = lambda now, alive: {1} & alive
@@ -653,7 +730,9 @@ def test_suspicion_is_sticky_per_chain_not_per_service(
         assert first.state == DONE, first.error
         assert first.report.speculation["pre_replicated"] > 0
         del progress.suspects  # node 1 recovers
-        second = service.submit(chain=chain, speculation=True)
+        monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.0)
+        monkeypatch.setattr(coord_mod, "SPECULATION_SLOWDOWN", 1e9)
+        second = service.submit(chain=chain)
         service.wait(second.id, timeout=60)
         assert second.state == DONE, second.error
     assert second.report.checksum == reference_checksum(chain, 4)
@@ -662,36 +741,30 @@ def test_suspicion_is_sticky_per_chain_not_per_service(
 
 
 @pytest.mark.slow
-def test_service_surfaces_throttles_and_accepts_speculation_overrides(
-        tmp_path):
+def test_service_surfaces_throttles(tmp_path):
     tiny = LocalJobConfig(n_jobs=1, n_partitions=2, records_per_node=8,
                           records_per_block=8, seed=3)
-    config = RuntimeConfig(n_nodes=2, chain=tiny, task_slots=2)
+    config = RuntimeConfig(n_nodes=2, chain=tiny)
     with ChainService(config, tmp_path / "svc") as service:
         service.pool.throttle_node(1, 2.0)
         status = service.status()
         assert status["throttled"] == {"1": 2.0}
         assert status["suspected"] == []
-        job = service.submit(chain=tiny, speculation=True)
+        job = service.submit(chain=tiny)
         service.wait(job.id, timeout=60)
         assert job.state == DONE, job.error
         assert job.report.checksum == reference_checksum(tiny, 2)
 
 
-def test_speculation_without_idle_capacity_warns_and_noops(tmp_path):
-    """Every healthy peer saturated (or suspected): the backup is never
-    queued behind busy slots — speculation declines with a one-time
-    warning and retries on a later tick."""
-    config = RuntimeConfig(n_nodes=2, chain=SMALL, task_slots=1,
-                           speculation=True)
-    coord = Coordinator(config, tmp_path / "cluster")  # never started
-    run = coord.chain_run
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run._backup_candidate(original=1, suspected={0, 1}) is None
-        # the no-op warning fires once, not per tick
-        assert run._backup_candidate(original=1, suspected={0, 1}) is None
-    assert len(caught) == 1
-    assert "no healthy idle slot" in str(caught[0].message)
-    # with a healthy idle peer the same call places the backup there
+def test_backup_goes_only_to_an_idle_healthy_peer(tmp_path):
+    """A backup runs on a healthy node with nothing in flight, or not at
+    all: queued behind a run (worst case, behind the straggler itself)
+    it would add load without cutting the tail."""
+    run = Coordinator(RuntimeConfig(n_nodes=3, chain=SMALL),
+                      tmp_path / "cluster").chain_run  # never started
+    assert run._backup_candidate(original=1, suspected={0, 1, 2}) is None
     assert run._backup_candidate(original=1, suspected={1}) == 0
+    run.pool.progress.record_dispatch(0, time.monotonic())  # node 0 busy
+    assert run._backup_candidate(original=1, suspected={1}) == 2
+    run.pool.progress.record_dispatch(2, time.monotonic())
+    assert run._backup_candidate(original=1, suspected={1}) is None
