@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", default=None,
                    help='planned fault events, e.g. "kill@job1+5", '
                         '"kill@job2:node=3; kill@job2+0.5", or a '
-                        'straggler "slow@2:10" (node 2 runs 10x slow; '
+                        'straggler "slow@2:10" (node 2 computes 10x slow; '
                         'the process backend throttles the live worker, '
                         'backs up its tail tasks on idle healthy peers '
                         'and, once it is suspected slow, copies its '
@@ -164,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-scale", type=float, default=1.0,
                    help="multiply fault-plan offsets (shrink simulated-"
                         "seconds plans onto fast real runs)")
-    p.add_argument("--memory-budget", type=int, default=64,
+    p.add_argument("--memory-budget", type=int, default=0,
                    metavar="MiB",
                    help="hot-tier bytes each worker pins in RAM: "
                         "committed map slices and reduce pieces are "
                         "served from memory and spill to their on-disk "
                         "files (the durability tier) above the budget; "
-                        "0 disables the tier (default 64)")
+                        "0 disables the tier (default 0)")
     p.add_argument("--heartbeat-interval", type=float, default=0.05,
                    help="worker heartbeat period, wall-clock seconds "
                         "(process backend)")
@@ -213,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 disables caching; default 64).  Cached job "
                         "outputs survive in the workdir and overlapping "
                         "submissions skip their cached prefix")
-    p.add_argument("--memory-budget", type=int, default=64,
+    p.add_argument("--memory-budget", type=int, default=0,
                    metavar="MiB",
                    help="per-worker hot-tier byte budget in MiB "
-                        "(0 disables the memory tier; default 64)")
+                        "(0 disables the memory tier; default 0)")
     p.add_argument("--workdir", default=None, metavar="DIR",
                    help="keep the per-node chain namespaces here "
                         "(default: a deleted temporary directory; a "

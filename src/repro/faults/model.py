@@ -32,7 +32,7 @@ Spec grammar (the CLI's ``--faults``), clauses separated by ``;``::
     transient@t120:down=60,wipe    at absolute time, disk wiped on return
     disk@job3+10              disk-loss during job 3
     rack@t300:rack=1,down=30  rack 1 power-cycles for 30 s
-    slow@2:10                 node 2 runs 10x slow from chain start
+    slow@2:10                 node 2 computes 10x slow from chain start
     slow@job3+5:node=1,factor=4    straggler onset mid-chain
     slow@t30:factor=2         unpinned victim drawn by the seeded RNG
     mtbf=600                  Poisson fail-stop arrivals, mean 600 s

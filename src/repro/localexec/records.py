@@ -166,12 +166,13 @@ def _digests(column, head: Optional[bytes] = None, tick=None) -> np.ndarray:
                          np.uint8).reshape(-1, 16)
 
 
-def generate_batch(n: int, seed: int, value_size: int = 16, start: int = 0
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def generate_batch(n: int, seed: int, value_size: int = 16, start: int = 0,
+                   tick=None) -> tuple[np.ndarray, np.ndarray]:
     """:func:`generate_records` as ``(keys, values)`` columns; ``start``
-    yields rows ``start..start + n`` of the same sequence."""
+    yields rows ``start..start + n`` of the same sequence.  ``tick`` as
+    in :func:`map_batch`."""
     material = _digests(np.arange(start, start + n, dtype=np.uint64),
-                        head=b"%d:" % seed)
+                        head=b"%d:" % seed, tick=tick)
     return (_be_column(material[:, :4]),
             np.tile(material, (1, -(-value_size // 16)))[:, :value_size])
 

@@ -170,9 +170,11 @@ class RuntimeConfig:
     #: judged stalled
     fetch_timeout: float = 5.0
     #: bytes of hot map slices / reduce pieces each worker pins in RAM
-    #: (write-through LRU over the on-disk durability tier); 0 disables
-    #: the memory tier — every read goes back to the files
-    memory_budget: int = 64 << 20
+    #: (write-through LRU over the on-disk durability tier); 0, the
+    #: default, disables the memory tier — every read goes back to the
+    #: files through the page cache, and a worker holds none of a
+    #: chain's committed bytes
+    memory_budget: int = 0
     #: replicate every k-th job's output as a cascade-bounding anchor
     #: (strategy "hybrid" only; paper §IV-C)
     hybrid_interval: int = 2

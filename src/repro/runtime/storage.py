@@ -355,8 +355,8 @@ class MemoryTier:
     Keys are ``<segment path>#<section key>#<partition>``, which makes
     one tier shareable across a worker's chain-namespaced
     :class:`NodeStore` views and lets a tombstone or a segment's unlink
-    evict by prefix.  Thread-safe: task-slot threads commit and read
-    while shuffle-server threads serve."""
+    evict by prefix.  Thread-safe: the executor commits and reads while
+    shuffle-server threads serve."""
 
     def __init__(self, budget: int):
         if budget <= 0:

@@ -73,11 +73,15 @@ class Throttle:
 
     ``pace(elapsed)`` stretches a unit of work that took ``elapsed``
     seconds to ``factor * elapsed`` by sleeping the difference, so the
-    task loop and shuffle serving both run at ``1/factor`` speed.  The
-    heartbeat thread is deliberately *not* paced: a straggler is slow,
-    not dead, and must keep beating so the detector never declares it
-    lost.  Shared by the executor and the shuffle server; ``set`` is a
-    single attribute store, safe without a lock."""
+    task loop and shuffle serving both run at ``1/factor`` speed.  A map
+    run or a reduce passes the thread CPU time it consumed, so the
+    factor scales the node's own compute, not whatever wait for a CPU it
+    met on a shared host; a replica copy and a shuffle response, which
+    are I/O, pass their wall time.  The heartbeat thread is deliberately
+    *not* paced: a straggler is slow, not dead, and must keep beating so
+    the detector never declares it lost.  Shared by the executor and
+    the shuffle server; ``set`` is a single attribute store, safe
+    without a lock."""
 
     def __init__(self, factor: float = 1.0):
         self._factor = float(factor)

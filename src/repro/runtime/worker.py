@@ -21,10 +21,15 @@ mapped columns are partitioned by one sort and one encode; each task's
 section is appended, its epoch re-checked right before (a cancelled task
 appends nothing); one fsync makes the run durable, and only then does
 every task answer, in task order: ``map-done``, or ``task-failed`` for a
-block that could not be fetched or a task the epoch cancelled.  The
-mapped-ahead columns live no longer than the run.  A task keeps its
-data as columns — ``keys: uint64[n]`` plus an ``n x L`` value matrix —
-from the moment a block's or a shuffle response's bytes are decoded
+block that could not be fetched or a task the epoch cancelled.  A run
+reads its blocks as *segments*, contiguous rows of one source: the
+node's own chain input is generated once over the run's blocks and
+mapped where it lies, without a concatenated copy, and a stored piece
+is read once however many of its blocks the run maps.  What the run
+read and mapped lives no longer than the run; nothing of a chain is
+kept between runs.  A task keeps its data as columns — ``keys:
+uint64[n]`` plus an ``n x L`` value matrix — from the moment a block's
+or a shuffle response's bytes are decoded
 (:func:`~repro.runtime.storage.decode_columns`) to the moment the output
 frames are written: map and reduce are the batch UDFs of
 :mod:`repro.localexec.records`, defined as byte-for-byte what the
@@ -93,7 +98,7 @@ from repro.runtime.storage import (
 DEFAULT_OPTIONS = {
     "fetch_timeout": 5.0,
     "server_timeout": 30.0,
-    "memory_budget": 64 << 20,  # hot-tier bytes per worker; 0 disables
+    "memory_budget": 0,  # memory-tier bytes per worker; 0 disables
 }
 
 
@@ -174,8 +179,6 @@ class _Worker:
         self.pool = transport.PeerPool(timeout=opts["fetch_timeout"])
         self._ports: dict[int, int] = {}
         self._wire_epoch = -1  # newest epoch the intake saw
-        #: chain -> this node's memoized chain input columns
-        self._inputs: dict = {}
 
     def close(self) -> None:
         self.pool.close()
@@ -213,16 +216,14 @@ class _Worker:
             self.throttle.set(cmd["factor"])
             return
         if cmd["op"] == "chain-close":
-            # drop the finished chain's in-memory state (its store view
-            # and memoized input) — the coordinator side has
-            # already read the final output — then close and sweep its
-            # namespace's segments, sparing the reduce jobs the cross-run
-            # cache registered.  Fire-and-forget: there is no event
-            # stream left to report on, and a filesystem race must not
-            # take down the command loop.
+            # drop the finished chain's store view — the coordinator
+            # side has already read the final output — then close and
+            # sweep its namespace's segments, sparing the reduce jobs the
+            # cross-run cache registered.  Fire-and-forget: there is no
+            # event stream left to report on, and a filesystem race must
+            # not take down the command loop.
             chain = cmd["chain"]
             self._stores.pop(chain, None)
-            self._inputs.pop(chain, None)
             try:
                 self.store.for_chain(chain).sweep_chain(cmd.get("keep", ()))
             except OSError:
@@ -311,59 +312,43 @@ class _Worker:
         return store
 
     # -- input ----------------------------------------------------------
-    def _input_block(self, cmd: dict, chain, node: int, start: int,
-                     count: int) -> tuple:
-        """Rows ``start..start + count`` of ``node``'s chain input.  The
-        input is a pure function of the chain's ``(seed,
-        records_per_node, value_size)``, which the map command carries
-        as ``input`` (the paper's randomly generated binary data), so a
-        re-homed mapper needs no fetch for a root job and regenerates
-        just its block; a node's *own* input is generated once, like
-        ``LocalCluster._make_input``, and memoized per chain as its
-        ``(keys, values)`` columns."""
-        seed, records_per_node, value_size = cmd["input"]
-        seed = seed * 1000 + node
-        if node != self.node:
-            return generate_batch(count, seed, value_size, start=start)
-        columns = self._inputs.get(chain)
-        if columns is None:
-            columns = self._inputs[chain] = generate_batch(
-                records_per_node, seed, value_size)
-        keys, values = columns
-        return keys[start:start + count], values[start:start + count]
-
-    def _block_columns(self, cmd: dict, chain, store: NodeStore,
-                       ports: dict[int, int]) -> tuple:
-        """Resolve one map-input block; returns ``(keys, values, bytes
-        fetched over TCP, bytes resolved locally)`` — local meaning the
-        node's own store (memory tier first), never a socket."""
-        source = cmd["source"]
+    def _segment_columns(self, cmd: dict, source: tuple, lo: int, hi: int,
+                         chain, store: NodeStore, pieces: dict,
+                         tick: Callable[[], None]) -> tuple:
+        """Rows ``lo..hi`` of one source as ``(keys, values, bytes fetched
+        over TCP)``.  Chain input is a pure function of the chain's
+        ``(seed, records_per_node, value_size)``, which the map command
+        carries as ``input`` (the paper's randomly generated binary
+        data), so any node generates any range — its own blocks or a
+        re-homed one's — with no fetch and no state kept between runs.
+        A stored piece is read once per run (``pieces`` holds it for the
+        run's other segments): this node's from its store — a
+        cache-adopted one from its donor chain's namespace — another
+        node's over that node's shuffle server."""
         if source[0] == "input":
-            return *self._input_block(cmd, chain, *source[1:]), 0, 0
-        (_, job, partition, split_index, n_splits, node, start,
-         count) = source[:8]
-        # a 9th element names the namespace the piece lives in — a donor
-        # chain for cache-adopted pieces (8-tuples: the task's own chain)
-        src_chain = source[8] if len(source) > 8 else None
-        piece_chain = src_chain if src_chain is not None else chain
-        fetched = local = 0
-        if node == self.node:
-            read_store = store if src_chain is None \
-                else self._store(src_chain)
-            data = read_store.read_piece(job, partition, split_index,
-                                         n_splits)
-        else:
-            data = self.pool.fetch_piece(
-                ports[node], job, partition, split_index, n_splits,
-                chain=piece_chain)
-            fetched = len(data)
-        keys, values = decode_columns(data, start, count)
-        if node == self.node:
-            # the resident piece is shared, not copied: the block only
-            # touched its own frames, so only those count as read
-            local = len(keys) * FRAME_HEADER + (
-                values.size if values.ndim == 2 else sum(map(len, values)))
-        return keys, values, fetched, local
+            seed, _, value_size = cmd["input"]
+            return (*generate_batch(hi - lo, seed * 1000 + source[1],
+                                    value_size, start=lo, tick=tick), 0)
+        fetched = 0
+        data = pieces.get(source)
+        if data is None:
+            _, job, partition, split_index, n_splits, node, *donor = source
+            # a cache-adopted piece names its donor chain's namespace
+            # (an 8-element block source: the task's own chain)
+            src_chain = donor[0] if donor else None
+            if node == self.node:
+                read_store = store if src_chain is None \
+                    else self._store(src_chain)
+                data = read_store.read_piece(job, partition, split_index,
+                                             n_splits)
+            else:
+                data = self.pool.fetch_piece(
+                    self._ports[node], job, partition, split_index,
+                    n_splits,
+                    chain=src_chain if src_chain is not None else chain)
+                fetched = len(data)
+            pieces[source] = data
+        return (*decode_columns(data, lo, hi - lo), fetched)
 
     # -- shuffle fetch ---------------------------------------------------
     def _fetch_merge(self, requests: list[tuple[int, dict]],
@@ -384,46 +369,70 @@ class _Worker:
     # -- tasks -----------------------------------------------------------
     def _map_run(self, run: list) -> None:
         """A run of map commands as one unit of compute and commit:
-        resolve every task's block, map all their rows in one column pass
-        and partition the mapped columns with one sort and one encode;
-        then append a section per task, its epoch re-checked right before,
-        commit them all with one fsync, and answer every task in task
-        order.  A block that cannot be fetched fails only its own task; a
-        task the epoch cancelled appends nothing."""
-        started = time.perf_counter()
+        resolve the run's segments, map each pass's rows — one pass per
+        value shape, a lone segment where it lies — and partition the
+        mapped columns with one sort and one encode; then append a
+        section per task, its epoch re-checked right before, commit them
+        all with one fsync, and answer every task in task order.  A
+        segment that cannot be read fails only its own tasks; a task the
+        epoch cancelled appends nothing."""
+        cpu = time.thread_time()
         chain, job = run[0].get("chain"), run[0]["job"]
         failed: dict[int, Exception] = {}   # task index -> its answer
         traffic: dict[int, tuple] = {}      # -> (bytes fetched, local)
         counts: dict[int, dict] = {}        # -> committed record counts
-        try:
+
+        def tick() -> None:
+            # the epoch re-checked before every pass of the MD5 kernel,
+            # so a cancelled run stops within one
             self._check_epoch(run[0])
+
+        try:
+            tick()
             store = self._store(chain)
-            blocks: dict = {}
-            passes: dict = {}  # ragged and uniform value columns: one each
-            for i, cmd in enumerate(run):
+            pieces: dict = {}  # source -> piece bytes, read once a run
+            #: value shape -> [(keys, values, task indexes, their rows)]
+            passes: dict = {}
+            for source, lo, hi, members in _segments(run):
                 try:
-                    keys, values, *traffic[i] = self._block_columns(
-                        cmd, chain, store, self._ports)
+                    keys, values, fetched = self._segment_columns(
+                        run[members[0]], source, lo, hi, chain, store,
+                        pieces, tick)
+                except _Cancelled:
+                    raise
                 except Exception as exc:
-                    failed[i] = exc
+                    failed.update(dict.fromkeys(members, exc))
                     continue
-                blocks[i] = keys, values
-                passes.setdefault(values.shape[1:], []).append(i)
+                local = source[0] == "piece" and source[5] == self.node
+                sizes = []
+                for i in members:
+                    _, start, count = _span(run[i]["source"])
+                    rows, frames = _block_rows(values, start - lo, count)
+                    sizes.append(rows)
+                    # a local block shares the run's one read of the
+                    # piece: only the frames it maps count as read
+                    traffic[i] = (fetched if i == members[0] else 0,
+                                  frames if local else 0)
+                passes.setdefault(values.shape[1:], []).append(
+                    (keys, values, members, sizes))
+            pieces.clear()
             slices: dict = {}
-            for members in passes.values():
-                taken = [blocks.pop(i) for i in members]
-                # the epoch re-checked before every pass of the MD5
-                # kernel, so a cancelled run stops within one
-                keys, values = map_batch(*(
-                    np.concatenate([block[column] for block in taken])
-                    for column in (0, 1)), job,
-                    lambda: self._check_epoch(run[0]))
+            while passes:
+                parts = passes.popitem()[1]
+                members = [i for part in parts for i in part[2]]
+                sizes = [n for part in parts for n in part[3]]
+                keys, values = (parts[0][column] if len(parts) == 1
+                                else np.concatenate([part[column]
+                                                     for part in parts])
+                                for column in (0, 1))
+                # a concatenated pass lets the pieces it was cut from go
+                del parts
+                keys, values = map_batch(keys, values, job, tick)
                 slices.update(zip(members, partition_run(
-                    keys, values, run[0]["n_partitions"],
-                    [len(block[0]) for block in taken])))
+                    keys, values, run[0]["n_partitions"], sizes)))
                 # the mapped columns go before the commit: the memory tier
                 # copies the slices out of the run's one frame buffer
-                del taken, keys, values
+                del keys, values
 
             def sections():
                 for i in sorted(slices):
@@ -435,7 +444,7 @@ class _Worker:
 
             # a slow node's run is stretched before its commit, so an
             # epoch bump heard meanwhile still cancels it
-            self.throttle.pace(time.perf_counter() - started)
+            self.throttle.pace(time.thread_time() - cpu)
             committed = set(store.write_map_run(job, sections()))
             counts.update((i, {p: n for p, (n, _) in slices[i].items()})
                           for i in slices if run[i]["task"] in committed)
@@ -449,7 +458,7 @@ class _Worker:
                 self._fail(cmd, failed.get(i, _Cancelled()))
 
     def _reduce(self, cmd: dict, chain, store: NodeStore) -> None:
-        started = time.perf_counter()
+        cpu = time.thread_time()
         job, partition = cmd["job"], cmd["partition"]
         split_index, n_splits = cmd["split"], cmd["n_splits"]
         by_node: dict[int, list[int]] = {}
@@ -482,7 +491,7 @@ class _Worker:
                 for task_id in by_node[self.node]), split_index, n_splits))
         data = b"".join(landed)
         keys, values = reduce_batch(*decode_columns(data))
-        self.throttle.pace(time.perf_counter() - started)
+        self.throttle.pace(time.thread_time() - cpu)
         self._check_epoch(cmd)
         store.write_piece_bytes(job, partition, split_index, n_splits,
                                 encode_columns(keys, values))
@@ -514,3 +523,36 @@ class _Worker:
                                 data)
         self._done(cmd, None, len(data))
 
+
+def _segments(run: list) -> list[list]:
+    """A run's blocks as *segments*, maximal stretches of consecutive
+    blocks over contiguous rows of one source: ``[source, first row, end
+    row, [task index, ...]]``."""
+    segments: list[list] = []
+    for i, cmd in enumerate(run):
+        source, start, count = _span(cmd["source"])
+        last = segments[-1] if segments else None
+        if last is not None and last[0] == source and last[2] == start:
+            last[2] += count
+            last[3].append(i)
+        else:
+            segments.append([source, start, start + count, [i]])
+    return segments
+
+
+def _span(source: tuple) -> tuple:
+    """A map block's source as ``(what it reads, first row, row
+    count)``: ``("input", node)`` for a node's chain input, the piece
+    tuple less its row range for a stored piece."""
+    if source[0] == "input":
+        return source[:2], source[2], source[3]
+    return source[:6] + source[8:], source[6], source[7]
+
+
+def _block_rows(values: np.ndarray, offset: int, count: int
+                ) -> tuple[int, int]:
+    """A block's rows within its segment's value column: how many, and
+    the bytes their frames take."""
+    rows = values[offset:offset + count]
+    return len(rows), len(rows) * FRAME_HEADER + (
+        rows.size if rows.ndim == 2 else sum(map(len, rows)))

@@ -5,23 +5,34 @@ The unit tests pin the tier's cache discipline (write-through, LRU
 spill, prefix invalidation) and the byte-identity of every serve path
 with and without the tier; the property test drives a tiny budget
 through randomized writes so entries spill constantly and proves
-spill→reload→serve equals never-spilled.  The slow e2e tests kill a
+spill→reload→serve equals never-spilled.  The tier is off by default:
+the default-config tests pin that a worker then holds none of a chain's
+committed bytes or input in RAM, and that a map run reads each stored
+piece once.  The slow e2e tests kill a
 node whose hot pieces lived in RAM and check ordinary RCMP recompute
 restores the exact reference checksum — a SIGKILL may only lose what
 the planner already knows how to recompute.
 """
 
+import gc
+import json
 import random
+import shutil
+import weakref
 
 import pytest
 
 from repro.faults import FaultModel
 from repro.localexec import LocalJobConfig
 from repro.localexec.records import Record, generate_records
+from repro.runtime import coordinator as coord_mod
+from repro.runtime import worker as worker_mod
 from repro.runtime.coordinator import RunReport, RuntimeConfig
 from repro.runtime.storage import (
+    ClusterRegistry,
     MemoryTier,
     NodeStore,
+    PieceEntry,
     decode_records,
     encode_records,
     filter_split,
@@ -42,6 +53,11 @@ from tests.test_runtime_process import (  # noqa: F401 - shared harness
     KillAt,
     reference_checksum,
     run_process_chain,
+)
+from tests.test_runtime_shuffle import (
+    _dispatch_as_one_run,
+    _EventSink,
+    _map_commands,
 )
 
 
@@ -164,6 +180,161 @@ def test_spill_reload_serve_property(stores, tmp_path):
         assert got[0] == got[1] == got[2]
         served = [serve_request(s, request) for s in (tiny, big, bare)]
         assert served[0] == served[1] == served[2]
+
+
+# --------------------------------------------------------- default config
+def _default_store(root, node: int) -> NodeStore:
+    """A node's store as a worker on the default config builds it."""
+    budget = RuntimeConfig().worker_options()["memory_budget"]
+    return NodeStore(root, node,
+                     memory=MemoryTier(budget) if budget else None)
+
+
+def test_a_default_replica_stays_on_disk_and_its_promoted_copy_reads_back(
+        tmp_path):
+    """On the default config a worker keeps no committed byte in RAM —
+    a replica copy, read only after its primary is lost, least of all:
+    the copy is appended and fsync'd, and when its primary dies the
+    registry promotes it and it reads back byte-identical from the
+    survivor's disk."""
+    records = sorted(generate_records(30, seed=4, value_size=14))
+    data = encode_records(records)
+    primary = _default_store(tmp_path, 0)
+    primary.write_piece_bytes(2, 3, 0, 1, data)
+    server = ShuffleServer(primary, timeout=5.0)
+    worker = worker_mod._Worker(1, _default_store(tmp_path, 1),
+                                _EventSink())
+    worker._ports = {0: server.port}
+    try:
+        assert worker.store.memory is None
+        worker.dispatch({"op": "replicate", "job": 2, "partition": 3,
+                         "split": 0, "n_splits": 1, "source": 0,
+                         "target": 1, "source_chain": None, "epoch": 0,
+                         "chain": None})
+        assert [e.kind for e in worker.evt.sent] == ["replica-done"]
+        assert piece_key(3, 0, 1) in scan_segment(
+            worker.store.reduce_segment_path(2))
+        # the primary dies: its server and its disk go with it
+        server.close()
+        primary.close()
+        shutil.rmtree(primary.dir)
+        registry = ClusterRegistry()
+        registry.add_piece(PieceEntry(2, 3, 0, 1, 0, len(records)))
+        registry.add_replica(2, 3, 0, 1, 1)
+        registry.record_death(0, done_jobs=[2])
+        [promoted] = registry.pieces[2][3]
+        assert promoted.node == 1 and registry.damaged_jobs() == []
+        assert NodeStore(tmp_path, promoted.node).read_piece(
+            *promoted.key) == data
+        assert worker.store.read_piece(*promoted.key) == data
+    finally:
+        server.close()
+        worker.close()
+
+
+def _piece_commands(pieces, rows, per_piece):
+    """Job-2 map commands over ``per_piece`` consecutive ``rows``-row
+    blocks of each job-1 piece (partition -> holder node) — task ids as
+    ``blocks_for`` numbers them."""
+    return [{"op": "map", "job": 2, "task": part * 1000 + k,
+             "origin": (1, part), "n_partitions": 2,
+             "source": ("piece", 1, part, 0, 1, node, k * rows, rows),
+             "key": ("map", 2, part * 1000 + k), "epoch": 0, "chain": None}
+            for part, node in pieces.items() for k in range(per_piece)]
+
+
+def test_a_map_run_reads_each_local_piece_once(tmp_path, monkeypatch):
+    """A run maps several blocks of each of two local pieces: it reads
+    each piece once and commits what the same tasks commit one at a
+    time."""
+    rows, per_piece, pieces = 8, 3, {0: 0, 4: 0}
+    records = {part: sorted(generate_records(rows * per_piece, seed=part,
+                                             value_size=14))
+               for part in pieces}
+    reads = []
+    real = NodeStore.read_piece
+    monkeypatch.setattr(NodeStore, "read_piece", lambda self, *key: (
+        reads.append(key), real(self, *key))[1])
+    segments = {}
+    for name in ("single", "run"):
+        store = _default_store(tmp_path / name, 0)
+        for part in pieces:
+            store.write_piece(1, part, 0, 1, records[part])
+        worker = worker_mod._Worker(0, store, _EventSink())
+        cmds = _piece_commands(pieces, rows, per_piece)
+        try:
+            if name == "run":
+                del reads[:]
+                _dispatch_as_one_run(worker, cmds)
+                assert reads == [(1, part, 0, 1) for part in pieces]
+            else:
+                for cmd in cmds:
+                    worker.dispatch(cmd)
+            assert [e.kind for e in worker.evt.sent] == \
+                ["map-done"] * len(cmds)
+            segments[name] = store.map_segment_path(2).read_bytes()
+        finally:
+            worker.close()
+    assert segments["run"] == segments["single"]
+
+
+def test_own_input_is_generated_once_a_run_and_not_kept(tmp_path,
+                                                        monkeypatch):
+    """A run of the node's own input blocks generates their rows with
+    one ``generate_batch`` call and maps them where they lie (no
+    concatenated copy); nothing of the input outlives the run, so a
+    re-execution generates it again."""
+    generated, mapped = [], []
+    real_generate, real_map = worker_mod.generate_batch, worker_mod.map_batch
+
+    def generate(n, *args, start=0, **kwargs):
+        columns = real_generate(n, *args, start=start, **kwargs)
+        generated.append((n, start, weakref.ref(columns[1])))
+        return columns
+
+    monkeypatch.setattr(worker_mod, "generate_batch", generate)
+    monkeypatch.setattr(worker_mod, "map_batch", lambda keys, values, *rest:
+                        (mapped.append(values), real_map(keys, values,
+                                                         *rest))[1])
+    worker = worker_mod._Worker(0, NodeStore(tmp_path, 0), _EventSink())
+    cmds = _map_commands(range(8), 8)
+    try:
+        for _ in range(2):
+            _dispatch_as_one_run(worker, [dict(cmd) for cmd in cmds[2:5]])
+        assert [e.kind for e in worker.evt.sent] == ["map-done"] * 6
+        assert [(n, start) for n, start, _ in generated] == [(24, 16)] * 2
+        assert len(mapped) == 2 and mapped[0] is generated[0][2]()
+        del mapped[:]
+        gc.collect()
+        assert not any(ref() is not None for _, _, ref in generated)
+    finally:
+        worker.close()
+
+
+def test_after_a_default_chain_no_worker_holds_its_bytes(
+        tmp_path, monkeypatch):
+    """A chain-clean-shaped chain (3 jobs x 8 partitions, no fault) on
+    the default config: at its end no worker holds a committed slice or
+    piece, or the chain's input, in RAM — disk and the page cache serve
+    every read."""
+    monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", float("inf"))
+    real_close = worker_mod._Worker.close
+
+    def close(self):  # runs in the worker process, at its stop
+        memory = self.store.memory
+        (self.store.root / f"held{self.node}.json").write_text(json.dumps(
+            {"tier": 0 if memory is None else memory.bytes,
+             "input": hasattr(self, "_inputs")}))
+        real_close(self)
+
+    monkeypatch.setattr(worker_mod._Worker, "close", close)
+    chain = LocalJobConfig(n_jobs=3, n_partitions=8, records_per_node=256,
+                           records_per_block=64, value_size=64, seed=2)
+    report = run_process_chain(tmp_path, chain=chain)
+    assert report.checksum == reference_checksum(chain)
+    for node in range(4):
+        assert json.loads((tmp_path / "cluster" / f"held{node}.json")
+                          .read_text()) == {"tier": 0, "input": False}
 
 
 # ------------------------------------------------- zero-copy codec/serving

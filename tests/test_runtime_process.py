@@ -583,24 +583,25 @@ def test_differential_matrix_replicated_strategies(tmp_path, seed,
 @pytest.mark.parametrize("strategy", ["rcmp", "optimistic", "repl2",
                                       "hybrid"])
 def test_differential_matrix_straggler(tmp_path, monkeypatch, strategy):
-    """The straggler column of the acceptance matrix: one 10x-throttled
-    node with speculation and pre-replication on must still reproduce
-    the failure-free in-process checksum byte-for-byte under every
-    strategy — and, being slow rather than dead, must never be declared
-    lost or cascade-recovered."""
+    """The straggler column of the acceptance matrix: one heavily
+    throttled node (``slow@1:20``, about 10x a map run's wall) with
+    speculation and pre-replication on must still reproduce the
+    failure-free in-process checksum byte-for-byte under every strategy
+    — and, being slow rather than dead, must never be declared lost or
+    cascade-recovered."""
     chain = LocalJobConfig(n_jobs=3, n_partitions=4, records_per_node=48,
                            records_per_block=16, split_ratio=2, seed=0)
     monkeypatch.setattr(coord_mod, "SPECULATION_MIN_AGE", 0.02)
     report = run_process_chain(
         tmp_path, chain=chain, strategy=strategy,
-        fault_model=FaultModel.parse("slow@1:10"))
+        fault_model=FaultModel.parse("slow@1:20"))
     assert report.checksum == reference_checksum(chain)
     assert report.deaths == []  # slow is never dead
     assert report.speculation["attempts"] > 0  # the column is not vacuous
     # no recovery machinery ran: every job committed as a plain run
     assert all(k in ("run", "re-replicate") for _, k, _ in
                report.job_times)
-    assert report.speculation["throttled"] == {1: 10.0}
+    assert report.speculation["throttled"] == {1: 20.0}
 
 
 @pytest.mark.slow

@@ -862,33 +862,50 @@ def test_a_run_of_map_commands_commits_what_single_tasks_commit(
     assert passes == [rows] * n + [rows * n]
 
 
-def test_an_epoch_bump_inside_a_run_stops_it_within_one_pass(
-        tmp_path, monkeypatch):
-    """A newer epoch heard while a run's pass is under way: the pass does
-    not start another kernel chunk, nothing is written, and every task of
-    the run answers ``cancelled`` on its own."""
+def _bump_inside_a_run(tmp_path, monkeypatch, bump_at):
+    """Dispatch a 4-task run of ``_CHUNK``-row input blocks, bumping the
+    epoch from the MD5 kernel's call ``bump_at`` on; returns the rows of
+    each kernel pass that ran."""
     n, rows, calls = 4, md5_mod._CHUNK, []
     worker = _run_worker(tmp_path)
     real = md5_mod._compress
 
     def bump_then_compress(n_rows, words):
         calls.append(n_rows)
-        worker.hear(1)
+        if len(calls) > bump_at:
+            worker.hear(1)
         return real(n_rows, words)
 
     cmds = _map_commands(range(n), rows)
     try:
-        worker._input_block(cmds[0], None, 0, 0, 1)  # generated before
         monkeypatch.setattr(md5_mod, "_compress", bump_then_compress)
         _dispatch_as_one_run(worker, cmds)
-        # one kernel pass of the key digest's four, then the check: not
-        # the other three, and none of the value digest's
-        assert calls == [rows]
         assert [(e.kind, e.key[2], e.result) for e in worker.evt.sent] == \
             [("task-failed", task, "cancelled") for task in range(n)]
         assert not worker.store.map_segment_path(1).exists()
     finally:
         worker.close()
+    return calls
+
+
+def test_an_epoch_bump_inside_a_run_stops_it_within_one_pass(
+        tmp_path, monkeypatch):
+    """A newer epoch heard while a run's pass is under way: the pass does
+    not start another kernel chunk, nothing is written, and every task of
+    the run answers ``cancelled`` on its own."""
+    # the bump lands in the first of the run's input generation's four
+    # kernel passes: none of the other three runs, nor any of the map's
+    assert _bump_inside_a_run(tmp_path, monkeypatch, 0) == \
+        [md5_mod._CHUNK]
+
+
+def test_an_epoch_bump_inside_a_runs_map_pass_stops_it_within_one_pass(
+        tmp_path, monkeypatch):
+    """The same bump landing once the run's input is generated, in the
+    first pass of the map's key digest: the map stops there too."""
+    # generation's four passes, then one of the map's eight
+    assert _bump_inside_a_run(tmp_path, monkeypatch, 4) == \
+        [md5_mod._CHUNK] * 5
 
 
 def test_an_epoch_bump_between_commits_of_a_run_commits_nothing_further(
@@ -922,18 +939,21 @@ def test_an_epoch_bump_between_commits_of_a_run_commits_nothing_further(
 
 def test_a_fetch_error_on_a_looked_ahead_block_fails_only_its_task(
         tmp_path, monkeypatch):
+    """One block of the run reads a piece on node 7, whose fetch fails:
+    that task alone fails, and the input blocks around it still
+    commit."""
     n, lost = 4, 2
     worker = _run_worker(tmp_path)
-    real = _Worker._block_columns
+    worker._ports = {7: 1}
 
-    def block_columns(self, cmd, *rest):
-        if cmd["task"] == lost:
-            raise FetchError("source 7 is gone")
-        return real(self, cmd, *rest)
+    def fetch_piece(port, *rest, **kw):
+        raise FetchError("source 7 is gone")
 
-    monkeypatch.setattr(_Worker, "_block_columns", block_columns)
+    monkeypatch.setattr(worker.pool, "fetch_piece", fetch_piece)
+    cmds = _map_commands(range(n), 8)
+    cmds[lost]["source"] = ("piece", 1, 0, 0, 1, 7, 0, 8)
     try:
-        _dispatch_as_one_run(worker, _map_commands(range(n), 8))
+        _dispatch_as_one_run(worker, cmds)
         assert [(e.kind, e.key[2]) for e in worker.evt.sent] == \
             [("task-failed" if task == lost else "map-done", task)
              for task in range(n)]
